@@ -49,10 +49,13 @@ from .spectra import (
     NormReport,
     SpectrumResult,
     circulant_eigs,
+    mi_levinson,
     mi_logdet,
+    mi_schur,
     norm_report,
     psd_alignment_sup,
     toeplitz_eigs,
+    toeplitz_traces,
     trace_power,
 )
 from .szego import (
@@ -102,6 +105,9 @@ __all__ = [
     "circulant_eigs",
     "toeplitz_eigs",
     "mi_logdet",
+    "mi_levinson",
+    "mi_schur",
+    "toeplitz_traces",
     "trace_power",
     "norm_report",
     "psd_alignment_sup",

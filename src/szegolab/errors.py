@@ -43,8 +43,10 @@ class ConvergenceFailure(NumericalError):
 
 
 class NotPositiveDefinite(NumericalError):
-    """Cholesky factorization of I + A failed; for a positive-semidefinite A
-    this indicates an internal error or a badly corrupted matrix."""
+    """I + A is not positive definite: its Cholesky factorization failed, a
+    Levinson reflection coefficient reached |kappa| >= 1, a Schur pivot was
+    <= 0, or an eigenvalue fell to -1 or below.  For a positive-semidefinite
+    A this indicates an internal error or badly corrupted coefficients."""
 
 
 class DegreeTooLow(NumericalError):

@@ -7,10 +7,27 @@ The circulant spectrum is the real DFT of the wrapped first row,
 
 real because the row is wrap-symmetric.  A direct O(n^2) cosine transform is
 the reference path; the FFT is an accelerated path contracted to agree with it
-to 1e-10 relative.  The Toeplitz spectrum comes from a backward-stable dense
-symmetric eigensolver, and the sampled mutual information is
+to 1e-10 relative.
 
-    mi = (1/2) * log det(I + A) = sum log diag(Cholesky(I + A)).
+The sampled mutual information mi = (1/2) * log det(I + A) has two O(n^2)-time,
+O(n)-memory routes that work on the gamma sequence and never build A:
+
+- ``mi_levinson`` runs the Levinson-Durbin recursion on the first column
+  c = e_0 + gamma of I + A; with reflection coefficients kappa_k,
+  log det = n log c_0 + sum_k (n - k) log(1 - kappa_k^2).
+- ``mi_schur`` runs the Schur (generator) recursion on the displacement
+  generators of I + A, which yields the pivots d_k of its LDL^T
+  factorization without inner products; log det = sum log d_k.
+
+``toeplitz_traces`` gives tr(A^2), tr(A^3) and tr(A^4) in the same budget:
+tr(A^2) is the closed Frobenius sum, and the rows of S = A^2 are streamed
+through the displacement recurrence
+
+    S[i+1, j+1] = S[i, j] + gamma_{i+1} gamma_{j+1} - gamma_{n-1-i} gamma_{n-1-j},
+
+so that tr(A^3) = sum S o A and tr(A^4) = sum S o S.  The dense routes stay as
+references: ``toeplitz_eigs`` (backward-stable symmetric eigensolver) and
+``mi_logdet`` (sum log diag(Cholesky(I + A))).
 
 ``norm_report`` collects the three norm diagnostics used by the asymptotic
 equivalence argument: the theta-grid bound on the symbol
@@ -37,6 +54,9 @@ __all__ = [
     "circulant_eigs",
     "toeplitz_eigs",
     "mi_logdet",
+    "mi_levinson",
+    "mi_schur",
+    "toeplitz_traces",
     "trace_power",
     "norm_report",
     "psd_alignment_sup",
@@ -161,6 +181,118 @@ def mi_logdet(A: np.ndarray) -> float:
     return float(np.sum(np.log(np.diag(chol))))
 
 
+def _gamma_copy(gamma) -> np.ndarray:
+    """A validated float copy of the first row gamma of A."""
+    gamma = np.array(gamma, dtype=float)
+    if gamma.ndim != 1 or gamma.size < 1:
+        raise ValueError("gamma must be a non-empty vector")
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("gamma entries must be finite")
+    return gamma
+
+
+def _frob_sq(gamma: np.ndarray) -> float:
+    """||A||_F^2 = tr(A^2) = n gamma_0^2 + 2 sum_k (n - k) gamma_k^2."""
+    n = gamma.size
+    k = np.arange(1, n, dtype=float)
+    return float(n * gamma[0] ** 2 + 2.0 * np.sum((n - k) * gamma[1:] ** 2))
+
+
+def mi_levinson(gamma) -> float:
+    """(1/2) log det(I + A) in nats by the Levinson-Durbin recursion on the
+    first column of I + A; O(n^2) time, O(n) memory.
+
+    Raises NotPositiveDefinite when a reflection coefficient has |kappa| >= 1.
+    """
+    c = _gamma_copy(gamma)
+    c[0] += 1.0
+    n = c.size
+    if not c[0] > 0.0:
+        raise NotPositiveDefinite(f"diagonal 1 + gamma_0 = {c[0]:.6e} of I + A is not positive")
+    kappa = np.empty(n - 1)
+    a = np.empty(n - 1)  # a[:k] holds the order-k predictor
+    err = c[0]
+    for k in range(1, n):
+        pred = a[: k - 1]
+        kap = -(c[k] + float(pred @ c[k - 1 : 0 : -1])) / err
+        if not abs(kap) < 1.0:
+            raise NotPositiveDefinite(
+                f"Levinson reflection coefficient {kap:.6e} at order {k} has |kappa| >= 1; "
+                "I + A is not positive definite"
+            )
+        pred += kap * pred[::-1]
+        a[k - 1] = kap
+        err *= 1.0 - kap * kap
+        kappa[k - 1] = kap
+    weights = np.arange(n - 1, 0, -1, dtype=float)
+    terms = weights * np.log1p(-kappa * kappa)
+    return 0.5 * math.fsum([n * math.log(c[0]), *terms.tolist()])
+
+
+def mi_schur(gamma) -> float:
+    """(1/2) log det(I + A) in nats as half the sum of the log pivots of the
+    Toeplitz LDL^T factorization, from the Schur generator recursion; O(n^2)
+    time, O(n) memory.
+
+    The generators u = c, v = c - c_0 e_0 of I + A are rotated so that v[k]
+    vanishes, which leaves the pivot d_k at u[k]; u then shifts one place.
+    Raises NotPositiveDefinite on a pivot <= 0.
+    """
+    u = _gamma_copy(gamma)
+    u[0] += 1.0
+    v = u.copy()
+    v[0] = 0.0
+    logs = np.empty(u.size)
+    for k in range(u.size):
+        uk, vk = u[k:], v[k:]
+        rho = vk[0] / uk[0]
+        rotated = uk - rho * vk
+        vk -= rho * uk
+        pivot = rotated[0]
+        if not pivot > 0.0:
+            raise NotPositiveDefinite(
+                f"Schur pivot {pivot:.6e} at step {k} is <= 0; I + A is not positive definite"
+            )
+        logs[k] = math.log(pivot)
+        u[k + 1 :] = rotated[:-1]
+    return 0.5 * math.fsum(logs.tolist())
+
+
+def toeplitz_traces(gamma) -> tuple[float, float, float]:
+    """(tr(A^2), tr(A^3), tr(A^4)) of the symmetric Toeplitz matrix with first
+    row gamma, without building it; O(n^2) time, O(n) memory.
+
+    Row 0 of S = A^2 is one correlation; later rows follow from the
+    displacement recurrence of S (module docstring), and S is symmetric, so
+    column 0 repeats row 0.  A and S are persymmetric (S[n-1-i, n-1-j] =
+    S[i, j]), so row n-1-i contributes what row i does: only the first half
+    of the rows is streamed, which also halves the recurrence's error growth.
+    """
+    gamma = _gamma_copy(gamma)
+    n = gamma.size
+    sym = np.concatenate((gamma[:0:-1], gamma))  # sym[n-1+m] = gamma_|m|
+    first = np.correlate(sym, gamma, "valid")[::-1]
+    row = first.copy()
+    head, tail = gamma[1:], gamma[:0:-1]
+    rows = (n + 1) // 2
+    dots3 = np.empty(rows)
+    dots4 = np.empty(rows)
+    for i in range(rows):
+        dots3[i] = row @ sym[n - 1 - i : 2 * n - 1 - i]
+        dots4[i] = row @ row
+        if i + 1 < rows:
+            row[1:] = row[:-1] + gamma[i + 1] * head - gamma[n - 1 - i] * tail
+            row[0] = first[i + 1]
+    weights = np.full(rows, 2.0)
+    if n % 2:
+        weights[-1] = 1.0  # the middle row is its own mirror
+    return (
+        _frob_sq(gamma),
+        math.fsum((weights * dots3).tolist()),
+        math.fsum((weights * dots4).tolist()),
+    )
+
+
 def trace_power(obj, k: int, method: str = "auto") -> float:
     """tr(M^k) for a spectrum (SpectrumResult or 1-D eigenvalue vector) or a
     dense symmetric matrix.
@@ -230,12 +362,10 @@ def norm_report(gs: GramSequence) -> NormReport:
     refined = np.abs(_refine_symbol_values(gamma, candidates, grid_size))
     op_norm = float(refined.max())
 
-    k = np.arange(n, dtype=float)
-    frob_sq = n * gamma[0] ** 2 + 2.0 * float(np.sum((n - k[1:]) * gamma[1:] ** 2))
-    wrap_diff = 2.0 * float(np.sum(k[1:] * gamma[1:] ** 2))
+    wrap_diff = 2.0 * float(np.sum(np.arange(1, n) * gamma[1:] ** 2))
     return NormReport(
         op_norm_bound=op_norm,
-        frob_sq_over_t=frob_sq / T,
+        frob_sq_over_t=_frob_sq(gamma) / T,
         wrap_diff_frob_sq_over_t=wrap_diff / T,
     )
 

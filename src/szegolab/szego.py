@@ -7,10 +7,11 @@ Gaussian channel, (1/T) * (1/2) log det(I + A), which converges to
     target = (1/4pi) * integral log(1 + 2pi f(lam)) dlam
 
 as T grows with the sampling step held fine.  ``rate_convergence`` runs that
-study over a (T, n) schedule and collects, per point, both MI routes
-(Cholesky log-det and eigenvalue sum), the circulant companion rate, the norm
-diagnostics, the Toeplitz/circulant trace-power gaps, and the alignment of the
-circulant spectrum with the power spectral density.
+study over a (T, n) schedule and collects, per point, both O(n^2) MI routes
+(Levinson-Durbin and Schur log-dets), the circulant companion rate, the norm
+diagnostics, the Toeplitz/circulant trace-power gaps (Toeplitz traces from the
+displacement recurrence of A^2), and the alignment of the circulant spectrum
+with the power spectral density.  No study point builds the n x n matrix A.
 
 ``sandwich_polynomials`` constructs the constructive two-sided polynomial
 bound p1(x) <= log(1+x) <= p2(x) on [0, C] from the Bernstein approximant of
@@ -30,15 +31,16 @@ import numpy as np
 import scipy.stats
 
 from .errors import DegreeTooLow, DomainExceeded, NotPositiveDefinite, SzegolabError
-from .gram import GramSequence, SamplingGrid, gamma_sequence, toeplitz_matrix
+from .gram import SamplingGrid, gamma_sequence
 from .models import SpectralModel, spectral_functional
 from .spectra import (
     SpectrumResult,
     circulant_eigs,
-    mi_logdet,
+    mi_levinson,
+    mi_schur,
     norm_report,
     psd_alignment_sup,
-    toeplitz_eigs,
+    toeplitz_traces,
 )
 
 __all__ = [
@@ -290,7 +292,13 @@ RATE_COLUMNS = (
 
 @dataclass(frozen=True)
 class RatePoint:
-    """All per-point diagnostics of the convergence study."""
+    """All per-point diagnostics of the convergence study.
+
+    ``sampled_rate`` is the Levinson-Durbin MI over T.  ``route_rel_diff`` is
+    |Levinson - Schur| / |Levinson|, the agreement of the two independent
+    log-det routes.  ``log_sum_gap`` is 2 |MI - circulant MI| / T with the
+    Levinson MI.  ``trace_gaps[k-1]`` is |tr(A^k) - sum psiHat^k| / T.
+    """
 
     T: float
     n: int
@@ -349,44 +357,40 @@ class RateReport:
         return [p.table_row() for p in self.points]
 
 
-def _mi_from_eigs(eigenvalues: np.ndarray, what: str) -> float:
-    """(1/2) * sum log(1+eig); eigenvalues at or below -1 are inadmissible."""
+def _mi_from_eigs(eigenvalues: np.ndarray) -> float:
+    """(1/2) * sum log(1+eig) of a circulant spectrum; eigenvalues at or below
+    -1 are inadmissible."""
     low = float(np.min(eigenvalues))
     if low <= -1.0:
         raise NotPositiveDefinite(
-            f"{what} eigenvalue {low:.6e} is <= -1; log(1+eig) is undefined"
+            f"circulant eigenvalue {low:.6e} is <= -1; log(1+eig) is undefined"
         )
     return 0.5 * float(np.sum(np.log1p(eigenvalues)))
 
 
 def _rate_point(model: SpectralModel, grid: SamplingGrid, target: float) -> RatePoint:
     gs = gamma_sequence(model, grid)
-    A = toeplitz_matrix(gs)
-    mi_chol = mi_logdet(A)
-    toe = toeplitz_eigs(A, grid)
-    mi_eig = _mi_from_eigs(toe.eigenvalues, "Toeplitz")
+    mi = mi_levinson(gs.gamma)
+    mi_check = mi_schur(gs.gamma)
     circ = circulant_eigs(gs.gamma_hat, grid)
-    mi_hat = _mi_from_eigs(circ.dft_values, "circulant")
+    mi_hat = _mi_from_eigs(circ.dft_values)
 
     T = grid.T
-    sampled = mi_chol / T
+    sampled = mi / T
     circulant = mi_hat / T
     abs_err = abs(sampled - target)
     if target != 0.0:
         rel_err = abs_err / abs(target)
     else:
         rel_err = 0.0 if abs_err == 0.0 else math.inf
-    denom = max(abs(mi_chol), 1e-300)
-    route_rel_diff = abs(mi_chol - mi_eig) / denom
-    log_sum_gap = 2.0 * abs(mi_eig - mi_hat) / T
+    route_rel_diff = abs(mi - mi_check) / max(abs(mi), 1e-300)
+    log_sum_gap = 2.0 * abs(mi - mi_hat) / T
 
     nr = norm_report(gs)
     gap1 = abs(grid.n * (gs.gamma[0] - gs.gamma_hat[0])) / T
     gaps = [gap1]
-    for k in (2, 3, 4):
-        gaps.append(
-            abs(float(np.sum(toe.eigenvalues**k)) - float(np.sum(circ.dft_values**k))) / T
-        )
+    for k, trace in zip((2, 3, 4), toeplitz_traces(gs.gamma)):
+        gaps.append(abs(trace - float(np.sum(circ.dft_values**k))) / T)
 
     return RatePoint(
         T=T,
@@ -464,10 +468,7 @@ def refinement_stability(model: SpectralModel, T: float, n_seq) -> RefinementRep
     for n0, n1 in zip(seq, seq[1:]):
         if n1 != 2 * n0:
             raise ValueError(f"grid sizes must strictly double, got {n0} then {n1}")
-    mis = []
-    for n in seq:
-        grid = SamplingGrid(T=T, n=n)
-        mis.append(mi_logdet(toeplitz_matrix(gamma_sequence(model, grid))))
+    mis = [mi_levinson(gamma_sequence(model, SamplingGrid(T=T, n=n)).gamma) for n in seq]
     gaps = tuple(b - a for a, b in zip(mis, mis[1:]))
     return RefinementReport(T=float(T), n_seq=seq, mi_values=tuple(mis), gaps=gaps)
 

@@ -222,6 +222,16 @@ def test_exit_zero_with_study_summary_on_stderr(capsys):
     assert captured.err.count("[rate]") == 2
 
 
+def test_two_sample_schedule_reports_nan_alignment(capsys):
+    # With n = 2 no frequency 0 < m < n/2 is resolvable, so the alignment
+    # cell is a documented nan rather than an error.
+    assert main(["rate", "--schedule", "1:2", "--format", "csv"]) == 0
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert len(rows) == 1
+    assert rows[0][header.index("eigPsdSupErr")] == "nan"
+    assert all(FLOAT_CELL.match(cell) for cell in rows[0][2:-1])
+
+
 def test_exit_two_reports_usage_error(capsys):
     assert main(["power-sum", "--q", "9"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Spectral layer: circulant eigenvalues (two routes), dense eigensolve,
-Cholesky log-det, trace powers, and the norm diagnostics.
+Cholesky log-det, the O(n^2) Levinson/Schur log-dets and displacement traces
+against those dense reference routes, trace powers, and the norm diagnostics.
 
 The norm_report oracle recomputes every quantity from first principles:
 the theta-grid bound by direct exactly-summed cosine series, the Frobenius
@@ -7,26 +8,39 @@ mass from the dense matrix, and the wrap difference from the dense circulant.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from szegolab import (
+    DEFAULT_SCHEDULE,
     AsymmetryError,
+    ConvergenceSchedule,
     NotPositiveDefinite,
     SamplingGrid,
     SpectralModel,
     SpectrumResult,
     circulant_eigs,
     gamma_sequence,
+    mi_levinson,
     mi_logdet,
+    mi_schur,
     norm_report,
     psd_alignment_sup,
+    rate_convergence,
     toeplitz_eigs,
     toeplitz_matrix,
+    toeplitz_traces,
     trace_power,
 )
+
+MODELS = {
+    "ou": SpectralModel.ornstein_uhlenbeck(1.0, 1.0),
+    "gauss": SpectralModel.gaussian_kernel(1.0, 1.0),
+    "tri": SpectralModel.triangular(1.0, 1.0),
+}
 
 
 def _wrap_symmetric_row(n: int, seed: int) -> np.ndarray:
@@ -123,6 +137,63 @@ def test_mi_logdet_matches_slogdet():
 def test_mi_logdet_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         mi_logdet(np.array([[-2.0, 0.0], [0.0, -2.0]]))
+
+
+# ---------------------------------------------------------------------------
+# O(n^2) Toeplitz routes vs the dense reference routes
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("n", [1, 2, 50, 300])
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_fast_toeplitz_routes_match_dense_references(kind, n):
+    gs = gamma_sequence(MODELS[kind], SamplingGrid(T=0.05 * n, n=n))
+    A = toeplitz_matrix(gs)
+    reference = mi_logdet(A)
+    eig_sum = 0.5 * math.fsum(np.log1p(toeplitz_eigs(A).eigenvalues).tolist())
+    for value in (mi_levinson(gs.gamma), mi_schur(gs.gamma), eig_sum):
+        assert value == pytest.approx(reference, rel=1e-12)
+    for k, trace in zip((2, 3, 4), toeplitz_traces(gs.gamma)):
+        assert trace == pytest.approx(trace_power(A, k, method="direct"), rel=1e-12)
+
+
+def test_levinson_matches_eigenvalue_sum_on_default_schedule(ou11, schedule_spectra):
+    assert [grid for grid, _ in schedule_spectra] == list(DEFAULT_SCHEDULE.grids())
+    for grid, spectrum in schedule_spectra:
+        eig_sum = 0.5 * float(np.sum(np.log1p(spectrum.eigenvalues)))
+        fast = mi_levinson(gamma_sequence(ou11, grid).gamma)
+        assert fast == pytest.approx(eig_sum, rel=1e-10)
+
+
+def test_fast_routes_give_exact_zeros_at_zero_power():
+    silent = SpectralModel.ornstein_uhlenbeck(0.0, 1.0)
+    gamma = gamma_sequence(silent, SamplingGrid(T=2.0, n=40)).gamma
+    assert mi_levinson(gamma) == 0.0
+    assert mi_schur(gamma) == 0.0
+    assert toeplitz_traces(gamma) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("route", [mi_levinson, mi_schur])
+def test_fast_logdets_reject_indefinite(route):
+    with pytest.raises(NotPositiveDefinite):
+        route([1.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize("route", [mi_levinson, mi_schur, toeplitz_traces])
+@pytest.mark.parametrize("gamma", [[], [[1.0, 0.5]], [1.0, math.nan]])
+def test_fast_routes_validate_gamma(route, gamma):
+    with pytest.raises(ValueError):
+        route(gamma)
+
+
+def test_study_point_allocates_no_dense_matrix():
+    # The dense route allocates two 3000 x 3000 float64 matrices (>= 144 MB).
+    schedule = ConvergenceSchedule(((150.0, 3000),))
+    tracemalloc.start()
+    try:
+        rate_convergence(MODELS["ou"], schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
