@@ -38,6 +38,7 @@ from .szego import (
     DEFAULT_SCHEDULE,
     RATE_COLUMNS,
     ConvergenceSchedule,
+    MAX_SANDWICH_DEGREE,
     default_domain_max,
     power_sum_check,
     rate_convergence,
@@ -349,10 +350,16 @@ def parse_config(argv) -> RunConfig:
         degree = values["degree"] if "degree" in provided else 64
         if degree < 1:
             raise UsageError(f"degree must be >= 1, got {degree}")
+        if degree > MAX_SANDWICH_DEGREE:
+            raise UsageError(f"degree must be <= {MAX_SANDWICH_DEGREE}, got {degree}")
         kwargs["degree"] = int(degree)
         domain_max = values["domain_max"] if "domain-max" in provided else None
         if domain_max is not None and not domain_max > 0.0:
             raise UsageError(f"domain-max must be > 0, got {domain_max}")
+        if domain_max is None and not default_domain_max(model) > 0.0:
+            raise UsageError(
+                "the default domain cap 2*integral|R| is 0 at power 0; pass --domain-max > 0"
+            )
         kwargs["domain_max"] = domain_max
     if command == "mc-validate":
         refine = values["refine"] if "refine" in provided else 8

@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz as _toeplitz
-from scipy.special import erf
+import scipy
 
 from .errors import QuadratureFailure
 from .models import ModelKind, SpectralModel
@@ -131,6 +130,7 @@ def _gamma_squared_exponential(power: float, width: float, grid: SamplingGrid) -
 
     def gauss_mass(a, b):
         # integral_a^b exp(-t^2 / (2 s^2)) dt
+        erf = scipy.special.erf
         return s * math.sqrt(math.pi / 2.0) * (erf(b / rt2) - erf(a / rt2))
 
     def gauss_moment(a, b):
@@ -258,7 +258,7 @@ def gamma_sequence(
 
 def toeplitz_matrix(gs: GramSequence) -> np.ndarray:
     """Dense symmetric Toeplitz matrix A(i, j) = gamma_{|i-j|}."""
-    return _toeplitz(gs.gamma)
+    return scipy.linalg.toeplitz(gs.gamma)
 
 
 def circulant_matrix(gs: GramSequence) -> np.ndarray:

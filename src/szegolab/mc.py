@@ -24,8 +24,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.signal
+import scipy
 
 from .errors import FactorizationFailure
 from .gram import SamplingGrid
@@ -114,17 +113,23 @@ def _path_normals(seed: int, paths: int, count: int) -> np.ndarray:
 def _ar1_paths(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndarray:
     """Exact stationary sampling of the exponential-covariance process: the
     restriction to any uniform grid is the AR(1) recursion
-    x_j = rho x_{j-1} + sqrt(P (1 - rho^2)) z_j with rho = exp(-alpha delta)."""
+    x_j = rho x_{j-1} + sqrt(P (1 - rho^2)) z_j with rho = exp(-alpha delta),
+    started from x_0 = sqrt(P) z_0.
+
+    ``z`` is (paths, m); the result is a C-contiguous (paths, m) array.  The
+    recursion runs over time steps on a C-ordered, time-major (m, paths)
+    buffer that starts out holding the innovations, so each step is one
+    contiguous vector operation across all paths.  Every value is rounded as
+    in the scalar recursion ``rho * x_prev + innovation``, so a path does not
+    depend on how many other paths share the batch.
+    """
     power, alpha = model.power, model.rate
     rho = math.exp(-alpha * delta)
-    x0 = math.sqrt(power) * z[:, 0]
-    innovations = math.sqrt(power * (1.0 - rho * rho)) * z[:, 1:]
-    x = np.empty_like(z)
-    x[:, 0] = x0
-    x[:, 1:], _ = scipy.signal.lfilter(
-        [1.0], [1.0, -rho], innovations, axis=1, zi=(rho * x0)[:, None]
-    )
-    return x
+    xt = np.multiply(z.T, math.sqrt(power * (1.0 - rho * rho)), order="C")
+    xt[0] = math.sqrt(power) * z[:, 0]
+    for j in range(1, xt.shape[0]):
+        xt[j] += rho * xt[j - 1]
+    return np.ascontiguousarray(xt.T)
 
 
 def _factor_paths(

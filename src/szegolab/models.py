@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc, sici
+import scipy
 
 from .errors import NonConvergedQuadrature
 
@@ -205,9 +204,9 @@ def _first_order_tail(model: SpectralModel, lam0: float) -> float:
     if model.kind is ModelKind.ORNSTEIN_UHLENBECK:
         return (2.0 * p / math.pi) * (math.pi / 2.0 - math.atan(lam0 / s))
     if model.kind is ModelKind.GAUSSIAN_KERNEL:
-        return p * float(erfc(s * lam0 / math.sqrt(2.0)))
+        return p * float(scipy.special.erfc(s * lam0 / math.sqrt(2.0)))
     x0 = lam0 * s / 2.0
-    si, _ = sici(2.0 * x0)
+    si, _ = scipy.special.sici(2.0 * x0)
     return (2.0 * p / math.pi) * (math.sin(x0) ** 2 / x0 + math.pi / 2.0 - float(si))
 
 
@@ -270,7 +269,7 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
     lam0 = 10.0 * char_freq
     # Crude magnitude estimate used to convert the relative tolerance into an
     # absolute tail/quadrature budget.
-    scale_est, _ = quad(integrand, 0.0, lam0, limit=400, epsrel=1e-6)
+    scale_est, _ = scipy.integrate.quad(integrand, 0.0, lam0, limit=400, epsrel=1e-6)
     scale_est = max(abs(scale_est) / math.pi, 1e-300)
 
     def remainder(lam: float) -> float:
@@ -294,7 +293,9 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
             )
 
     eps_abs = 0.25 * tol * scale_est * math.pi
-    value, err_est = quad(integrand, 0.0, lam0, limit=4000, epsabs=eps_abs, epsrel=0.25 * tol)
+    value, err_est = scipy.integrate.quad(
+        integrand, 0.0, lam0, limit=4000, epsabs=eps_abs, epsrel=0.25 * tol
+    )
     if err_est > max(4.0 * eps_abs, tol * scale_est * math.pi):
         raise NonConvergedQuadrature(
             f"quadrature error estimate {err_est:.3e} exceeds budget on [0, {lam0:.3e}]"

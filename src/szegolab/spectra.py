@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import AsymmetryError, ConvergenceFailure, NotPositiveDefinite
 from .gram import GramSequence, SamplingGrid

@@ -30,7 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import DegreeTooLow, DomainExceeded, NotPositiveDefinite, SzegolabError
 from .gram import SamplingGrid, gamma_sequence
@@ -48,6 +47,7 @@ from .spectra import (
 __all__ = [
     "ConvergenceSchedule",
     "DEFAULT_SCHEDULE",
+    "MAX_SANDWICH_DEGREE",
     "SandwichPair",
     "RatePoint",
     "RateReport",
@@ -111,10 +111,22 @@ DEFAULT_SCHEDULE = ConvergenceSchedule(((25.0, 500), (50.0, 1000), (100.0, 2000)
 # ---------------------------------------------------------------------------
 # polynomial sandwich
 # ---------------------------------------------------------------------------
+# The sandwich is stored in the Bernstein basis of degree d + 1, whose
+# binomial coefficients C(d + 1, k) fit in a float64 only up to d + 1 = 1029.
+MAX_SANDWICH_DEGREE = 1028
+
+
 def _bernstein_weights(degree: int, t: np.ndarray) -> np.ndarray:
-    """Row-stochastic matrix of Bernstein basis values b_{k,degree}(t)."""
+    """Row-stochastic matrix of Bernstein basis values
+    b_{k,degree}(t) = C(degree, k) t^k (1 - t)^(degree - k), one row per t in [0, 1].
+
+    The binomial coefficients are exact integers (``math.comb``) rounded once
+    to float; at t = 0 and t = 1 the rows are exact unit vectors (0^0 = 1).
+    """
     k = np.arange(degree + 1)
-    return scipy.stats.binom.pmf(k[None, :], degree, t[:, None])
+    coef = np.array([float(math.comb(degree, i)) for i in range(degree + 1)])
+    t = t[:, None]
+    return coef * t**k * (1.0 - t) ** (degree - k)
 
 
 @dataclass(frozen=True)
@@ -214,6 +226,8 @@ def sandwich_polynomials(C: float, d: int, grid_points: int = 10_000) -> Sandwic
         raise ValueError(f"domain cap C must be finite and > 0, got {C!r}")
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
         raise ValueError(f"degree d must be an integer >= 1, got {d!r}")
+    if d > MAX_SANDWICH_DEGREE:
+        raise ValueError(f"degree d must be <= {MAX_SANDWICH_DEGREE}, got {d}")
     d = int(d)
 
     nodes = C * np.arange(d + 1) / d

@@ -129,6 +129,8 @@ def test_config_file_errors(tmp_path):
         ["rate", "--no-such-flag"],
         [],
         ["frobnicate"],
+        ["sandwich", "--degree", "1029"],
+        ["sandwich", "--power", "0"],
     ],
 )
 def test_usage_errors(argv):
@@ -253,6 +255,19 @@ def test_sandwich_subcommand_brackets_each_point(capsys):
     assert "epsHat" in captured.err
 
 
+def test_sandwich_at_zero_power_needs_an_explicit_domain(capsys):
+    # the default cap 2*integral|R| is 0 at power 0: a usage error naming the
+    # flag that fixes it, not a traceback
+    assert main(["sandwich", "--power", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--domain-max" in err
+    args = ["sandwich", "--power", "0", "--domain-max", "1", "--schedule", "2:40", "--format", "csv"]
+    assert main(args) == 0
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert float(rows[0][header.index("bracketWidth")]) == 0.0
+
+
 def test_equivalence_subcommand_shares_rate_table(capsys):
     assert main(["equivalence", "--schedule", "2:40", "--format", "csv"]) == 0
     captured = capsys.readouterr()
@@ -314,6 +329,36 @@ def test_mc_validate_dump_and_reproducibility(tmp_path):
     meta, table = read_batch(dump_a)
     assert meta == {"version": 1, "paths": 150, "n": 100, "refine": 8, "seed": 9}
     assert table.shape == (150, 100)
+
+
+LAZY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.integrate", "scipy.special")
+
+
+def _scipy_submodules_loaded_by(code: str) -> list[str]:
+    # runs ``code`` in a fresh interpreter; sys.modules also sees the scipy
+    # submodules that load lazily on attribute access
+    code += f"\nprint(' '.join(m for m in {LAZY_SCIPY!r} if m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_import_loads_no_scipy_submodule():
+    assert _scipy_submodules_loaded_by("import sys, szegolab, szegolab.cli") == []
+
+
+def test_usage_error_loads_no_scipy_submodule():
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['szegolab', 'rate', '--no-such-flag']\n"
+        "try:\n"
+        "    runpy.run_module('szegolab', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 2, exc.code\n"
+        "else:\n"
+        "    raise AssertionError('no exit')\n"
+    )
+    assert _scipy_submodules_loaded_by(code) == []
 
 
 def test_config_file_value_feeds_the_computation(tmp_path):

@@ -7,6 +7,7 @@ check is deterministic in practice; the nested-refinement shift oracle (seed
 11) was frozen from an independent run of the same construction.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from szegolab import (
     sample_paths,
     write_batch,
 )
-from szegolab.mc import BATCH_MAGIC, BATCH_VERSION, _HEADER
+from szegolab.mc import BATCH_MAGIC, BATCH_VERSION, _HEADER, _ar1_paths
 
 
 def _trapezoid_weights(h: float, refine: int) -> np.ndarray:
@@ -129,6 +130,39 @@ def test_increments_do_not_depend_on_noise_flag(ou11):
 def test_generator_metadata_names_counter_based_source(ou11):
     batch = sample_paths(ou11, SamplingGrid(T=1.0, n=4), paths=2, seed=0)
     assert "Philox" in batch.generator
+
+
+def test_exponential_sampler_stream_is_pinned(ou11):
+    # Frozen digests of the exponential-model batch: a change in the last bit
+    # of any sample must come with a new BATCH_VERSION and generator tag.
+    batch = sample_paths(ou11, SamplingGrid(T=10, n=100), refine=8, paths=64, seed=42)
+    digest = {
+        name: hashlib.sha256(getattr(batch, name).tobytes()).hexdigest()
+        for name in ("increments", "noisy")
+    }
+    assert digest == {
+        "increments": "cd17d4d4e62763b4f9b0498a3afda23dedf6a7934b5019af5e6dd9fd86ad7c74",
+        "noisy": "f3058cf0b5879356c5310c75f808698a2e9a9a1e0406682297ee3f499b32947d",
+    }
+    assert BATCH_VERSION == 1
+
+
+def test_ar1_paths_match_scalar_recursion_bitwise():
+    model = SpectralModel.ornstein_uhlenbeck(2.5, 0.7)
+    delta = 0.03
+    z = np.random.default_rng(0).standard_normal((5, 40))
+    rho = math.exp(-model.rate * delta)
+    scale = math.sqrt(model.power * (1.0 - rho * rho))
+    expected = np.empty_like(z)
+    for i, row in enumerate(z.tolist()):
+        x = math.sqrt(model.power) * row[0]
+        expected[i, 0] = x
+        for j in range(1, len(row)):
+            x = rho * x + scale * row[j]
+            expected[i, j] = x
+    x = _ar1_paths(model, z, delta)
+    assert x.shape == z.shape and x.flags.c_contiguous
+    assert np.array_equal(x, expected)
 
 
 # ---------------------------------------------------------------------------

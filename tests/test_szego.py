@@ -10,6 +10,7 @@ Frozen oracles (independent derivations and high-precision precomputation):
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from szegolab import (
     sandwich_rate_bounds,
     toeplitz_matrix,
 )
+from szegolab.szego import MAX_SANDWICH_DEGREE, _bernstein_weights
 
 SQRT3 = math.sqrt(3.0)
 
@@ -112,6 +114,30 @@ def test_sandwich_construction_validation():
         sandwich_polynomials(0.0, 64)
     with pytest.raises(ValueError):
         sandwich_polynomials(4.0, 0)
+    with pytest.raises(ValueError):
+        sandwich_polynomials(4.0, MAX_SANDWICH_DEGREE + 1)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 65, 200])
+def test_bernstein_weights_match_exact_rational_values(degree):
+    t = np.concatenate([np.linspace(0.0, 1.0, 17), [1e-3, 0.1, 1.0 / 3.0, 0.7071, 0.999]])
+    weights = _bernstein_weights(degree, t)
+    assert weights.shape == (t.size, degree + 1)
+    exact = np.array([
+        [float(math.comb(degree, k) * Fraction(s) ** k * (1 - Fraction(s)) ** (degree - k))
+         for k in range(degree + 1)]
+        for s in t.tolist()
+    ])
+    assert np.max(np.abs(weights - exact)) <= 1e-13
+    assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("degree", [1, 2, 65, 200, MAX_SANDWICH_DEGREE + 1])
+def test_bernstein_weights_are_unit_rows_at_the_ends(degree):
+    weights = _bernstein_weights(degree, np.array([0.0, 1.0]))
+    unit = np.zeros((2, degree + 1))
+    unit[0, 0] = unit[1, -1] = 1.0
+    assert np.array_equal(weights, unit)
 
 
 def test_default_domain_cap():
