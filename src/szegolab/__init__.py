@@ -25,7 +25,6 @@ from .errors import (
 from .gram import (
     GramSequence,
     SamplingGrid,
-    circulant_matrix,
     gamma_sequence,
     toeplitz_matrix,
 )
@@ -40,9 +39,6 @@ from .mc import (
 from .models import (
     ModelKind,
     SpectralModel,
-    abs_acf_integral,
-    acf_eval,
-    psd_eval,
     spectral_functional,
 )
 from .spectra import (
@@ -91,15 +87,11 @@ __all__ = [
     "FactorizationFailure",
     "ModelKind",
     "SpectralModel",
-    "acf_eval",
-    "psd_eval",
-    "abs_acf_integral",
     "spectral_functional",
     "SamplingGrid",
     "GramSequence",
     "gamma_sequence",
     "toeplitz_matrix",
-    "circulant_matrix",
     "SpectrumResult",
     "NormReport",
     "circulant_eigs",

@@ -29,16 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NumericalError, SzegolabError, UsageError
+from .errors import NumericalError, SzegolabError, UsageError
 from .gram import SamplingGrid, gamma_sequence, toeplitz_matrix
 from .mc import empirical_gram, noise_variance_ratio, sample_paths, write_batch
-from .models import SpectralModel
+from .models import ModelKind, SpectralModel
 from .spectra import circulant_eigs, toeplitz_eigs
 from .szego import (
     DEFAULT_SCHEDULE,
     RATE_COLUMNS,
     ConvergenceSchedule,
     MAX_SANDWICH_DEGREE,
+    _mi_from_eigs,
     default_domain_max,
     power_sum_check,
     rate_convergence,
@@ -73,15 +74,23 @@ _POINT_DEFAULTS = {
 _GUARD_REL = 1e-12
 _GUARD_ABS = 1e-12
 
+# The flag that sets each model kind's scale parameter, and what it is.
+_SCALE_FLAGS = {
+    "ou": ("rate-param", "decay rate"),
+    "gauss": ("width", "kernel width"),
+    "tri": ("support", "support radius"),
+}
+
 
 # ---------------------------------------------------------------------------
 # option table (single source for flags and config-file keys)
 # ---------------------------------------------------------------------------
-def _conv_model(text: str) -> str:
-    name = text.strip().lower()
-    if name not in ("ou", "gauss", "tri"):
-        raise UsageError(f"model must be one of ou, gauss, tri; got {text!r}")
-    return name
+def _conv_model(text: str) -> ModelKind:
+    try:
+        return ModelKind(text.strip().lower())
+    except ValueError:
+        names = ", ".join(kind.value for kind in ModelKind)
+        raise UsageError(f"model must be one of {names}; got {text!r}") from None
 
 
 def _conv_float(text: str) -> float:
@@ -150,11 +159,13 @@ class _Opt:
 
 
 _OPTS = (
-    _Opt("model", _conv_model, _COMMANDS, "input model kind: ou | gauss | tri (default ou)"),
+    _Opt("model", _conv_model, _COMMANDS,
+         f"input model kind: {' | '.join(_SCALE_FLAGS)} (default ou)"),
     _Opt("power", _conv_float, _COMMANDS, "stationary variance P >= 0 (default 1)"),
-    _Opt("rate-param", _conv_float, _COMMANDS, "decay rate of the ou model (default 1)"),
-    _Opt("width", _conv_float, _COMMANDS, "kernel width of the gauss model (default 1)"),
-    _Opt("support", _conv_float, _COMMANDS, "support radius of the tri model (default 1)"),
+    *(
+        _Opt(flag, _conv_float, _COMMANDS, f"{what} of the {name} model (default 1)")
+        for name, (flag, what) in _SCALE_FLAGS.items()
+    ),
     _Opt("tol", _conv_float, _COMMANDS, "spectral quadrature tolerance (default 1e-8)"),
     _Opt("seed", _conv_int, _COMMANDS, "64-bit random seed (default 42)"),
     _Opt("format", _conv_format, _COMMANDS, "report format: text | csv (default text)"),
@@ -262,19 +273,15 @@ def _workers_from_env() -> int:
 
 
 def _build_model(values: dict, provided: set[str]) -> SpectralModel:
-    name = values["model"]
-    scale_key = {"ou": "rate-param", "gauss": "width", "tri": "support"}[name]
-    for key, owner in (("rate-param", "ou"), ("width", "gauss"), ("support", "tri")):
+    kind = values["model"] or ModelKind("ou")
+    scale_key = _SCALE_FLAGS[kind.value][0]
+    for owner, (key, _) in _SCALE_FLAGS.items():
         if key != scale_key and key in provided:
             raise UsageError(f"--{key} applies only to --model {owner}")
     power = values["power"] if "power" in provided else 1.0
     scale = values[scale_key.replace("-", "_")] if scale_key in provided else 1.0
     try:
-        if name == "ou":
-            return SpectralModel.ornstein_uhlenbeck(power, scale)
-        if name == "gauss":
-            return SpectralModel.gaussian_kernel(power, scale)
-        return SpectralModel.triangular(power, scale)
+        return SpectralModel(kind, power, scale)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -313,12 +320,7 @@ def parse_config(argv) -> RunConfig:
         else:
             values[opt.dest] = None
 
-    model = _build_model(
-        {"model": values["model"] or "ou", "power": values["power"],
-         "rate_param": values.get("rate_param"), "width": values.get("width"),
-         "support": values.get("support")},
-        provided,
-    )
+    model = _build_model(values, provided)
 
     tol = values["tol"] if "tol" in provided else 1e-8
     if not tol > 0.0:
@@ -486,12 +488,8 @@ def _run_sandwich(config: RunConfig):
     for grid in config.schedule.grids():
         gs = gamma_sequence(config.model, grid)
         spectrum = toeplitz_eigs(toeplitz_matrix(gs), grid)
-        low_eig = float(spectrum.eigenvalues.min())
-        if low_eig <= -1.0:
-            raise NotPositiveDefinite(
-                f"Toeplitz eigenvalue {low_eig:.6e} <= -1 at (T={grid.T:g}, n={grid.n})"
-            )
-        eig_log_sum = float(np.sum(np.log1p(spectrum.eigenvalues))) / grid.T
+        source = f"Toeplitz (T={grid.T:g}, n={grid.n})"
+        eig_log_sum = 2.0 * _mi_from_eigs(spectrum.eigenvalues, source) / grid.T
         lower, upper = sandwich_rate_bounds(pair, spectrum, grid.T)
         rows.append([grid.T, grid.n, grid.h, lower, eig_log_sum, upper, upper - lower])
         if not lower <= eig_log_sum <= upper:

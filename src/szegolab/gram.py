@@ -16,9 +16,9 @@ divided by h; its circulant companion has first row
 which satisfies the wrap symmetry gammaHat_l = gammaHat_{n-l} and therefore
 has a real spectrum.
 
-Coefficients are computed from closed forms for every built-in model; an
-adaptive Gauss-Legendre fallback on the exactly reduced one-dimensional form
-is available for cross-checks.
+Coefficients are computed from the closed form in each model's family record
+(``models``); an adaptive Gauss-Legendre fallback on the exactly reduced
+one-dimensional form is available for cross-checks.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ import numpy as np
 import scipy
 
 from .errors import QuadratureFailure
-from .models import ModelKind, SpectralModel
+from .models import SpectralModel
 
 __all__ = [
     "SamplingGrid",
     "GramSequence",
     "gamma_sequence",
     "toeplitz_matrix",
-    "circulant_matrix",
 ]
 
 
@@ -99,73 +98,6 @@ class GramSequence:
             a.flags.writeable = False
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_hat", hat)
-
-
-# --------------------------------------------------------------------------
-# closed-form coefficient evaluation
-# --------------------------------------------------------------------------
-def _gamma_exponential(power: float, rate: float, grid: SamplingGrid) -> np.ndarray:
-    h, n = grid.h, grid.n
-    a = rate * h
-    out = np.empty(n)
-    # (1/h) * double integral of P*exp(-rate*|u-v|) over the diagonal cell:
-    # 2P*(a - 1 + e^{-a}) / (h*rate^2), written with expm1 to avoid
-    # cancellation for small a.
-    out[0] = 2.0 * power * (a + math.expm1(-a)) / (h * rate * rate)
-    if n > 1:
-        l = np.arange(1, n)
-        factor = power * (4.0 * math.sinh(a / 2.0) ** 2) / (h * rate * rate)
-        out[1:] = factor * np.exp(-a * l)
-    return out
-
-
-def _gamma_squared_exponential(power: float, width: float, grid: SamplingGrid) -> np.ndarray:
-    h, n = grid.h, grid.n
-    s = width
-    l = np.arange(n, dtype=float)
-    a0 = (l - 1.0) * h
-    b0 = (l + 1.0) * h
-    m = l * h
-    rt2 = s * math.sqrt(2.0)
-
-    def gauss_mass(a, b):
-        # integral_a^b exp(-t^2 / (2 s^2)) dt
-        erf = scipy.special.erf
-        return s * math.sqrt(math.pi / 2.0) * (erf(b / rt2) - erf(a / rt2))
-
-    def gauss_moment(a, b):
-        # integral_a^b t * exp(-t^2 / (2 s^2)) dt
-        return s * s * (np.exp(-(a * a) / (2 * s * s)) - np.exp(-(b * b) / (2 * s * s)))
-
-    # gamma_l = (1/h) * [ int_{a0}^{m} R(t)(t - a0) dt + int_{m}^{b0} R(t)(b0 - t) dt ]
-    left = gauss_moment(a0, m) - a0 * gauss_mass(a0, m)
-    right = b0 * gauss_mass(m, b0) - gauss_moment(m, b0)
-    return power * (left + right) / h
-
-
-_GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
-
-
-def _gamma_triangular(power: float, support: float, grid: SamplingGrid) -> np.ndarray:
-    h, n = grid.h, grid.n
-    tau0 = support
-    out = np.zeros(n)
-    for l in range(n):
-        a0, m, b0 = (l - 1) * h, l * h, (l + 1) * h
-        lo, hi = max(a0, -tau0), min(b0, tau0)
-        if lo >= hi:
-            continue  # cell entirely outside the autocorrelation support
-        cuts = sorted({lo, hi} | {b for b in (-tau0, 0.0, tau0, m) if lo < b < hi})
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            # R and the triangular window are both piecewise linear on this
-            # panel, so the product is a quadratic and 3-point Gauss-Legendre
-            # integrates it exactly.
-            t = 0.5 * (b - a) * (_GL3_NODES + 1.0) + a
-            f = (1.0 - np.abs(t) / tau0) * (h - np.abs(t - m))
-            total += 0.5 * (b - a) * float(np.dot(_GL3_WEIGHTS, f))
-        out[l] = power * total / h
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -237,9 +169,10 @@ def gamma_sequence(
 ) -> GramSequence:
     """Build the Gram coefficient sequence for a model on a grid.
 
-    ``method="closed"`` evaluates the per-model closed forms; ``"quadrature"``
-    uses the adaptive Gauss-Legendre fallback (1e-10 absolute per coefficient,
-    raising QuadratureFailure when the panel budget is exhausted).
+    ``method="closed"`` evaluates the closed form of the model's family;
+    ``"quadrature"`` uses the adaptive Gauss-Legendre fallback (1e-10 absolute
+    per coefficient, raising QuadratureFailure when the panel budget is
+    exhausted).
     """
     if method not in ("closed", "quadrature"):
         raise ValueError(f"method must be 'closed' or 'quadrature', got {method!r}")
@@ -247,20 +180,11 @@ def gamma_sequence(
         gamma = np.zeros(grid.n)
     elif method == "quadrature":
         gamma = _gamma_quadrature(model, grid, max_panels)
-    elif model.kind is ModelKind.ORNSTEIN_UHLENBECK:
-        gamma = _gamma_exponential(model.power, model.scale, grid)
-    elif model.kind is ModelKind.GAUSSIAN_KERNEL:
-        gamma = _gamma_squared_exponential(model.power, model.scale, grid)
     else:
-        gamma = _gamma_triangular(model.power, model.scale, grid)
+        gamma = model.family.gamma(model.power, model.scale, grid.h, grid.n)
     return GramSequence(grid=grid, gamma=gamma, gamma_hat=_wrap(gamma))
 
 
 def toeplitz_matrix(gs: GramSequence) -> np.ndarray:
     """Dense symmetric Toeplitz matrix A(i, j) = gamma_{|i-j|}."""
     return scipy.linalg.toeplitz(gs.gamma)
-
-
-def circulant_matrix(gs: GramSequence) -> np.ndarray:
-    """First row (gammaHat_0, ..., gammaHat_{n-1}) of the circulant companion."""
-    return gs.gamma_hat.copy()

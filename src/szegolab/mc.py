@@ -28,7 +28,7 @@ import scipy
 
 from .errors import FactorizationFailure
 from .gram import SamplingGrid
-from .models import ModelKind, SpectralModel
+from .models import SpectralModel
 
 __all__ = [
     "PathBatch",
@@ -111,10 +111,10 @@ def _path_normals(seed: int, paths: int, count: int) -> np.ndarray:
 
 
 def _ar1_paths(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndarray:
-    """Exact stationary sampling of the exponential-covariance process: the
-    restriction to any uniform grid is the AR(1) recursion
+    """Exact stationary sampling of a Markov kernel (the exponential
+    covariance): the restriction to any uniform grid is the AR(1) recursion
     x_j = rho x_{j-1} + sqrt(P (1 - rho^2)) z_j with rho = exp(-alpha delta),
-    started from x_0 = sqrt(P) z_0.
+    the family record's AR(1) step, started from x_0 = sqrt(P) z_0.
 
     ``z`` is (paths, m); the result is a C-contiguous (paths, m) array.  The
     recursion runs over time steps on a C-ordered, time-major (m, paths)
@@ -123,8 +123,8 @@ def _ar1_paths(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndarray:
     in the scalar recursion ``rho * x_prev + innovation``, so a path does not
     depend on how many other paths share the batch.
     """
-    power, alpha = model.power, model.rate
-    rho = math.exp(-alpha * delta)
+    power = model.power
+    rho = model.family.ar1_step(model.scale, delta)
     xt = np.multiply(z.T, math.sqrt(power * (1.0 - rho * rho)), order="C")
     xt[0] = math.sqrt(power) * z[:, 0]
     for j in range(1, xt.shape[0]):
@@ -168,9 +168,10 @@ def sample_paths(
     """Simulate ``paths`` independent stationary inputs and reduce them to
     per-cell trapezoid increments (plus noisy observations when requested).
 
-    The exponential-covariance model uses its exact one-step autoregression
-    (identical in distribution to the dense factorization); other models
-    factor the refined-grid covariance densely.  Deterministic given
+    A model whose family record has an AR(1) step (the exponential
+    covariance) uses that exact one-step autoregression (identical in
+    distribution to the dense factorization); other models factor the
+    refined-grid covariance densely.  Deterministic given
     (seed, arguments): each path consumes its own substream, the first
     n*refine+1 draws for the path and the next n draws for its channel noise,
     so the increment table does not depend on ``include_noise``.
@@ -194,7 +195,7 @@ def sample_paths(
         x = np.zeros((paths, m))
         increments = np.zeros((paths, n))
     else:
-        if model.kind is ModelKind.ORNSTEIN_UHLENBECK:
+        if model.family.ar1_step is not None:
             x = _ar1_paths(model, z[:, :m], delta)
         else:
             x, jitter = _factor_paths(model, z[:, :m], delta)

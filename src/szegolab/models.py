@@ -15,6 +15,10 @@ families and their pairs:
 * triangular ("tri"):            R(tau) = P*max(0, 1-|tau|/tau0),
                                  f(lam) = (P*tau0/2pi) * (sin(lam*tau0/2)/(lam*tau0/2))^2
 
+Each family is one ``ModelFamily`` record in the ``_FAMILIES`` table: the pair
+and every closed-form fact the lab derives from it.  Adding a kind means adding
+one ``ModelKind`` member and one record.
+
 The module also evaluates the spectral functionals
 
     (1/2pi) * integral g(2pi*f(lam)) dlam,   g a monomial x^q or log(1+x),
@@ -29,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -37,10 +42,8 @@ from .errors import NonConvergedQuadrature
 
 __all__ = [
     "ModelKind",
+    "ModelFamily",
     "SpectralModel",
-    "acf_eval",
-    "psd_eval",
-    "abs_acf_integral",
     "spectral_functional",
 ]
 
@@ -53,6 +56,151 @@ class ModelKind(enum.Enum):
     ORNSTEIN_UHLENBECK = "ou"
     GAUSSIAN_KERNEL = "gauss"
     TRIANGULAR = "tri"
+
+
+@dataclass(frozen=True)
+class ModelFamily:
+    """Closed-form description of one autocorrelation family, as functions
+    of the power P = R(0) and the family's scale parameter s."""
+
+    scale_name: str  # the name of s, and of the model's parameter view
+    acf: Callable  # (P, s, |tau|) -> R(tau)
+    psd: Callable  # (P, s, lam) -> f(lam)
+    abs_acf_integral: Callable  # (P, s) -> integral |R| over the line
+    correlation_time: Callable  # (s) -> characteristic correlation time
+    breakpoints: Callable  # (s) -> points where R is not smooth
+    first_order_tail: Callable  # (P, s, lam0) -> (1/pi) int_{lam0}^inf 2pi*f, exactly
+    power_tail_bound: Callable  # (P, s, lam0, q) -> bound on (1/pi) int_{lam0}^inf (2pi*f)^q
+    gamma: Callable  # (P, s, h, n) -> Gram coefficients gamma_0..gamma_{n-1} (see gram)
+    ar1_step: Callable | None = None  # (s, delta) -> AR(1) coefficient rho of a Markov kernel
+
+
+# --------------------------------------------------------------------------
+# closed forms that do not fit on one line of the family table
+# --------------------------------------------------------------------------
+def _algebraic_tail(u: float, lam0: float, q: int) -> float:
+    """(1/pi) * integral_{lam0}^{inf} (u / lam^2)^q dlam, the tail bound of a
+    density with 2pi*f(lam) <= u / lam^2."""
+    return (u**q) / ((2 * q - 1) * lam0 ** (2 * q - 1)) / math.pi
+
+
+def _gaussian_power_tail(p: float, s: float, lam0: float, q: int) -> float:
+    c = p * s * math.sqrt(_TWO_PI)
+    expo = -q * (s * lam0) ** 2 / 2.0
+    if expo < -700.0:
+        return 0.0
+    return (c**q) * math.exp(expo) / (q * s * s * lam0) / math.pi
+
+
+def _triangular_first_order_tail(p: float, s: float, lam0: float) -> float:
+    x0 = lam0 * s / 2.0
+    si, _ = scipy.special.sici(2.0 * x0)
+    return (2.0 * p / math.pi) * (math.sin(x0) ** 2 / x0 + math.pi / 2.0 - float(si))
+
+
+def _gamma_exponential(power: float, rate: float, h: float, n: int) -> np.ndarray:
+    a = rate * h
+    out = np.empty(n)
+    # (1/h) * double integral of P*exp(-rate*|u-v|) over the diagonal cell:
+    # 2P*(a - 1 + e^{-a}) / (h*rate^2), written with expm1 to avoid
+    # cancellation for small a.
+    out[0] = 2.0 * power * (a + math.expm1(-a)) / (h * rate * rate)
+    if n > 1:
+        l = np.arange(1, n)
+        factor = power * (4.0 * math.sinh(a / 2.0) ** 2) / (h * rate * rate)
+        out[1:] = factor * np.exp(-a * l)
+    return out
+
+
+def _gamma_squared_exponential(power: float, width: float, h: float, n: int) -> np.ndarray:
+    s = width
+    l = np.arange(n, dtype=float)
+    a0 = (l - 1.0) * h
+    b0 = (l + 1.0) * h
+    m = l * h
+    rt2 = s * math.sqrt(2.0)
+
+    def gauss_mass(a, b):
+        # integral_a^b exp(-t^2 / (2 s^2)) dt
+        erf = scipy.special.erf
+        return s * math.sqrt(math.pi / 2.0) * (erf(b / rt2) - erf(a / rt2))
+
+    def gauss_moment(a, b):
+        # integral_a^b t * exp(-t^2 / (2 s^2)) dt
+        return s * s * (np.exp(-(a * a) / (2 * s * s)) - np.exp(-(b * b) / (2 * s * s)))
+
+    # gamma_l = (1/h) * [ int_{a0}^{m} R(t)(t - a0) dt + int_{m}^{b0} R(t)(b0 - t) dt ]
+    left = gauss_moment(a0, m) - a0 * gauss_mass(a0, m)
+    right = b0 * gauss_mass(m, b0) - gauss_moment(m, b0)
+    return power * (left + right) / h
+
+
+_GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
+
+
+def _gamma_triangular(power: float, support: float, h: float, n: int) -> np.ndarray:
+    tau0 = support
+    out = np.zeros(n)
+    for l in range(n):
+        a0, m, b0 = (l - 1) * h, l * h, (l + 1) * h
+        lo, hi = max(a0, -tau0), min(b0, tau0)
+        if lo >= hi:
+            continue  # cell entirely outside the autocorrelation support
+        cuts = sorted({lo, hi} | {b for b in (-tau0, 0.0, tau0, m) if lo < b < hi})
+        total = 0.0
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            # R and the triangular window are both piecewise linear on this
+            # panel, so the product is a quadratic and 3-point Gauss-Legendre
+            # integrates it exactly.
+            t = 0.5 * (b - a) * (_GL3_NODES + 1.0) + a
+            f = (1.0 - np.abs(t) / tau0) * (h - np.abs(t - m))
+            total += 0.5 * (b - a) * float(np.dot(_GL3_WEIGHTS, f))
+        out[l] = power * total / h
+    return out
+
+
+_FAMILIES = {
+    ModelKind.ORNSTEIN_UHLENBECK: ModelFamily(
+        scale_name="rate",
+        acf=lambda p, s, t: p * np.exp(-s * t),
+        psd=lambda p, s, x: p * s / (math.pi * (s * s + x * x)),
+        abs_acf_integral=lambda p, s: 2.0 * p / s,
+        correlation_time=lambda s: 1.0 / s,
+        breakpoints=lambda s: (0.0,),
+        first_order_tail=lambda p, s, lam0: (
+            (2.0 * p / math.pi) * (math.pi / 2.0 - math.atan(lam0 / s))
+        ),
+        power_tail_bound=lambda p, s, lam0, q: _algebraic_tail(2.0 * p * s, lam0, q),
+        gamma=_gamma_exponential,
+        ar1_step=lambda s, delta: math.exp(-s * delta),
+    ),
+    ModelKind.GAUSSIAN_KERNEL: ModelFamily(
+        scale_name="width",
+        acf=lambda p, s, t: p * np.exp(-(t * t) / (2.0 * s**2)),
+        psd=lambda p, s, x: (p * s / math.sqrt(_TWO_PI)) * np.exp(-(s * s) * (x * x) / 2.0),
+        abs_acf_integral=lambda p, s: p * s * math.sqrt(_TWO_PI),
+        correlation_time=lambda s: s,
+        breakpoints=lambda s: (),
+        first_order_tail=lambda p, s, lam0: (
+            p * float(scipy.special.erfc(s * lam0 / math.sqrt(2.0)))
+        ),
+        power_tail_bound=_gaussian_power_tail,
+        gamma=_gamma_squared_exponential,
+    ),
+    ModelKind.TRIANGULAR: ModelFamily(
+        scale_name="support",
+        acf=lambda p, s, t: p * np.maximum(0.0, 1.0 - t / s),
+        # sin(u)^2/u^2 with u = x*s/2 and the removable singularity at u = 0;
+        # np.sinc evaluates sin(pi y)/(pi y), so u = pi * y.
+        psd=lambda p, s, x: (p * s / _TWO_PI) * np.sinc(x * (s / 2.0) / math.pi) ** 2,
+        abs_acf_integral=lambda p, s: p * s,
+        correlation_time=lambda s: s,
+        breakpoints=lambda s: (-s, 0.0, s),
+        first_order_tail=_triangular_first_order_tail,
+        power_tail_bound=lambda p, s, lam0, q: _algebraic_tail(4.0 * p / s, lam0, q),
+        gamma=_gamma_triangular,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -76,7 +224,7 @@ class SpectralModel:
         if not math.isfinite(power) or power < 0.0:
             raise ValueError(f"power must be finite and >= 0, got {self.power!r}")
         if not math.isfinite(scale) or scale <= 0.0:
-            name = _SCALE_NAME[self.kind]
+            name = self.family.scale_name
             raise ValueError(f"{name} must be finite and > 0, got {self.scale!r}")
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "scale", scale)
@@ -97,135 +245,58 @@ class SpectralModel:
         """Triangular autocorrelation supported on [-support, support]."""
         return cls(ModelKind.TRIANGULAR, power, support)
 
+    @property
+    def family(self) -> ModelFamily:
+        """The closed-form record of this model's kind."""
+        return _FAMILIES[self.kind]
+
     # --- named parameter views --------------------------------------------
     @property
     def rate(self) -> float:
-        self._require(ModelKind.ORNSTEIN_UHLENBECK, "rate")
-        return self.scale
+        return self._scale_named("rate")
 
     @property
     def width(self) -> float:
-        self._require(ModelKind.GAUSSIAN_KERNEL, "width")
-        return self.scale
+        return self._scale_named("width")
 
     @property
     def support(self) -> float:
-        self._require(ModelKind.TRIANGULAR, "support")
-        return self.scale
+        return self._scale_named("support")
 
-    def _require(self, kind: ModelKind, name: str) -> None:
-        if self.kind is not kind:
-            raise ValueError(f"{name} is only defined for {kind.value!r} models")
+    def _scale_named(self, name: str) -> float:
+        if self.family.scale_name != name:
+            owner = next(kind for kind, fam in _FAMILIES.items() if fam.scale_name == name)
+            raise ValueError(f"{name} is only defined for {owner.value!r} models")
+        return self.scale
 
     # --- autocorrelation and spectral density ------------------------------
     def acf(self, tau):
         """Autocorrelation R(tau); exactly even in tau."""
         t = np.abs(np.asarray(tau, dtype=float))
-        if self.kind is ModelKind.ORNSTEIN_UHLENBECK:
-            out = self.power * np.exp(-self.scale * t)
-        elif self.kind is ModelKind.GAUSSIAN_KERNEL:
-            out = self.power * np.exp(-(t * t) / (2.0 * self.scale**2))
-        else:
-            out = self.power * np.maximum(0.0, 1.0 - t / self.scale)
+        out = self.family.acf(self.power, self.scale, t)
         return out if out.ndim else float(out)
 
     def psd(self, lam):
         """Power spectral density f(lam) >= 0; exactly even in lam."""
-        x = np.asarray(lam, dtype=float)
-        if self.kind is ModelKind.ORNSTEIN_UHLENBECK:
-            a = self.scale
-            out = self.power * a / (math.pi * (a * a + x * x))
-        elif self.kind is ModelKind.GAUSSIAN_KERNEL:
-            s = self.scale
-            out = (self.power * s / math.sqrt(_TWO_PI)) * np.exp(-(s * s) * (x * x) / 2.0)
-        else:
-            tau0 = self.scale
-            # sin(u)^2/u^2 with the removable singularity at u = 0; np.sinc
-            # evaluates sin(pi y)/(pi y), so u = pi * y.
-            u = x * (tau0 / 2.0)
-            out = (self.power * tau0 / _TWO_PI) * np.sinc(u / math.pi) ** 2
+        out = self.family.psd(self.power, self.scale, np.asarray(lam, dtype=float))
         return out if out.ndim else float(out)
 
     def abs_acf_integral(self) -> float:
         """integral |R(tau)| dtau over the whole line, in closed form."""
-        if self.kind is ModelKind.ORNSTEIN_UHLENBECK:
-            return 2.0 * self.power / self.scale
-        if self.kind is ModelKind.GAUSSIAN_KERNEL:
-            return self.power * self.scale * math.sqrt(_TWO_PI)
-        return self.power * self.scale
+        return self.family.abs_acf_integral(self.power, self.scale)
 
     def correlation_time(self) -> float:
         """Characteristic correlation time scale of the model."""
-        if self.kind is ModelKind.ORNSTEIN_UHLENBECK:
-            return 1.0 / self.scale
-        return self.scale
+        return self.family.correlation_time(self.scale)
 
     def acf_breakpoints(self) -> tuple[float, ...]:
         """Points where R is not smooth (used by quadrature panel splitting)."""
-        if self.kind is ModelKind.ORNSTEIN_UHLENBECK:
-            return (0.0,)
-        if self.kind is ModelKind.TRIANGULAR:
-            return (-self.scale, 0.0, self.scale)
-        return ()
-
-
-_SCALE_NAME = {
-    ModelKind.ORNSTEIN_UHLENBECK: "rate",
-    ModelKind.GAUSSIAN_KERNEL: "width",
-    ModelKind.TRIANGULAR: "support",
-}
-
-
-# --------------------------------------------------------------------------
-# module-level operation names
-# --------------------------------------------------------------------------
-def acf_eval(model: SpectralModel, tau):
-    """Evaluate the autocorrelation R(tau)."""
-    return model.acf(tau)
-
-
-def psd_eval(model: SpectralModel, lam):
-    """Evaluate the power spectral density f(lam)."""
-    return model.psd(lam)
-
-
-def abs_acf_integral(model: SpectralModel) -> float:
-    """Closed-form integral of |R| over the line — the universal bound
-    constant for the operator-norm and Frobenius estimates downstream."""
-    return model.abs_acf_integral()
+        return self.family.breakpoints(self.scale)
 
 
 # --------------------------------------------------------------------------
 # spectral functionals
 # --------------------------------------------------------------------------
-def _first_order_tail(model: SpectralModel, lam0: float) -> float:
-    """Exact (1/pi) * integral_{lam0}^{inf} 2pi*f(lam) dlam."""
-    p, s = model.power, model.scale
-    if model.kind is ModelKind.ORNSTEIN_UHLENBECK:
-        return (2.0 * p / math.pi) * (math.pi / 2.0 - math.atan(lam0 / s))
-    if model.kind is ModelKind.GAUSSIAN_KERNEL:
-        return p * float(scipy.special.erfc(s * lam0 / math.sqrt(2.0)))
-    x0 = lam0 * s / 2.0
-    si, _ = scipy.special.sici(2.0 * x0)
-    return (2.0 * p / math.pi) * (math.sin(x0) ** 2 / x0 + math.pi / 2.0 - float(si))
-
-
-def _power_tail_bound(model: SpectralModel, lam0: float, q: int) -> float:
-    """Upper bound on (1/pi) * integral_{lam0}^{inf} (2pi*f)^q dlam."""
-    p, s = model.power, model.scale
-    if model.kind is ModelKind.GAUSSIAN_KERNEL:
-        c = p * s * math.sqrt(_TWO_PI)
-        expo = -q * (s * lam0) ** 2 / 2.0
-        if expo < -700.0:
-            return 0.0
-        return (c**q) * math.exp(expo) / (q * s * s * lam0) / math.pi
-    if model.kind is ModelKind.ORNSTEIN_UHLENBECK:
-        u = 2.0 * p * s  # 2pi*f(lam) <= u / lam^2
-    else:
-        u = 4.0 * p / s
-    return (u**q) / ((2 * q - 1) * lam0 ** (2 * q - 1)) / math.pi
-
-
 def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
     """Compute (1/2pi) * integral over the line of g(2pi*f(lam)) dlam.
 
@@ -254,6 +325,7 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
             raise ValueError(f"monomial degree must be an integer >= 1, got {g!r}")
     if model.power == 0.0:
         return 0.0
+    fam, p, s = model.family, model.power, model.scale
 
     if log1p:
         def integrand(lam: float) -> float:
@@ -276,10 +348,10 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
         # Error left after the analytic tail treatment at truncation lam.
         if log1p:
             # 0 <= x - log(1+x) <= x^2/2 controls the first-order correction.
-            return 0.5 * _power_tail_bound(model, lam, 2)
+            return 0.5 * fam.power_tail_bound(p, s, lam, 2)
         if q == 1:
             return 0.0  # tail added exactly
-        return _power_tail_bound(model, lam, q)
+        return fam.power_tail_bound(p, s, lam, q)
 
     budget = 0.5 * tol * scale_est
     enlargements = 0
@@ -302,5 +374,5 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
         )
     total = value / math.pi
     if log1p or q == 1:
-        total += _first_order_tail(model, lam0)
+        total += fam.first_order_tail(p, s, lam0)
     return total

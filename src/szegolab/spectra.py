@@ -45,7 +45,7 @@ import numpy as np
 import scipy
 
 from .errors import AsymmetryError, ConvergenceFailure, NotPositiveDefinite
-from .gram import GramSequence, SamplingGrid
+from .gram import GramSequence, SamplingGrid, gamma_sequence
 from .models import SpectralModel
 
 __all__ = [
@@ -380,8 +380,6 @@ def psd_alignment_sup(
     the index range is empty (n <= 2).
     """
     if dft_values is None:
-        from .gram import gamma_sequence
-
         dft_values = circulant_eigs(gamma_sequence(model, grid).gamma_hat, grid).dft_values
     dft_values = np.asarray(dft_values, dtype=float)
     n = dft_values.size

@@ -186,15 +186,20 @@ class SandwichPair:
         return w @ self.lower, w @ self.upper
 
     def verify(self, grid_points: int = 10_000) -> None:
-        """Check the two-sided bound and the width cap 2*eps_hat*x on a
-        uniform grid; raise DegreeTooLow on any violation."""
+        """Check the two-sided bound exactly, and the width cap 2*eps_hat*x up
+        to the rounding of the two evaluations, on a uniform grid; raise
+        DegreeTooLow on any violation."""
         x = np.linspace(0.0, self.domain_max, grid_points)
-        lo, up = self.evaluate_pair(x)
+        w = self._weights(x)
+        lo, up = w @ self.lower, w @ self.upper
         target = np.log1p(x)
-        width_cap = 2.0 * self.eps_hat * x
+        # a priori rounding bound gamma_k * (w @ (|lower| + |upper|)) of the two
+        # dot products, k = 2(d + 2); their terms are of order log(1 + C)
+        ku = 2 * (self.degree + 2) * (np.finfo(float).eps / 2.0)
+        slack = ku / (1.0 - ku) * (w @ (np.abs(self.lower) + np.abs(self.upper)))
         bad_lower = int(np.sum(lo > target))
         bad_upper = int(np.sum(up < target))
-        bad_width = int(np.sum((up - lo) > width_cap * (1.0 + 1e-12) + 1e-18))
+        bad_width = int(np.sum((up - lo) > 2.0 * self.eps_hat * x + slack))
         if bad_lower or bad_upper or bad_width:
             raise DegreeTooLow(
                 f"sandwich invariants fail on the {grid_points}-point grid "
@@ -373,13 +378,13 @@ class RateReport:
         return [p.table_row() for p in self.points]
 
 
-def _mi_from_eigs(eigenvalues: np.ndarray) -> float:
-    """(1/2) * sum log(1+eig) of a circulant spectrum; eigenvalues at or below
-    -1 are inadmissible."""
+def _mi_from_eigs(eigenvalues: np.ndarray, source: str) -> float:
+    """(1/2) * sum log(1+eig) of a spectrum; eigenvalues at or below -1 are
+    inadmissible, and the error names the spectrum's ``source``."""
     low = float(np.min(eigenvalues))
     if low <= -1.0:
         raise NotPositiveDefinite(
-            f"circulant eigenvalue {low:.6e} is <= -1; log(1+eig) is undefined"
+            f"{source} eigenvalue {low:.6e} is <= -1; log(1+eig) is undefined"
         )
     return 0.5 * float(np.sum(np.log1p(eigenvalues)))
 
@@ -389,7 +394,7 @@ def _rate_point(model: SpectralModel, grid: SamplingGrid, target: float) -> Rate
     mi = mi_levinson(gs.gamma)
     mi_check = mi_schur(gs.gamma)
     circ = circulant_eigs(gs.gamma_hat, grid)
-    mi_hat = _mi_from_eigs(circ.dft_values)
+    mi_hat = _mi_from_eigs(circ.dft_values, "circulant")
 
     T = grid.T
     sampled = mi / T

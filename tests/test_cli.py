@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from szegolab import DEFAULT_SCHEDULE, ModelKind, UsageError
-from szegolab.cli import _fmt_cell, main, parse_config
+from szegolab.cli import _SCALE_FLAGS, _fmt_cell, main, parse_config
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
 RATE_HEADER = (
@@ -138,6 +138,25 @@ def test_usage_errors(argv):
         parse_config(argv)
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_every_model_kind_builds_with_its_own_scale_flag(kind):
+    flag = _SCALE_FLAGS[kind.value][0]
+    config = parse_config(["rate", "--model", kind.value, "--power", "2", f"--{flag}", "0.5"])
+    assert config.model.kind is kind
+    assert (config.model.power, config.model.scale) == (2.0, 0.5)
+    for other, (other_flag, _) in _SCALE_FLAGS.items():
+        if other != kind.value:
+            with pytest.raises(UsageError, match=f"--{other_flag} applies only to --model {other}"):
+                parse_config(["rate", "--model", kind.value, f"--{other_flag}", "0.5"])
+
+
+def test_model_error_lists_every_model_kind():
+    with pytest.raises(UsageError) as info:
+        parse_config(["rate", "--model", "banana"])
+    listed = str(info.value).split("one of ", 1)[1].split(";", 1)[0]
+    assert listed.split(", ") == [kind.value for kind in ModelKind]
+
+
 def test_workers_env(monkeypatch):
     monkeypatch.setenv("SZGL_THREADS", "4")
     assert parse_config(["rate"]).workers == 4
@@ -253,6 +272,11 @@ def test_sandwich_subcommand_brackets_each_point(capsys):
         lower, mid, upper = float(row[3]), float(row[4]), float(row[5])
         assert lower <= mid <= upper
     assert "epsHat" in captured.err
+
+
+def test_sandwich_at_a_high_degree_exits_zero(capsys):
+    assert main(["sandwich", "--degree", "1000", "--schedule", "5:50"]) == 0
+    assert "degree=1000" in capsys.readouterr().err
 
 
 def test_sandwich_at_zero_power_needs_an_explicit_domain(capsys):

@@ -18,10 +18,10 @@ import scipy.linalg
 
 from szegolab import (
     GramSequence,
+    ModelKind,
     QuadratureFailure,
     SamplingGrid,
     SpectralModel,
-    circulant_matrix,
     gamma_sequence,
     toeplitz_matrix,
 )
@@ -96,12 +96,9 @@ def test_zero_power_gives_zero_coefficients():
 @pytest.mark.parametrize(
     "model",
     [
-        SpectralModel.ornstein_uhlenbeck(1.0, 1.0),
-        SpectralModel.ornstein_uhlenbeck(2.5, 0.6),
-        SpectralModel.gaussian_kernel(1.0, 1.0),
-        SpectralModel.gaussian_kernel(0.8, 1.7),
-        SpectralModel.triangular(1.0, 1.0),
-        SpectralModel.triangular(2.0, 0.9),
+        SpectralModel(kind, power, scale)
+        for kind in ModelKind
+        for power, scale in ((1.0, 1.0), (2.0, 0.9))
     ],
 )
 def test_quadrature_matches_closed_form(model):
@@ -203,7 +200,9 @@ def test_toeplitz_matrix_structure_and_psd():
 def test_circulant_matrix_first_row():
     model = SpectralModel.triangular(1.0, 1.0)
     gs = gamma_sequence(model, SamplingGrid(T=2.0, n=8))
-    row = circulant_matrix(gs)
-    assert np.array_equal(row, gs.gamma_hat)
-    row[0] = -1.0  # must be a copy, not a view of the frozen sequence
-    assert gs.gamma_hat[0] != -1.0
+    gamma = gs.gamma
+    expected = np.concatenate(([gamma[0]], gamma[1:] + gamma[:0:-1]))
+    assert np.array_equal(gs.gamma_hat, expected)
+    with pytest.raises(ValueError):
+        gs.gamma_hat[0] = -1.0  # the first row of the frozen sequence is read-only
+    assert gs.gamma_hat[0] == gamma[0]

@@ -16,9 +16,6 @@ from szegolab import (
     ModelKind,
     NonConvergedQuadrature,
     SpectralModel,
-    abs_acf_integral,
-    acf_eval,
-    psd_eval,
     spectral_functional,
 )
 
@@ -78,56 +75,56 @@ def test_scale_property_guards_kind():
 def test_acf_is_exactly_even():
     tau = np.array([0.0, 0.1, 0.37, 1.0, 2.5, 17.0])
     for model in _all_models():
-        assert np.array_equal(acf_eval(model, tau), acf_eval(model, -tau))
+        assert np.array_equal(model.acf(tau), model.acf(-tau))
 
 
 def test_acf_closed_forms():
     ou = SpectralModel.ornstein_uhlenbeck(2.0, 3.0)
-    assert acf_eval(ou, 0.0) == 2.0
-    assert acf_eval(ou, 0.5) == pytest.approx(2.0 * math.exp(-1.5), rel=1e-15)
+    assert ou.acf(0.0) == 2.0
+    assert ou.acf(0.5) == pytest.approx(2.0 * math.exp(-1.5), rel=1e-15)
 
     gauss = SpectralModel.gaussian_kernel(1.5, 2.0)
-    assert acf_eval(gauss, 0.0) == 1.5
-    assert acf_eval(gauss, 1.0) == pytest.approx(1.5 * math.exp(-0.125), rel=1e-15)
+    assert gauss.acf(0.0) == 1.5
+    assert gauss.acf(1.0) == pytest.approx(1.5 * math.exp(-0.125), rel=1e-15)
 
     tri = SpectralModel.triangular(1.0, 2.0)
-    assert acf_eval(tri, 0.0) == 1.0
-    assert acf_eval(tri, 1.0) == pytest.approx(0.5, rel=1e-15)
-    assert acf_eval(tri, 2.0) == 0.0
-    assert acf_eval(tri, 5.0) == 0.0
+    assert tri.acf(0.0) == 1.0
+    assert tri.acf(1.0) == pytest.approx(0.5, rel=1e-15)
+    assert tri.acf(2.0) == 0.0
+    assert tri.acf(5.0) == 0.0
 
 
 def test_psd_nonnegative_even_and_closed_forms():
     lam = np.linspace(-40.0, 40.0, 1001)
     for model in _all_models():
-        values = psd_eval(model, lam)
+        values = model.psd(lam)
         assert np.all(values >= 0.0)
-        assert np.array_equal(values, psd_eval(model, -lam))
+        assert np.array_equal(values, model.psd(-lam))
 
     ou = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
     # 2pi f(lam) = 2 P alpha / (alpha^2 + lam^2)
-    assert 2.0 * math.pi * psd_eval(ou, 0.0) == pytest.approx(2.0, rel=1e-14)
-    assert 2.0 * math.pi * psd_eval(ou, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert 2.0 * math.pi * ou.psd(0.0) == pytest.approx(2.0, rel=1e-14)
+    assert 2.0 * math.pi * ou.psd(1.0) == pytest.approx(1.0, rel=1e-14)
 
     gauss = SpectralModel.gaussian_kernel(1.0, 1.0)
     # 2pi f(lam) = P sigma sqrt(2pi) exp(-sigma^2 lam^2 / 2)
-    assert 2.0 * math.pi * psd_eval(gauss, 0.0) == pytest.approx(
+    assert 2.0 * math.pi * gauss.psd(0.0) == pytest.approx(
         math.sqrt(2.0 * math.pi), rel=1e-14
     )
 
     tri = SpectralModel.triangular(1.0, 2.0)
     # 2pi f(0) = P tau0; first zero at lam = 2pi/tau0
-    assert 2.0 * math.pi * psd_eval(tri, 0.0) == pytest.approx(2.0, rel=1e-14)
-    assert psd_eval(tri, math.pi) == pytest.approx(0.0, abs=1e-18)
+    assert 2.0 * math.pi * tri.psd(0.0) == pytest.approx(2.0, rel=1e-14)
+    assert tri.psd(math.pi) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_abs_acf_integral_closed_forms():
-    assert abs_acf_integral(SpectralModel.ornstein_uhlenbeck(1.0, 1.0)) == pytest.approx(2.0)
-    assert abs_acf_integral(SpectralModel.ornstein_uhlenbeck(3.0, 2.0)) == pytest.approx(3.0)
-    assert abs_acf_integral(SpectralModel.gaussian_kernel(2.0, 0.5)) == pytest.approx(
+    assert SpectralModel.ornstein_uhlenbeck(1.0, 1.0).abs_acf_integral() == pytest.approx(2.0)
+    assert SpectralModel.ornstein_uhlenbeck(3.0, 2.0).abs_acf_integral() == pytest.approx(3.0)
+    assert SpectralModel.gaussian_kernel(2.0, 0.5).abs_acf_integral() == pytest.approx(
         2.0 * 0.5 * math.sqrt(2.0 * math.pi)
     )
-    assert abs_acf_integral(SpectralModel.triangular(2.0, 1.5)) == pytest.approx(3.0)
+    assert SpectralModel.triangular(2.0, 1.5).abs_acf_integral() == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +175,7 @@ def test_zero_power_functionals_vanish():
         model = ctor(0.0, 1.0)
         assert spectral_functional(model, "log1p") == 0.0
         assert spectral_functional(model, 3) == 0.0
-        assert float(acf_eval(model, 0.7)) == 0.0
+        assert float(model.acf(0.7)) == 0.0
 
 
 def test_functional_argument_validation():

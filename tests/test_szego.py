@@ -109,6 +109,26 @@ def test_sandwich_verify_rejects_understated_error(pair64):
         cheat.verify()
 
 
+@pytest.mark.parametrize("degree", [850, 900, 1028])
+def test_sandwich_constructs_at_high_degree(degree):
+    # the width check allows for the rounding of the two Bernstein dot
+    # products, whose terms are of order log(1 + C), not of the width
+    pair = sandwich_polynomials(4.0, degree)
+    assert pair.degree == degree
+    if degree == MAX_SANDWICH_DEGREE:
+        widened = pair.upper.copy()
+        widened[1:] += 1e-3 * pair.eps_hat * pair.domain_max
+        cheat = SandwichPair(
+            degree=degree,
+            domain_max=pair.domain_max,
+            eps_hat=pair.eps_hat,
+            lower=pair.lower,
+            upper=widened,
+        )
+        with pytest.raises(DegreeTooLow):
+            cheat.verify()
+
+
 def test_sandwich_construction_validation():
     with pytest.raises(ValueError):
         sandwich_polynomials(0.0, 64)
