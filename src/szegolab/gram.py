@@ -27,10 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import QuadratureFailure
 from .models import SpectralModel
+from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "SamplingGrid",
@@ -100,41 +101,6 @@ class GramSequence:
         object.__setattr__(self, "gamma_hat", hat)
 
 
-# --------------------------------------------------------------------------
-# adaptive quadrature fallback (exactly reduced one-dimensional form)
-# --------------------------------------------------------------------------
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _gl16(fun, a: float, b: float) -> float:
-    t = 0.5 * (b - a) * (_GL16_NODES + 1.0) + a
-    return 0.5 * (b - a) * float(np.dot(_GL16_WEIGHTS, fun(t)))
-
-
-def _adaptive_panel(fun, a: float, b: float, eps_abs: float, max_panels: int) -> float:
-    """Adaptive Gauss-Legendre with interval bisection and a panel budget."""
-    stack = [(a, b, _gl16(fun, a, b), eps_abs)]
-    total = 0.0
-    used = 1
-    while stack:
-        lo, hi, coarse, eps = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _gl16(fun, lo, mid)
-        right = _gl16(fun, mid, hi)
-        used += 2
-        if abs(left + right - coarse) <= eps or hi - lo <= 1e-15 * max(abs(lo), abs(hi), 1.0):
-            total += left + right
-            continue
-        if used > max_panels:
-            raise QuadratureFailure(
-                f"cell quadrature budget of {max_panels} panels exhausted on "
-                f"[{a:g}, {b:g}] before reaching {eps_abs:.1e} absolute accuracy"
-            )
-        stack.append((lo, mid, left, eps / 2.0))
-        stack.append((mid, hi, right, eps / 2.0))
-    return total
-
-
 def _gamma_quadrature(model: SpectralModel, grid: SamplingGrid, max_panels: int) -> np.ndarray:
     h, n = grid.h, grid.n
     breakpoints = model.acf_breakpoints()
@@ -149,11 +115,9 @@ def _gamma_quadrature(model: SpectralModel, grid: SamplingGrid, max_panels: int)
         # The double integral over the cell pair reduces exactly to this
         # one-dimensional overlap-weighted form; target 1e-10 absolute on
         # gamma_l means 1e-10 * h on the unnormalized integral.
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            total += _adaptive_panel(
-                integrand, a, b, 1e-10 * h / (len(cuts) - 1), max_panels
-            )
+        total, _ = adaptive_gauss_legendre(
+            integrand, cuts, 1e-10 * h, max_panels, QuadratureFailure
+        )
         out[l] = total / h
     return out
 
@@ -187,4 +151,8 @@ def gamma_sequence(
 
 def toeplitz_matrix(gs: GramSequence) -> np.ndarray:
     """Dense symmetric Toeplitz matrix A(i, j) = gamma_{|i-j|}."""
-    return scipy.linalg.toeplitz(gs.gamma)
+    gamma = gs.gamma
+    # row i is the window of gamma_{n-1}..gamma_1, gamma_0..gamma_{n-1} that
+    # starts at offset n-1-i
+    windows = sliding_window_view(np.concatenate((gamma[:0:-1], gamma)), gamma.size)
+    return windows[::-1].copy()

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import AsymmetryError, ConvergenceFailure, NotPositiveDefinite
 from .gram import GramSequence, SamplingGrid, gamma_sequence
@@ -159,10 +158,10 @@ def toeplitz_eigs(A: np.ndarray, grid: SamplingGrid | None = None) -> SpectrumRe
     if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     try:
-        eig = scipy.linalg.eigh(A, eigvals_only=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - solver-dependent
+        eig = np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - solver-dependent
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return SpectrumResult(source="toeplitz", eigenvalues=np.asarray(eig, dtype=float), grid=grid)
+    return SpectrumResult(source="toeplitz", eigenvalues=eig, grid=grid)
 
 
 def mi_logdet(A: np.ndarray) -> float:
@@ -170,10 +169,11 @@ def mi_logdet(A: np.ndarray) -> float:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
     try:
-        chol = scipy.linalg.cholesky(np.eye(n) + A, lower=True, check_finite=True)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(np.eye(A.shape[0]) + A)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"Cholesky factorization of I + A failed ({exc}); the matrix is not "
             "positive semidefinite within round-off"

@@ -365,8 +365,10 @@ class RateReport:
     points: tuple[RatePoint, ...]
 
     def __post_init__(self) -> None:
+        # The circulant rate has no sign invariant: when T is not much longer
+        # than the correlation time the wrapped row can be indefinite.
         for p in self.points:
-            if not (p.sampled_rate >= 0.0 and p.circulant_rate >= 0.0 and p.target_rate >= 0.0):
+            if not (p.sampled_rate >= 0.0 and p.target_rate >= 0.0):
                 raise ValueError(f"rates must be nonnegative, got point {p}")
             if not (math.isfinite(p.abs_err) and math.isfinite(p.rel_err)):
                 raise ValueError(f"errors must be finite, got point {p}")

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from szegolab import DEFAULT_SCHEDULE, ModelKind, UsageError
-from szegolab.cli import _SCALE_FLAGS, _fmt_cell, main, parse_config
+from szegolab.cli import _COMMANDS, _SCALE_FLAGS, _fmt_cell, main, parse_config
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
 RATE_HEADER = (
@@ -263,6 +263,54 @@ def test_exit_three_reports_numerical_failure(capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_wide_kernel_reports_a_negative_circulant_rate():
+    # with T no longer than the kernel width the wrapped circulant row is
+    # indefinite, so a negative circulant rate is a legitimate report cell
+    result = run_cli(
+        "rate", "--model", "gauss", "--width", "200", "--schedule", "5:50", "--format", "csv"
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    header, rows = _csv_rows(result.stdout)
+    assert float(rows[0][header.index("circulantRate")]) < 0.0
+    assert float(rows[0][header.index("sampledRate")]) > 0.0
+
+
+def test_circulant_eigenvalue_at_or_below_minus_one_exits_three(capsys):
+    # at power 20 the same kernel puts a circulant eigenvalue near -P*h = -2
+    argv = ["rate", "--model", "gauss", "--width", "200", "--power", "20", "--schedule", "5:50"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "is <= -1" in err
+
+
+@pytest.mark.parametrize(
+    "args, codes",
+    [
+        (("power-sum", "--model", "tri", "--q", "2", "--tol", "1e-13"), (0, 3)),
+        (("rate", "--model", "tri", "--tol", "1e-13", "--schedule", "5:50"), (0, 3)),
+        (("rate", "--tol", "1e-15", "--schedule", "5:50"), (3,)),
+    ],
+)
+def test_tight_tolerances_print_no_warning(args, codes):
+    # a tolerance either holds, with a clean report, or is refused with one
+    # typed line; no library warning reaches stderr
+    result = run_cli(*args)
+    assert result.returncode in codes
+    assert "Warning" not in result.stderr
+    if result.returncode == 0:
+        assert result.stdout and "numerical failure" not in result.stderr
+    else:
+        assert result.stderr.startswith("numerical failure:")
+        assert result.stderr.count("\n") == 1
+
+
+def test_power_sum_on_one_cell_has_no_wrap_term(capsys):
+    assert main(["power-sum", "--n", "1", "--format", "csv"]) == 0
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert float(rows[0][header.index("s2")]) == 0.0
+
+
 def test_sandwich_subcommand_brackets_each_point(capsys):
     assert main(["sandwich", "--schedule", "2:40,4:80", "--degree", "32", "--format", "csv"]) == 0
     captured = capsys.readouterr()
@@ -361,10 +409,23 @@ LAZY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.integrate", 
 def _scipy_submodules_loaded_by(code: str) -> list[str]:
     # runs ``code`` in a fresh interpreter; sys.modules also sees the scipy
     # submodules that load lazily on attribute access
-    code += f"\nprint(' '.join(m for m in {LAZY_SCIPY!r} if m in sys.modules))"
+    code += f"\nprint('loaded:', *(m for m in {LAZY_SCIPY!r} if m in sys.modules))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    return result.stdout.split()
+    return result.stdout.splitlines()[-1].split()[1:]
+
+
+def _scipy_submodules_loaded_by_cli(*argv: str, exit_code: int = 0) -> list[str]:
+    return _scipy_submodules_loaded_by(
+        "import runpy, sys\n"
+        f"sys.argv = ['szegolab', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('szegolab', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        f"    assert exc.code == {exit_code}, exc.code\n"
+        "else:\n"
+        "    raise AssertionError('no exit')\n"
+    )
 
 
 def test_import_loads_no_scipy_submodule():
@@ -372,17 +433,25 @@ def test_import_loads_no_scipy_submodule():
 
 
 def test_usage_error_loads_no_scipy_submodule():
-    code = (
-        "import runpy, sys\n"
-        "sys.argv = ['szegolab', 'rate', '--no-such-flag']\n"
-        "try:\n"
-        "    runpy.run_module('szegolab', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 2, exc.code\n"
-        "else:\n"
-        "    raise AssertionError('no exit')\n"
-    )
-    assert _scipy_submodules_loaded_by(code) == []
+    assert _scipy_submodules_loaded_by_cli("rate", "--no-such-flag", exit_code=2) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(command,) for command in _COMMANDS]
+    + [("rate", "--model", "gauss"), ("rate", "--model", "tri")],
+    ids=" ".join,
+)
+def test_cli_run_loads_no_scipy_submodule(argv):
+    # every subcommand at its defaults computes on numpy and math alone
+    assert _scipy_submodules_loaded_by_cli(*argv) == []
+
+
+@pytest.mark.parametrize("model", ["gauss", "tri"])
+def test_mc_validate_of_a_non_markov_kernel_loads_only_linalg(model):
+    # the dense covariance factor of the Monte-Carlo paths is the one scipy use
+    loaded = _scipy_submodules_loaded_by_cli("mc-validate", "--model", model)
+    assert loaded == ["scipy.linalg"]
 
 
 def test_config_file_value_feeds_the_computation(tmp_path):

@@ -195,6 +195,11 @@ def test_toeplitz_matrix_structure_and_psd():
     assert np.array_equal(A, scipy.linalg.toeplitz(gs.gamma))
     eigs = np.linalg.eigvalsh(A)
     assert eigs.min() >= -1e-9 * gs.gamma[0]
+    for n in (1, 2, 7):
+        small = gamma_sequence(model, SamplingGrid(T=1.0, n=n))
+        A = toeplitz_matrix(small)
+        assert np.array_equal(A, scipy.linalg.toeplitz(small.gamma))
+        assert A.flags.writeable and A.flags.c_contiguous
 
 
 def test_circulant_matrix_first_row():

@@ -11,15 +11,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
+
+import szegolab.models
 
 from szegolab import (
     ModelKind,
     NonConvergedQuadrature,
+    QuadratureFailure,
     SpectralModel,
     spectral_functional,
 )
+from szegolab.models import _erf, _sine_integral
+from szegolab.quadrature import adaptive_gauss_legendre
 
 SQRT3 = math.sqrt(3.0)
+PARAMETERS = ((1.0, 1.0), (2.0, 0.7), (0.5, 3.0))  # (power, scale) pairs
 
 
 def _all_models():
@@ -148,6 +156,12 @@ def test_ou_monomial_functionals_match_closed_forms():
 def test_ou_log_functional_closed_form():
     ou = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
     assert spectral_functional(ou, "log1p") == pytest.approx(SQRT3 - 1.0, rel=1e-8)
+    # (1/2pi) integral log(1 + 2P alpha / (alpha^2 + lam^2)) = sqrt(alpha^2 + 2P alpha) - alpha
+    tol = 1e-8
+    for power, rate in PARAMETERS:
+        expected = math.sqrt(rate * rate + 2.0 * power * rate) - rate
+        value = spectral_functional(SpectralModel.ornstein_uhlenbeck(power, rate), "log1p", tol)
+        assert abs(value - expected) <= tol * expected
 
 
 def test_quadratic_functional_equals_acf_self_convolution():
@@ -162,8 +176,15 @@ def test_quadratic_functional_equals_acf_self_convolution():
         (SpectralModel.triangular(1.0, 1.0), 2.0 / 3.0),
         (SpectralModel.triangular(0.5, 2.0), 1.0 / 3.0),
     ]
+    for power, scale in PARAMETERS:
+        cases += [
+            (SpectralModel.ornstein_uhlenbeck(power, scale), power**2 / scale),
+            (SpectralModel.gaussian_kernel(power, scale), power**2 * scale * math.sqrt(math.pi)),
+            (SpectralModel.triangular(power, scale), 2.0 * power**2 * scale / 3.0),
+        ]
+    tol = 1e-8
     for model, expected in cases:
-        assert abs(spectral_functional(model, 2) - expected) <= 1e-6 * max(expected, 1.0)
+        assert abs(spectral_functional(model, 2, tol) - expected) <= tol * expected
 
 
 def test_zero_power_functionals_vanish():
@@ -194,6 +215,72 @@ def test_functional_unreachable_tolerance_raises():
     ou = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
     with pytest.raises(NonConvergedQuadrature):
         spectral_functional(ou, 2, tol=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# the numpy quadrature and special functions vs scipy references
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("g", ["log1p", 1, 2, 3, 4])
+@pytest.mark.parametrize("power, scale", PARAMETERS)
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_functional_matches_quad_at_the_same_truncation(kind, power, scale, g, monkeypatch):
+    model = SpectralModel(kind, power, scale)
+    truncations = []
+
+    def spy(fun, cuts, *args):
+        truncations.append(float(cuts[-1]))
+        return adaptive_gauss_legendre(fun, cuts, *args)
+
+    monkeypatch.setattr(szegolab.models, "adaptive_gauss_legendre", spy)
+    value = spectral_functional(model, g)
+    lam0 = truncations[-1]
+    if g == "log1p":
+        def integrand(lam):
+            return math.log1p(2.0 * math.pi * model.psd(lam))
+    else:
+        def integrand(lam):
+            return (2.0 * math.pi * model.psd(lam)) ** g
+    # quad on every period of an oscillating density, so that the reference
+    # itself resolves the integrand to near machine precision
+    period = 2.0 * math.pi / model.correlation_time()
+    edges = [*np.arange(0.0, lam0, period), lam0]
+    pieces = [
+        scipy.integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    reference = math.fsum(pieces) / math.pi
+    if g in ("log1p", 1):
+        reference += model.family.first_order_tail(power, scale, lam0)
+    assert abs(value - reference) <= 1e-12 * abs(reference)
+
+
+def test_sine_integral_matches_scipy():
+    x = np.concatenate((np.logspace(-6.0, 6.0, 1201), [np.nextafter(2.0, 0.0), 2.0, 2.001]))
+    ours = np.array([_sine_integral(float(v)) for v in x])
+    reference, _ = scipy.special.sici(x)
+    assert np.all(np.abs(ours - reference) <= 1e-15 * np.abs(reference))
+
+
+def test_vectorised_erf_matches_scipy():
+    x = np.linspace(-7.0, 7.0, 2002).reshape(7, -1)
+    ours = _erf(x).astype(float)
+    assert ours.shape == x.shape
+    assert np.allclose(ours, scipy.special.erf(x), rtol=2e-16, atol=1e-16)
+
+
+def test_starved_panel_budget_raises_the_callers_error(monkeypatch):
+    def fun(t):
+        return np.exp(-50.0 * t)
+
+    for error in (NonConvergedQuadrature, QuadratureFailure):
+        with pytest.raises(error, match="budget of 4 panels"):
+            adaptive_gauss_legendre(fun, (0.0, 8.0), 1e-12, 4, error)
+    value, err_est = adaptive_gauss_legendre(fun, (0.0, 8.0), 1e-12, 4096, QuadratureFailure)
+    assert abs(value - 1.0 / 50.0) <= err_est <= 1e-12
+
+    monkeypatch.setattr(szegolab.models, "_MAX_PANELS", 4)
+    with pytest.raises(NonConvergedQuadrature):
+        spectral_functional(SpectralModel.triangular(1.0, 1.0), "log1p")
 
 
 def test_correlation_time_positive():

@@ -139,6 +139,11 @@ def test_mi_logdet_rejects_indefinite():
         mi_logdet(np.array([[-2.0, 0.0], [0.0, -2.0]]))
 
 
+def test_mi_logdet_rejects_nonfinite():
+    with pytest.raises(ValueError, match="finite"):
+        mi_logdet(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # O(n^2) Toeplitz routes vs the dense reference routes
 # ---------------------------------------------------------------------------
