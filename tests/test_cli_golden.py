@@ -2,7 +2,8 @@
 
 Each pinned invocation runs ``szegolab.cli.main`` in process and is reduced to
 the SHA-256 of (exit code, stdout, stderr).  The digests were measured with
-numpy 2.4.6 and scipy 1.17.1; a change that alters any report byte, exit code
+numpy 2.4.6, scipy 1.17.1 and Python 3.11 (whose argparse words some usage
+errors); a change that alters any report byte, exit code
 or message fails here and prints the report it produced.
 """
 
@@ -17,6 +18,43 @@ _MODELS = (
     ("ou", "--rate-param", "0.8"),
     ("gauss", "--width", "1.3"),
     ("tri", "--support", "0.9"),
+)
+
+# Usage errors pin each message's text and, where two options are invalid at
+# once, which one is reported.
+_USAGE_ERRORS = (
+    ("rate", "--model", "ou", "--rate-param", "-1"),
+    ("rate", "--model", "ou", "--width", "1.0"),
+    ("rate", "--model", "banana"),
+    ("rate", "--schedule", "5:100,4:80"),
+    ("rate", "--schedule", "5x100"),
+    ("rate", "--tol", "0"),
+    ("rate", "--seed", "-1"),
+    ("rate", "--format", "xml"),
+    ("power-sum", "--q", "5"),
+    ("power-sum", "--q", "0"),
+    ("power-sum", "--T", "-3"),
+    ("power-sum", "--n", "0"),
+    ("sandwich", "--degree", "0"),
+    ("sandwich", "--domain-max", "-1"),
+    ("mc-validate", "--paths", "10"),
+    ("mc-validate", "--refine", "2"),
+    ("mc-validate", "--lags", "0,100"),
+    ("mc-validate", "--lags", "0,x"),
+    ("rate", "--no-such-flag"),
+    (),
+    ("frobnicate",),
+    ("sandwich", "--degree", "1029"),
+    ("sandwich", "--power", "0"),
+    ("rate", "--tol", "0", "--seed", "-1"),
+    ("rate", "--tol", "0", "--rate-param", "-1"),
+    ("power-sum", "--q", "5", "--T", "-3"),
+    ("power-sum", "--n", "0", "--q", "0"),
+    ("sandwich", "--degree", "0", "--domain-max", "-1"),
+    ("sandwich", "--power", "0", "--degree", "2000"),
+    ("mc-validate", "--paths", "10", "--refine", "2"),
+    ("mc-validate", "--lags", "0,100", "--paths", "10"),
+    ("rate", "--model", "ou", "--width", "2", "--power", "-1"),
 )
 
 
@@ -39,6 +77,7 @@ def _invocations():
     out.append(("rate", "--model", "ou", "--width", "2"))
     out.append(("rate", "--model", "gauss", "--support", "2"))
     out.append(("rate", "--model", "tri", "--rate-param", "2"))
+    out += [argv for argv in _USAGE_ERRORS if argv not in out]
     return out
 
 
@@ -73,6 +112,36 @@ GOLDEN = {
     "rate --model ou --width 2": "1dce9f0a1ac654ff2a1a5923d757548cce6b50d537b63be8664734d655bbab91",  # exit 2
     "rate --model gauss --support 2": "0d13c3bc37b764075307106f0c5ff59564995fddeb46a50b3625dc211b4e4f87",  # exit 2
     "rate --model tri --rate-param 2": "78c3ec8ff084ded21bc7a7a9a47d92cc4d3dc7a30a5171356e8c42d04c192e17",  # exit 2
+    "rate --model ou --width 1.0": "1dce9f0a1ac654ff2a1a5923d757548cce6b50d537b63be8664734d655bbab91",  # exit 2
+    "rate --schedule 5:100,4:80": "cf40e4aa133b2587b1f1469cf6cf40ba487ebe420b088ede5a4237cb132edd1d",  # exit 2
+    "rate --schedule 5x100": "5da343c3d76a48fad9af64c75bd8cebd08d905ebffe99c854e2b2f1784b90a46",  # exit 2
+    "rate --tol 0": "5d1315529feff3be94095043e3e83e61c8bed17c7e0357e98f06ded97cffd3ba",  # exit 2
+    "rate --seed -1": "9860986114fa0f29a53ccc0469d50041bd027ae84f7e421d3a5d37308e2a567f",  # exit 2
+    "rate --format xml": "f160a658b98a9997e63a9b0c11edc216bc98ea340e022b02d14a8993bfceec98",  # exit 2
+    "power-sum --q 5": "ea240a362ca9ed524a7e0602d24cb6c08d7c1e631bda2ff409670f440c9dc52b",  # exit 2
+    "power-sum --q 0": "10e4f8d941767e623cc05981811592a5b34e82d16e2454b03a66fee2a7ad4081",  # exit 2
+    "power-sum --T -3": "cd9409fb463228ce87dac4fb4c20b87e66b331c437a7e1b9add2bc74685c0123",  # exit 2
+    "power-sum --n 0": "2b2ef812cdcbf93426029cc29d477da07513a31aa8d9d62844fea7a4ce361a8d",  # exit 2
+    "sandwich --degree 0": "34a40e2f01f64aeb37768a1b2315eb8e35ab8df216cd8c182ea9c6b497cbd239",  # exit 2
+    "sandwich --domain-max -1": "c7f55433303ae6e6fa55f64c3f6b7b588c63e00172acb259c4e590a11c0d2d76",  # exit 2
+    "mc-validate --paths 10": "07bbc59a04111e3fff19c52f5c4142aea228aad9fb3956adb9964259912e3318",  # exit 2
+    "mc-validate --refine 2": "c5b24b2f602c4c6b9a15ba4fc84654d44b650cabf6175736894c6140952a0435",  # exit 2
+    "mc-validate --lags 0,100": "90816a928a2541714a62df87636d4acf4996798b4a2faaa17fe69302f5bd3123",  # exit 2
+    "mc-validate --lags 0,x": "97eeab9fcc5b3241431f283e0feb2fea9893cf8efc93cebc8befc12d9480abcd",  # exit 2
+    "rate --no-such-flag": "7f05c70f71fbe13f027075e02b17a112c07784a54f82cdadfce07b72dabf8db4",  # exit 2
+    "": "b62e183d0d8e71e7190b8ff79a3fe999fe706df14d5d8736e992db57b8957535",  # exit 2
+    "frobnicate": "804eec66394a835732c9b9068a1d9feff44ffaff74ff0e58f30e67db03c6dc38",  # exit 2
+    "sandwich --degree 1029": "a0c97692ba5bc2f65cde33681e0da94ac96ab0b6ad97f2418e7ff984697ef828",  # exit 2
+    "sandwich --power 0": "b60e1441174e4c53c27949f427882b13ffa785eb7f1248e66e7185b9304a220f",  # exit 2
+    "rate --tol 0 --seed -1": "5d1315529feff3be94095043e3e83e61c8bed17c7e0357e98f06ded97cffd3ba",  # exit 2
+    "rate --tol 0 --rate-param -1": "ce490b5226881f0be2b0bcff1fdb5bbaa8c60b2befe2ab6e1d34dc1d075c27f1",  # exit 2
+    "power-sum --q 5 --T -3": "cd9409fb463228ce87dac4fb4c20b87e66b331c437a7e1b9add2bc74685c0123",  # exit 2
+    "power-sum --n 0 --q 0": "2b2ef812cdcbf93426029cc29d477da07513a31aa8d9d62844fea7a4ce361a8d",  # exit 2
+    "sandwich --degree 0 --domain-max -1": "34a40e2f01f64aeb37768a1b2315eb8e35ab8df216cd8c182ea9c6b497cbd239",  # exit 2
+    "sandwich --power 0 --degree 2000": "a1517e375872914dc36a57d633c468924eeaa6f6b5f690590162bc48a0d9503f",  # exit 2
+    "mc-validate --paths 10 --refine 2": "c5b24b2f602c4c6b9a15ba4fc84654d44b650cabf6175736894c6140952a0435",  # exit 2
+    "mc-validate --lags 0,100 --paths 10": "07bbc59a04111e3fff19c52f5c4142aea228aad9fb3956adb9964259912e3318",  # exit 2
+    "rate --model ou --width 2 --power -1": "1dce9f0a1ac654ff2a1a5923d757548cce6b50d537b63be8664734d655bbab91",  # exit 2
 }
 
 
@@ -81,7 +150,7 @@ def _clean_thread_env(monkeypatch):
     monkeypatch.delenv("SZGL_THREADS", raising=False)
 
 
-@pytest.mark.parametrize("argv", _invocations(), ids=" ".join)
+@pytest.mark.parametrize("argv", _invocations(), ids=lambda argv: " ".join(argv) or "(none)")
 def test_cli_report_matches_golden_digest(argv, capsys):
     code = main(list(argv))
     captured = capsys.readouterr()
