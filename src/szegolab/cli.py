@@ -11,21 +11,20 @@ dump-gram      table of Gram coefficients gamma_l and wrapped gammaHat_l
 dump-spectrum  table of circulant eigenvalues vs the scaled spectral density
 
 Configuration may come from flags or from a flat ``key = value`` file
-(``--config``); flags override file values, unknown keys are rejected.  All
-numeric output uses 9 significant digits in a fixed column order, so identical
-configurations produce byte-identical reports.  Exit codes: 0 success,
-1 a runtime invariant failed, 2 usage error, 3 numerical failure.  The
-environment variable SZGL_THREADS caps schedule-point parallelism (0 = auto);
-output is assembled in schedule order regardless.
+(``--config``); flags override file values, unknown keys are rejected.  Each
+option's flag, config key, default and range checks live in one row of
+``_OPTS``.  All numeric output uses 9 significant digits in a fixed column
+order, so identical configurations produce byte-identical reports.  Exit
+codes: 0 success, 1 a runtime invariant failed, 2 usage error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,15 +57,6 @@ _COMMANDS = (
     "dump-gram",
     "dump-spectrum",
 )
-
-# Per-command defaults for the study point, chosen to match the documented
-# diagnostic operating points (h = 0.05 resolution for the dumps).
-_POINT_DEFAULTS = {
-    "power-sum": (100.0, 4000),
-    "mc-validate": (10.0, 100),
-    "dump-gram": (10.0, 200),
-    "dump-spectrum": (10.0, 200),
-}
 
 # Relative + absolute slack applied to runtime bound checks, so that a bound
 # holding in exact arithmetic is not reported as violated because of the last
@@ -148,48 +138,77 @@ def _conv_lags(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _Opt:
+    """One option: its flag and config-file key, how its text converts, its
+    default and its checks.  A ``{command: value}`` default varies by command
+    and names the commands the option applies to."""
+
     name: str  # flag / config-file key (kebab-case)
     conv: object
-    commands: tuple[str, ...]
     help: str
+    default: object = None
+    commands: tuple[str, ...] = _COMMANDS
+    checks: tuple = ()  # each maps a value to its error message, or None if valid
+
+    def __post_init__(self) -> None:
+        if isinstance(self.default, dict):
+            object.__setattr__(self, "commands", tuple(self.default))
 
     @property
     def dest(self) -> str:
         return self.name.replace("-", "_")
 
+    def default_for(self, command: str):
+        return self.default[command] if isinstance(self.default, dict) else self.default
 
+
+# The study-point defaults match the documented diagnostic operating points
+# (h = 0.05 resolution for the dumps).
 _OPTS = (
-    _Opt("model", _conv_model, _COMMANDS,
-         f"input model kind: {' | '.join(_SCALE_FLAGS)} (default ou)"),
-    _Opt("power", _conv_float, _COMMANDS, "stationary variance P >= 0 (default 1)"),
+    _Opt("model", _conv_model, f"input model kind: {' | '.join(_SCALE_FLAGS)} (default ou)",
+         ModelKind("ou")),
+    _Opt("power", _conv_float, "stationary variance P >= 0 (default 1)", 1.0),
     *(
-        _Opt(flag, _conv_float, _COMMANDS, f"{what} of the {name} model (default 1)")
+        _Opt(flag, _conv_float, f"{what} of the {name} model (default 1)", 1.0)
         for name, (flag, what) in _SCALE_FLAGS.items()
     ),
-    _Opt("tol", _conv_float, _COMMANDS, "spectral quadrature tolerance (default 1e-8)"),
-    _Opt("seed", _conv_int, _COMMANDS, "64-bit random seed (default 42)"),
-    _Opt("format", _conv_format, _COMMANDS, "report format: text | csv (default text)"),
-    _Opt("out", str, _COMMANDS, "write the report to this path instead of stdout"),
-    _Opt(
-        "schedule",
-        _conv_schedule,
-        ("rate", "equivalence", "sandwich"),
-        "comma list of T:n study points (default 25:500,50:1000,100:2000)",
-    ),
-    _Opt("T", _conv_float, tuple(_POINT_DEFAULTS), "time horizon of the study point"),
-    _Opt("n", _conv_int, tuple(_POINT_DEFAULTS), "sample count of the study point"),
-    _Opt("q", _conv_int, ("power-sum",), "power exponent, 1..4 (default 2)"),
-    _Opt("degree", _conv_int, ("sandwich",), "base approximant degree (default 64)"),
-    _Opt(
-        "domain-max",
-        _conv_float,
-        ("sandwich",),
-        "eigenvalue domain cap (default: twice the absolute autocovariance integral)",
-    ),
-    _Opt("refine", _conv_int, ("mc-validate",), "sub-steps per sampling cell, >= 4 (default 8)"),
-    _Opt("paths", _conv_int, ("mc-validate",), "number of simulated paths, >= 100 (default 10000)"),
-    _Opt("lags", _conv_lags, ("mc-validate",), "comma list of lags to validate (default 0,1,2,5)"),
-    _Opt("dump-batch", str, ("mc-validate",), "write the binary increment dump to this path"),
+    _Opt("tol", _conv_float, "spectral quadrature tolerance (default 1e-8)", 1e-8,
+         checks=(lambda v: None if v > 0.0 else f"tol must be > 0, got {v!r}",)),
+    _Opt("seed", _conv_int, "64-bit random seed (default 42)", 42,
+         checks=(lambda v: None if 0 <= v < 2**64 else f"seed must be in [0, 2^64), got {v}",)),
+    _Opt("format", _conv_format, "report format: text | csv (default text)", "text"),
+    _Opt("out", str, "write the report to this path instead of stdout"),
+    _Opt("schedule", _conv_schedule,
+         "comma list of T:n study points (default 25:500,50:1000,100:2000)",
+         DEFAULT_SCHEDULE, commands=("rate", "equivalence", "sandwich")),
+    _Opt("T", _conv_float, "time horizon of the study point",
+         {"power-sum": 100.0, "mc-validate": 10.0, "dump-gram": 10.0, "dump-spectrum": 10.0},
+         checks=(lambda v: None if v > 0.0 else f"T must be finite and > 0, got {v}",)),
+    _Opt("n", _conv_int, "sample count of the study point",
+         {"power-sum": 4000, "mc-validate": 100, "dump-gram": 200, "dump-spectrum": 200},
+         checks=(lambda v: None if v >= 1 else f"n must be >= 1, got {v}",)),
+    _Opt("q", _conv_int, "power exponent, 1..4 (default 2)", 2, commands=("power-sum",),
+         checks=(lambda v: None if 1 <= v <= 4 else f"power exponent q must be in 1..4, got {v}",)),
+    _Opt("degree", _conv_int, "base approximant degree (default 64)", 64,
+         commands=("sandwich",),
+         checks=(
+             lambda v: None if v >= 1 else f"degree must be >= 1, got {v}",
+             lambda v: None if v <= MAX_SANDWICH_DEGREE
+             else f"degree must be <= {MAX_SANDWICH_DEGREE}, got {v}",
+         )),
+    _Opt("domain-max", _conv_float,
+         "eigenvalue domain cap (default: twice the absolute autocovariance integral)",
+         commands=("sandwich",),
+         checks=(lambda v: None if v is None or v > 0.0 else f"domain-max must be > 0, got {v}",)),
+    _Opt("refine", _conv_int, "sub-steps per sampling cell, >= 4 (default 8)", 8,
+         commands=("mc-validate",),
+         checks=(lambda v: None if v >= 4 else f"refine must be >= 4, got {v}",)),
+    _Opt("paths", _conv_int, "number of simulated paths, >= 100 (default 10000)", 10_000,
+         commands=("mc-validate",),
+         checks=(lambda v: None if v >= 100 else f"paths must be >= 100, got {v}",)),
+    _Opt("lags", _conv_lags, "comma list of lags to validate (default 0,1,2,5)", (0, 1, 2, 5),
+         commands=("mc-validate",)),
+    _Opt("dump-batch", str, "write the binary increment dump to this path",
+         commands=("mc-validate",)),
 )
 
 
@@ -203,7 +222,6 @@ class RunConfig:
     seed: int
     fmt: str
     out: str | None
-    workers: int
     schedule: ConvergenceSchedule | None = None
     T: float | None = None
     n: int | None = None
@@ -259,29 +277,14 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("SZGL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"SZGL_THREADS must be an integer >= 0, got {raw!r}") from None
-    if value < 0:
-        raise UsageError(f"SZGL_THREADS must be an integer >= 0, got {raw!r}")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
 def _build_model(values: dict, provided: set[str]) -> SpectralModel:
-    kind = values["model"] or ModelKind("ou")
+    kind = values["model"]
     scale_key = _SCALE_FLAGS[kind.value][0]
     for owner, (key, _) in _SCALE_FLAGS.items():
         if key != scale_key and key in provided:
             raise UsageError(f"--{key} applies only to --model {owner}")
-    power = values["power"] if "power" in provided else 1.0
-    scale = values[scale_key.replace("-", "_")] if scale_key in provided else 1.0
     try:
-        return SpectralModel(kind, power, scale)
+        return SpectralModel(kind, values["power"], values[scale_key.replace("-", "_")])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -289,98 +292,54 @@ def _build_model(values: dict, provided: set[str]) -> SpectralModel:
 def parse_config(argv) -> RunConfig:
     """Resolve argv (plus an optional config file) into a RunConfig.
 
-    Precedence: command-line flag, then config-file value, then default.
-    Unknown config-file keys — including keys that do not apply to the chosen
-    subcommand — are rejected.
+    Precedence: command-line flag, then config-file value, then the row's
+    default.  Unknown config-file keys — including keys that do not apply to
+    the chosen subcommand — are rejected.  The model is built first, then each
+    row's checks run in row order, then the checks that span options.
     """
     args = _build_parser().parse_args(list(argv))
     command = args.command
+    opts = [opt for opt in _OPTS if command in opt.commands]
 
     file_entries: dict[str, str] = {}
     if args.config is not None:
         file_entries = _read_config_file(args.config)
-
-    allowed = {opt.name: opt for opt in _OPTS if command in opt.commands}
+    allowed = {opt.name for opt in opts}
     for key in file_entries:
         if key not in allowed:
             raise UsageError(f"unknown config key {key!r} for command {command!r}")
 
     values: dict[str, object] = {}
     provided: set[str] = set()
-    for opt in _OPTS:
-        if command not in opt.commands:
-            continue
-        flag_value = getattr(args, opt.dest)
-        if flag_value is not None:
-            values[opt.dest] = flag_value
-            provided.add(opt.name)
-        elif opt.name in file_entries:
-            values[opt.dest] = opt.conv(file_entries[opt.name])
-            provided.add(opt.name)
+    for opt in opts:
+        value = getattr(args, opt.dest)
+        if value is None and opt.name in file_entries:
+            value = opt.conv(file_entries[opt.name])
+        if value is None:
+            value = opt.default_for(command)
         else:
-            values[opt.dest] = None
+            provided.add(opt.name)
+        values[opt.dest] = value
 
-    model = _build_model(values, provided)
+    values["model"] = _build_model(values, provided)
+    for opt in opts:
+        for check in opt.checks:
+            message = check(values[opt.dest])
+            if message is not None:
+                raise UsageError(message)
 
-    tol = values["tol"] if "tol" in provided else 1e-8
-    if not tol > 0.0:
-        raise UsageError(f"tol must be > 0, got {tol!r}")
-    seed = values["seed"] if "seed" in provided else 42
-    if not 0 <= seed < 2**64:
-        raise UsageError(f"seed must be in [0, 2^64), got {seed}")
-    fmt = values["format"] if "format" in provided else "text"
-    out = values["out"]
-
-    kwargs: dict[str, object] = {}
-    if command in ("rate", "equivalence", "sandwich"):
-        kwargs["schedule"] = values["schedule"] if "schedule" in provided else DEFAULT_SCHEDULE
-    if command in _POINT_DEFAULTS:
-        default_T, default_n = _POINT_DEFAULTS[command]
-        T = values["T"] if "T" in provided else default_T
-        n = values["n"] if "n" in provided else default_n
-        if not (math.isfinite(T) and T > 0.0):
-            raise UsageError(f"T must be finite and > 0, got {T}")
-        if n < 1:
-            raise UsageError(f"n must be >= 1, got {n}")
-        kwargs["T"], kwargs["n"] = float(T), int(n)
-    if command == "power-sum":
-        q = values["q"] if "q" in provided else 2
-        if not 1 <= q <= 4:
-            raise UsageError(f"power exponent q must be in 1..4, got {q}")
-        kwargs["q"] = int(q)
-    if command == "sandwich":
-        degree = values["degree"] if "degree" in provided else 64
-        if degree < 1:
-            raise UsageError(f"degree must be >= 1, got {degree}")
-        if degree > MAX_SANDWICH_DEGREE:
-            raise UsageError(f"degree must be <= {MAX_SANDWICH_DEGREE}, got {degree}")
-        kwargs["degree"] = int(degree)
-        domain_max = values["domain_max"] if "domain-max" in provided else None
-        if domain_max is not None and not domain_max > 0.0:
-            raise UsageError(f"domain-max must be > 0, got {domain_max}")
-        if domain_max is None and not default_domain_max(model) > 0.0:
+    for lag in values.get("lags", ()):
+        if not 0 <= lag < values["n"]:
+            raise UsageError(f"lag must be in [0, n={values['n']}), got {lag}")
+    if "domain_max" in values and values["domain_max"] is None:
+        if not default_domain_max(values["model"]) > 0.0:
             raise UsageError(
                 "the default domain cap 2*integral|R| is 0 at power 0; pass --domain-max > 0"
             )
-        kwargs["domain_max"] = domain_max
-    if command == "mc-validate":
-        refine = values["refine"] if "refine" in provided else 8
-        if refine < 4:
-            raise UsageError(f"refine must be >= 4, got {refine}")
-        paths = values["paths"] if "paths" in provided else 10_000
-        if paths < 100:
-            raise UsageError(f"paths must be >= 100, got {paths}")
-        lags = values["lags"] if "lags" in provided else (0, 1, 2, 5)
-        for lag in lags:
-            if not 0 <= lag < kwargs["n"]:
-                raise UsageError(f"lag must be in [0, n={kwargs['n']}), got {lag}")
-        kwargs["refine"], kwargs["paths"], kwargs["lags"] = int(refine), int(paths), lags
-        kwargs["dump_batch"] = values["dump_batch"]
 
-    return RunConfig(
-        command=command, model=model, tol=float(tol), seed=int(seed), fmt=fmt, out=out,
-        workers=_workers_from_env(), **kwargs,
-    )
+    values["fmt"] = values.pop("format")
+    names = {field.name for field in fields(RunConfig)}
+    return RunConfig(command=command, **{k: v for k, v in values.items() if k in names})
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +379,7 @@ def _slacked(bound: float) -> float:
 # subcommand bodies — each returns (headers, rows, violations, stderr_lines)
 # ---------------------------------------------------------------------------
 def _run_rate_like(config: RunConfig):
-    report = rate_convergence(
-        config.model, config.schedule, tol=config.tol, workers=config.workers
-    )
+    report = rate_convergence(config.model, config.schedule, tol=config.tol)
     violations: list[str] = []
     stderr_lines: list[str] = []
     eig_cap = _slacked(2.0 * config.model.abs_acf_integral())

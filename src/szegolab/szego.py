@@ -26,7 +26,6 @@ including the two-term split whose cross term must vanish for q = 2.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +89,6 @@ class ConvergenceSchedule:
                     f"step size must be non-increasing, got h={t0 / n0:g} then {t1 / n1:g}"
                 )
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def coupled(cls, horizons, samples_per_unit: int = 20) -> "ConvergenceSchedule":
-        """Schedule with n locked to the horizon: n = samples_per_unit * T."""
-        if samples_per_unit < 1:
-            raise ValueError(f"samples_per_unit must be >= 1, got {samples_per_unit}")
-        return cls(tuple((float(T), int(round(samples_per_unit * float(T)))) for T in horizons))
 
     def grids(self) -> tuple[SamplingGrid, ...]:
         return tuple(SamplingGrid(T=T, n=n) for T, n in self.points)
@@ -173,12 +165,6 @@ class SandwichPair:
                 f"range [{x.min():g}, {x.max():g}]"
             )
         return _bernstein_weights(self.degree + 1, np.clip(t, 0.0, 1.0))
-
-    def lower_eval(self, x) -> np.ndarray:
-        return self._weights(x) @ self.lower
-
-    def upper_eval(self, x) -> np.ndarray:
-        return self._weights(x) @ self.upper
 
     def evaluate_pair(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Both bounds from one basis evaluation (identical weights)."""
@@ -439,33 +425,24 @@ def rate_convergence(
     model: SpectralModel,
     schedule: ConvergenceSchedule = DEFAULT_SCHEDULE,
     tol: float = 1e-8,
-    workers: int = 1,
 ) -> RateReport:
-    """Run the convergence study over the schedule.
+    """Run the convergence study over the schedule, one point after another
+    in schedule order.
 
-    Points are independent and may be evaluated in parallel (``workers`` > 1);
-    the report rows are always assembled in schedule order.  Any numerical
-    failure is re-raised with the offending (T, n) point named.
+    The points are independent, but threads do not speed them up: the O(n^2)
+    recurrences are per-step Python that holds the GIL.  Any numerical failure
+    is re-raised with the offending (T, n) point named.
     """
     if not isinstance(schedule, ConvergenceSchedule):
         schedule = ConvergenceSchedule(tuple(schedule))
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     target = 0.5 * spectral_functional(model, "log1p", tol)
-
-    def solve(grid: SamplingGrid) -> RatePoint:
+    points = []
+    for grid in schedule.grids():
         try:
-            return _rate_point(model, grid, target)
+            points.append(_rate_point(model, grid, target))
         except SzegolabError as exc:
             raise type(exc)(f"at schedule point (T={grid.T:g}, n={grid.n}): {exc}") from exc
-
-    grids = schedule.grids()
-    if workers > 1 and len(grids) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(grids))) as pool:
-            points = tuple(pool.map(solve, grids))
-    else:
-        points = tuple(solve(g) for g in grids)
-    return RateReport(model=model, schedule=schedule, target_rate=target, points=points)
+    return RateReport(model=model, schedule=schedule, target_rate=target, points=tuple(points))
 
 
 # ---------------------------------------------------------------------------

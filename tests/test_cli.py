@@ -2,10 +2,9 @@
 exit codes, and cross-process reproducibility.
 
 Cheap paths run in-process through ``szegolab.cli.main``; reproducibility and
-environment handling run the real module entry point in subprocesses.
+import budgets run the real module entry point in subprocesses.
 """
 
-import os
 import re
 import subprocess
 import sys
@@ -13,7 +12,7 @@ import sys
 import pytest
 
 from szegolab import DEFAULT_SCHEDULE, ModelKind, UsageError
-from szegolab.cli import _COMMANDS, _SCALE_FLAGS, _fmt_cell, main, parse_config
+from szegolab.cli import _COMMANDS, _OPTS, _SCALE_FLAGS, _fmt_cell, main, parse_config
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
 RATE_HEADER = (
@@ -22,21 +21,8 @@ RATE_HEADER = (
 )
 
 
-def run_cli(*args, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if k != "SZGL_THREADS"}
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "szegolab", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-@pytest.fixture(autouse=True)
-def _clean_thread_env(monkeypatch):
-    monkeypatch.delenv("SZGL_THREADS", raising=False)
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "szegolab", *args], capture_output=True, text=True)
 
 
 def _csv_rows(text: str):
@@ -55,7 +41,6 @@ def test_defaults():
     assert config.seed == 42
     assert config.fmt == "text"
     assert config.out is None
-    assert config.workers == 1
     assert config.schedule == DEFAULT_SCHEDULE
 
 
@@ -69,6 +54,53 @@ def test_point_defaults():
     for command in ("dump-gram", "dump-spectrum"):
         cfg = parse_config([command])
         assert (cfg.T, cfg.n) == (10.0, 200)
+
+
+# A valid value other than the default for every option, and the flags its
+# resolution needs: a scale flag applies only to its own model kind.
+_SAMPLE_TEXT = {
+    "model": "tri", "power": "2.5", "rate-param": "0.7", "width": "0.7", "support": "0.7",
+    "tol": "1e-7", "seed": "7", "format": "csv", "out": "report.txt",
+    "schedule": "5:50,10:100", "T": "3.5", "n": "30", "q": "3", "degree": "12",
+    "domain-max": "4.5", "refine": "5", "paths": "150", "lags": "0,3",
+    "dump-batch": "batch.szgl",
+}
+_NEEDS = {flag: ("--model", kind) for kind, (flag, _) in _SCALE_FLAGS.items()}
+
+
+def _resolved(config, name: str):
+    """The value a RunConfig holds for option ``name``."""
+    if name == "model":
+        return config.model.kind
+    if name == "power":
+        return config.model.power
+    if name in _NEEDS:
+        return config.model.scale
+    if name == "format":
+        return config.fmt
+    return getattr(config, name.replace("-", "_"))
+
+
+@pytest.mark.parametrize(
+    "opt, command",
+    [(opt, command) for opt in _OPTS for command in opt.commands],
+    ids=lambda item: getattr(item, "name", item),
+)
+def test_flag_config_file_and_default_agree(opt, command, tmp_path):
+    base = [command, *_NEEDS.get(opt.name, ())]
+    text = _SAMPLE_TEXT[opt.name]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{opt.name} = {text}\n")
+    from_flag = parse_config([*base, f"--{opt.name}", text])
+    assert parse_config([*base, "--config", str(cfg)]) == from_flag
+    assert _resolved(from_flag, opt.name) == opt.conv(text)
+
+    default = opt.default_for(command)
+    assert _resolved(parse_config(base), opt.name) == default
+    assert default != opt.conv(text)
+    stated = re.search(r"\(default ([^)]+)\)", opt.help)
+    if stated:
+        assert opt.conv(stated.group(1)) == default
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -155,19 +187,6 @@ def test_model_error_lists_every_model_kind():
         parse_config(["rate", "--model", "banana"])
     listed = str(info.value).split("one of ", 1)[1].split(";", 1)[0]
     assert listed.split(", ") == [kind.value for kind in ModelKind]
-
-
-def test_workers_env(monkeypatch):
-    monkeypatch.setenv("SZGL_THREADS", "4")
-    assert parse_config(["rate"]).workers == 4
-    monkeypatch.setenv("SZGL_THREADS", "0")
-    assert parse_config(["rate"]).workers == (os.cpu_count() or 1)
-    monkeypatch.setenv("SZGL_THREADS", "abc")
-    with pytest.raises(UsageError):
-        parse_config(["rate"])
-    monkeypatch.setenv("SZGL_THREADS", "-2")
-    with pytest.raises(UsageError):
-        parse_config(["rate"])
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +379,6 @@ def test_module_entry_reruns_are_byte_identical():
     assert first.stdout.splitlines()[0] == RATE_HEADER
 
 
-def test_thread_count_does_not_change_the_report():
-    args = ("rate", "--schedule", "2:40,4:80,6:120", "--format", "csv")
-    serial = run_cli(*args)
-    threaded = run_cli(*args, env_extra={"SZGL_THREADS": "4"})
-    assert serial.returncode == threaded.returncode == 0
-    assert serial.stdout == threaded.stdout
-
-
-def test_thread_env_validation_exit_two():
-    result = run_cli("rate", env_extra={"SZGL_THREADS": "abc"})
-    assert result.returncode == 2
-    assert "SZGL_THREADS" in result.stderr
-
-
 def test_mc_validate_flags_a_three_sigma_excursion():
     # seed chosen so one empirical covariance lands just past three standard
     # errors: the run must report the violation and exit 1
@@ -406,10 +411,11 @@ def test_mc_validate_dump_and_reproducibility(tmp_path):
 LAZY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.integrate", "scipy.special")
 
 
-def _scipy_submodules_loaded_by(code: str) -> list[str]:
-    # runs ``code`` in a fresh interpreter; sys.modules also sees the scipy
-    # submodules that load lazily on attribute access
-    code += f"\nprint('loaded:', *(m for m in {LAZY_SCIPY!r} if m in sys.modules))"
+def _scipy_submodules_loaded_by(code: str, watched=LAZY_SCIPY) -> list[str]:
+    # runs ``code`` in a fresh interpreter and lists the ``watched`` modules
+    # it loaded; sys.modules also sees the scipy submodules that load lazily
+    # on attribute access
+    code += f"\nprint('loaded:', *(m for m in {watched!r} if m in sys.modules))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1].split()[1:]
@@ -429,7 +435,9 @@ def _scipy_submodules_loaded_by_cli(*argv: str, exit_code: int = 0) -> list[str]
 
 
 def test_import_loads_no_scipy_submodule():
-    assert _scipy_submodules_loaded_by("import sys, szegolab, szegolab.cli") == []
+    # nor a thread pool or logging: each costs every process import time
+    watched = (*LAZY_SCIPY, "concurrent.futures", "logging")
+    assert _scipy_submodules_loaded_by("import sys, szegolab, szegolab.cli", watched) == []
 
 
 def test_usage_error_loads_no_scipy_submodule():

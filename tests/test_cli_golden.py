@@ -3,8 +3,8 @@
 Each pinned invocation runs ``szegolab.cli.main`` in process and is reduced to
 the SHA-256 of (exit code, stdout, stderr).  The digests were measured with
 numpy 2.4.6, scipy 1.17.1 and Python 3.11 (whose argparse words some usage
-errors); a change that alters any report byte, exit code
-or message fails here and prints the report it produced.
+errors); a change that alters any report byte, exit code or message fails
+here and prints the report it produced.
 """
 
 import hashlib
@@ -143,11 +143,6 @@ GOLDEN = {
     "mc-validate --lags 0,100 --paths 10": "07bbc59a04111e3fff19c52f5c4142aea228aad9fb3956adb9964259912e3318",  # exit 2
     "rate --model ou --width 2 --power -1": "1dce9f0a1ac654ff2a1a5923d757548cce6b50d537b63be8664734d655bbab91",  # exit 2
 }
-
-
-@pytest.fixture(autouse=True)
-def _clean_thread_env(monkeypatch):
-    monkeypatch.delenv("SZGL_THREADS", raising=False)
 
 
 @pytest.mark.parametrize("argv", _invocations(), ids=lambda argv: " ".join(argv) or "(none)")

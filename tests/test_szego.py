@@ -46,11 +46,6 @@ def test_default_schedule_shape():
     assert all(g.h == 0.05 for g in DEFAULT_SCHEDULE.grids())
 
 
-def test_coupled_schedule():
-    sched = ConvergenceSchedule.coupled((5.0, 10.0, 20.0))
-    assert sched.points == ((5.0, 100), (10.0, 200), (20.0, 400))
-
-
 @pytest.mark.parametrize(
     "points",
     [
@@ -211,15 +206,6 @@ def test_rate_point_internals(ou11):
         assert row[0] == T and row[1] == n
 
 
-def test_rate_report_rows_ordered_and_parallel_identical(ou11):
-    schedule = ConvergenceSchedule(((5.0, 100), (10.0, 200), (15.0, 300)))
-    serial = rate_convergence(ou11, schedule, workers=1)
-    threaded = rate_convergence(ou11, schedule, workers=3)
-    assert [p.T for p in serial.points] == [5.0, 10.0, 15.0]
-    for a, b in zip(serial.points, threaded.points):
-        assert a == b  # bitwise-identical dataclasses
-
-
 def test_rate_zero_power_exact_zeros():
     model = SpectralModel.ornstein_uhlenbeck(0.0, 1.0)
     report = rate_convergence(model, ConvergenceSchedule(((2.0, 10), (4.0, 20))))
@@ -237,11 +223,6 @@ def test_equivalence_gap_shrinks_along_default_schedule(default_study):
     assert gaps[-1] < 0.01
     assert gaps[0] == pytest.approx(0.0029780, rel=1e-4)
     assert gaps[-1] == pytest.approx(0.0007445, rel=1e-4)
-
-
-def test_workers_validation(ou11):
-    with pytest.raises(ValueError):
-        rate_convergence(ou11, DEFAULT_SCHEDULE, workers=0)
 
 
 # ---------------------------------------------------------------------------
