@@ -18,7 +18,6 @@ from .errors import (
     NonConvergedQuadrature,
     NotPositiveDefinite,
     NumericalError,
-    QuadratureFailure,
     SzegolabError,
     UsageError,
 )
@@ -52,7 +51,6 @@ from .spectra import (
     psd_alignment_sup,
     toeplitz_eigs,
     toeplitz_traces,
-    trace_power,
 )
 from .szego import (
     DEFAULT_SCHEDULE,
@@ -78,7 +76,6 @@ __all__ = [
     "UsageError",
     "NumericalError",
     "NonConvergedQuadrature",
-    "QuadratureFailure",
     "AsymmetryError",
     "ConvergenceFailure",
     "NotPositiveDefinite",
@@ -100,7 +97,6 @@ __all__ = [
     "mi_levinson",
     "mi_schur",
     "toeplitz_traces",
-    "trace_power",
     "norm_report",
     "psd_alignment_sup",
     "ConvergenceSchedule",

@@ -38,6 +38,7 @@ from .szego import (
     RATE_COLUMNS,
     ConvergenceSchedule,
     MAX_SANDWICH_DEGREE,
+    _VERIFY_POINTS,
     _mi_from_eigs,
     default_domain_max,
     power_sum_check,
@@ -234,6 +235,33 @@ class RunConfig:
     dump_batch: str | None = None
 
 
+# A run whose estimated working set exceeds this is refused before it allocates.
+_MEMORY_CAP = 2 * 2**30
+
+
+def _sandwich_bytes(config: RunConfig) -> int:
+    """Upper bound on the bytes a sandwich run holds: four n x n float64
+    arrays at the schedule's largest n (the Toeplitz matrix, the two
+    temporaries of the eigensolver's symmetry check and its working copy),
+    plus four tables of Bernstein weights on the verification grid."""
+    n = max(n for _, n in config.schedule.points)
+    return 8 * (4 * n * n + 4 * _VERIFY_POINTS * (config.degree + 2))
+
+
+def _mc_validate_bytes(config: RunConfig) -> int:
+    """Upper bound on the bytes an mc-validate run holds: four float64 tables
+    of paths x (m + n) for the normals and the paths on the refined grid of
+    m = n * refine + 1 points; a family without an AR(1) step adds four m x m
+    arrays (covariance, eye, jittered copy and factor)."""
+    n = config.n
+    m = n * config.refine + 1
+    dense = 4 * m * m if config.model.family.ar1_step is None else 0
+    return 8 * (4 * config.paths * (m + n) + dense)
+
+
+_BYTE_ESTIMATES = {"sandwich": _sandwich_bytes, "mc-validate": _mc_validate_bytes}
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -295,7 +323,8 @@ def parse_config(argv) -> RunConfig:
     Precedence: command-line flag, then config-file value, then the row's
     default.  Unknown config-file keys — including keys that do not apply to
     the chosen subcommand — are rejected.  The model is built first, then each
-    row's checks run in row order, then the checks that span options.
+    row's checks run in row order, then the checks that span options, and last
+    the estimate of the run's memory against ``_MEMORY_CAP``.
     """
     args = _build_parser().parse_args(list(argv))
     command = args.command
@@ -339,7 +368,15 @@ def parse_config(argv) -> RunConfig:
 
     values["fmt"] = values.pop("format")
     names = {field.name for field in fields(RunConfig)}
-    return RunConfig(command=command, **{k: v for k, v in values.items() if k in names})
+    config = RunConfig(command=command, **{k: v for k, v in values.items() if k in names})
+    if command in _BYTE_ESTIMATES:
+        estimate = _BYTE_ESTIMATES[command](config)
+        if estimate > _MEMORY_CAP:
+            raise UsageError(
+                f"{command} needs an estimated {estimate / 2**30:.1f} GiB of memory, "
+                f"over the cap of {_MEMORY_CAP // 2**30} GiB; reduce the problem size"
+            )
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +524,10 @@ def _run_mc_validate(config: RunConfig):
         f"varianceRatio={ratio:.8e} jitter={batch.jitter:.8e}"
     ]
     if config.dump_batch is not None:
-        write_batch(batch, config.dump_batch)
+        try:
+            write_batch(batch, config.dump_batch)
+        except OSError as exc:
+            raise UsageError(f"cannot write batch dump {config.dump_batch}: {exc}") from None
         stderr_lines.append(f"[mc-validate] wrote increment dump to {config.dump_batch}")
     return headers, rows, violations, stderr_lines
 
@@ -529,8 +569,11 @@ def run(config: RunConfig) -> int:
     if config.out is None:
         _write_table(headers, rows, config.fmt, sys.stdout)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-            _write_table(headers, rows, config.fmt, fh)
+        try:
+            with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+                _write_table(headers, rows, config.fmt, fh)
+        except OSError as exc:
+            raise UsageError(f"cannot write report file {config.out}: {exc}") from None
     for line in stderr_lines:
         print(line, file=sys.stderr)
     for violation in violations:

@@ -23,13 +23,8 @@ class NumericalError(SzegolabError):
 
 class NonConvergedQuadrature(NumericalError):
     """Adaptive quadrature could not meet the requested tolerance within its
-    subdivision budget (typically a bad tail bound or an impossibly small
+    panel budget (typically a bad tail bound or an impossibly small
     tolerance)."""
-
-
-class QuadratureFailure(NumericalError):
-    """Per-cell Gram-coefficient quadrature could not reach the required
-    absolute accuracy within its panel budget."""
 
 
 class AsymmetryError(NumericalError):

@@ -24,12 +24,11 @@ one-dimensional form is available for cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import QuadratureFailure
 from .models import SpectralModel
 from .quadrature import adaptive_gauss_legendre
 
@@ -61,10 +60,6 @@ class SamplingGrid:
     def h(self) -> float:
         return self.T / self.n
 
-    def times(self) -> np.ndarray:
-        """Sampling times t_0 = 0, ..., t_n = T (n + 1 points)."""
-        return np.arange(self.n + 1) * (self.T / self.n)
-
 
 def _wrap(gamma: np.ndarray) -> np.ndarray:
     """First row of the circulant companion: gamma_l + gamma_{n-l}."""
@@ -76,32 +71,31 @@ def _wrap(gamma: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramSequence:
-    """Coefficients gamma_0..gamma_{n-1} and their circulant wrap."""
+    """Coefficients gamma_0..gamma_{n-1} and their circulant wrap, which is
+    derived from them."""
 
     grid: SamplingGrid
     gamma: np.ndarray
-    gamma_hat: np.ndarray
+    gamma_hat: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         gamma = np.asarray(self.gamma, dtype=float)
-        hat = np.asarray(self.gamma_hat, dtype=float)
         n = self.grid.n
-        if gamma.shape != (n,) or hat.shape != (n,):
-            raise ValueError(
-                f"coefficient vectors must have shape ({n},), got {gamma.shape} and {hat.shape}"
-            )
-        if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(hat))):
+        if gamma.shape != (n,):
+            raise ValueError(f"gamma must have shape ({n},), got {gamma.shape}")
+        if not np.all(np.isfinite(gamma)):
             raise ValueError("coefficients must be finite")
-        expected = _wrap(gamma)
-        if not np.array_equal(hat, expected):
-            raise ValueError("gamma_hat does not equal the circulant wrap of gamma")
+        hat = _wrap(gamma)
         for a in (gamma, hat):
             a.flags.writeable = False
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_hat", hat)
 
 
-def _gamma_quadrature(model: SpectralModel, grid: SamplingGrid, max_panels: int) -> np.ndarray:
+_MAX_PANELS = 4096  # panels one coefficient's quadrature may evaluate
+
+
+def _gamma_quadrature(model: SpectralModel, grid: SamplingGrid) -> np.ndarray:
     h, n = grid.h, grid.n
     breakpoints = model.acf_breakpoints()
     out = np.empty(n)
@@ -115,9 +109,7 @@ def _gamma_quadrature(model: SpectralModel, grid: SamplingGrid, max_panels: int)
         # The double integral over the cell pair reduces exactly to this
         # one-dimensional overlap-weighted form; target 1e-10 absolute on
         # gamma_l means 1e-10 * h on the unnormalized integral.
-        total, _ = adaptive_gauss_legendre(
-            integrand, cuts, 1e-10 * h, max_panels, QuadratureFailure
-        )
+        total, _ = adaptive_gauss_legendre(integrand, cuts, 1e-10 * h, _MAX_PANELS)
         out[l] = total / h
     return out
 
@@ -129,13 +121,12 @@ def gamma_sequence(
     model: SpectralModel,
     grid: SamplingGrid,
     method: str = "closed",
-    max_panels: int = 4096,
 ) -> GramSequence:
     """Build the Gram coefficient sequence for a model on a grid.
 
     ``method="closed"`` evaluates the closed form of the model's family;
     ``"quadrature"`` uses the adaptive Gauss-Legendre fallback (1e-10 absolute
-    per coefficient, raising QuadratureFailure when the panel budget is
+    per coefficient, raising NonConvergedQuadrature when the panel budget is
     exhausted).
     """
     if method not in ("closed", "quadrature"):
@@ -143,10 +134,10 @@ def gamma_sequence(
     if model.power == 0.0:
         gamma = np.zeros(grid.n)
     elif method == "quadrature":
-        gamma = _gamma_quadrature(model, grid, max_panels)
+        gamma = _gamma_quadrature(model, grid)
     else:
         gamma = model.family.gamma(model.power, model.scale, grid.h, grid.n)
-    return GramSequence(grid=grid, gamma=gamma, gamma_hat=_wrap(gamma))
+    return GramSequence(grid=grid, gamma=gamma)
 
 
 def toeplitz_matrix(gs: GramSequence) -> np.ndarray:

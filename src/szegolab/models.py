@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvergedQuadrature
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import _panel_sums, adaptive_gauss_legendre
 
 __all__ = [
     "ModelKind",
@@ -63,7 +63,7 @@ class ModelFamily:
     """Closed-form description of one autocorrelation family, as functions
     of the power P = R(0) and the family's scale parameter s."""
 
-    scale_name: str  # the name of s, and of the model's parameter view
+    scale_name: str  # the name of s in error messages
     acf: Callable  # (P, s, |tau|) -> R(tau)
     psd: Callable  # (P, s, lam) -> f(lam)
     abs_acf_integral: Callable  # (P, s) -> integral |R| over the line
@@ -142,6 +142,20 @@ _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise, into an object array
 
 def _gamma_squared_exponential(power: float, width: float, h: float, n: int) -> np.ndarray:
     s = width
+    if h < 0.01 * s:
+        # The closed form below is a second difference whose rounding error
+        # grows as 1e-16 * (s/h)^2.  R varies on the scale s >> h, so one
+        # 16-point panel per lag of
+        # gamma_l = (1/h) * integral_0^h (h - u) [R(l h + u) + R(l h - u)] du
+        # is accurate to rounding.
+        lag = h * np.arange(n, dtype=float)[:, None]
+        two_var = 2.0 * s * s
+
+        def overlap(u):
+            bump = np.exp(-((lag + u) ** 2) / two_var) + np.exp(-((lag - u) ** 2) / two_var)
+            return bump * (h - u)
+
+        return power * _panel_sums(overlap, np.zeros(n), np.full(n, h)) / h
     l = np.arange(n, dtype=float)
     a0 = (l - 1.0) * h
     b0 = (l + 1.0) * h
@@ -277,25 +291,6 @@ class SpectralModel:
         """The closed-form record of this model's kind."""
         return _FAMILIES[self.kind]
 
-    # --- named parameter views --------------------------------------------
-    @property
-    def rate(self) -> float:
-        return self._scale_named("rate")
-
-    @property
-    def width(self) -> float:
-        return self._scale_named("width")
-
-    @property
-    def support(self) -> float:
-        return self._scale_named("support")
-
-    def _scale_named(self, name: str) -> float:
-        if self.family.scale_name != name:
-            owner = next(kind for kind, fam in _FAMILIES.items() if fam.scale_name == name)
-            raise ValueError(f"{name} is only defined for {owner.value!r} models")
-        return self.scale
-
     # --- autocorrelation and spectral density ------------------------------
     def acf(self, tau):
         """Autocorrelation R(tau); exactly even in tau."""
@@ -376,9 +371,7 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
                 f"truncation {lam:.3e} needs {panels} panels, over the budget of {_MAX_PANELS}"
             )
         cuts = np.linspace(0.0, lam, panels + 1)
-        return adaptive_gauss_legendre(
-            integrand, cuts, eps_abs, _MAX_PANELS, NonConvergedQuadrature, eps_rel
-        )
+        return adaptive_gauss_legendre(integrand, cuts, eps_abs, _MAX_PANELS, eps_rel)
 
     lam0 = 10.0 * char_freq
     # Crude magnitude estimate used to convert the relative tolerance into an

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NonConvergedQuadrature
 
 __all__ = ["adaptive_gauss_legendre"]
 
@@ -32,7 +32,6 @@ def adaptive_gauss_legendre(
     cuts,
     eps_abs: float,
     max_panels: int,
-    error: type[NumericalError],
     eps_rel: float = 0.0,
 ) -> tuple[float, float]:
     """Integrate ``fun`` over [cuts[0], cuts[-1]] with the panels between
@@ -45,8 +44,9 @@ def adaptive_gauss_legendre(
     their rounding bound, or when it is too short to bisect.  The accepted
     panels are added with a correctly rounded sum, so ``err_est`` is the sum
     of the accepted changes plus the a priori rounding bound
-    gamma_17 * sum |half-panel value| of the panel sums.  Raises ``error``
-    when finishing the next level would need more than ``max_panels`` panels.
+    gamma_17 * sum |half-panel value| of the panel sums.  Raises
+    NonConvergedQuadrature when finishing the next level would need more than
+    ``max_panels`` panels.
     """
     cuts = np.asarray(cuts, dtype=float)
     a, b = float(cuts[0]), float(cuts[-1])
@@ -58,7 +58,7 @@ def adaptive_gauss_legendre(
     change = mass = 0.0
     while lo.size:
         if used + 2 * lo.size > max_panels:
-            raise error(
+            raise NonConvergedQuadrature(
                 f"quadrature budget of {max_panels} panels exhausted on [{a:g}, {b:g}] "
                 f"before reaching {budget * (b - a):.1e} absolute accuracy"
             )

@@ -56,7 +56,6 @@ __all__ = [
     "mi_levinson",
     "mi_schur",
     "toeplitz_traces",
-    "trace_power",
     "norm_report",
     "psd_alignment_sup",
 ]
@@ -64,21 +63,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """A real spectrum with its provenance.
+    """A real spectrum and, optionally, the sampling grid it came from.
 
     ``eigenvalues`` is sorted ascending (ties left as-is); for circulant
     spectra ``dft_values`` preserves the DFT index order m = 0..n-1 needed by
     frequency-alignment diagnostics.
     """
 
-    source: str
     eigenvalues: np.ndarray
     grid: SamplingGrid | None = None
     dft_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.source not in ("toeplitz", "circulant"):
-            raise ValueError(f"source must be 'toeplitz' or 'circulant', got {self.source!r}")
         eig = np.asarray(self.eigenvalues, dtype=float)
         if eig.ndim != 1 or eig.size < 1:
             raise ValueError("eigenvalues must be a non-empty vector")
@@ -142,9 +138,7 @@ def circulant_eigs(row, grid: SamplingGrid | None = None, method: str = "fft") -
         vals = _direct_dft(row)
     else:
         raise ValueError(f"method must be 'fft' or 'direct', got {method!r}")
-    return SpectrumResult(
-        source="circulant", eigenvalues=np.sort(vals), grid=grid, dft_values=vals
-    )
+    return SpectrumResult(eigenvalues=np.sort(vals), grid=grid, dft_values=vals)
 
 
 def toeplitz_eigs(A: np.ndarray, grid: SamplingGrid | None = None) -> SpectrumResult:
@@ -161,7 +155,7 @@ def toeplitz_eigs(A: np.ndarray, grid: SamplingGrid | None = None) -> SpectrumRe
         eig = np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver-dependent
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return SpectrumResult(source="toeplitz", eigenvalues=eig, grid=grid)
+    return SpectrumResult(eigenvalues=eig, grid=grid)
 
 
 def mi_logdet(A: np.ndarray) -> float:
@@ -291,35 +285,6 @@ def toeplitz_traces(gamma) -> tuple[float, float, float]:
         math.fsum((weights * dots3).tolist()),
         math.fsum((weights * dots4).tolist()),
     )
-
-
-def trace_power(obj, k: int, method: str = "auto") -> float:
-    """tr(M^k) for a spectrum (SpectrumResult or 1-D eigenvalue vector) or a
-    dense symmetric matrix.
-
-    For matrices, ``method="auto"`` sums the k-th powers of the eigenvalues
-    and ``method="direct"`` multiplies the matrix out; the two routes agree to
-    1e-8 relative on well-conditioned inputs.
-    """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    if isinstance(obj, SpectrumResult):
-        return float(np.sum(obj.eigenvalues ** k))
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 1:
-        return float(np.sum(arr**k))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a spectrum or square matrix, got shape {arr.shape}")
-    if method == "direct":
-        if k == 1:
-            return float(np.trace(arr))
-        power = arr
-        for _ in range(k - 1):
-            power = power @ arr
-        return float(np.trace(power))
-    if method != "auto":
-        raise ValueError(f"method must be 'auto' or 'direct', got {method!r}")
-    return trace_power(toeplitz_eigs(arr), k)
 
 
 def _refine_symbol_values(gamma: np.ndarray, indices: np.ndarray, grid_size: int) -> np.ndarray:

@@ -106,6 +106,10 @@ DEFAULT_SCHEDULE = ConvergenceSchedule(((25.0, 500), (50.0, 1000), (100.0, 2000)
 # The sandwich is stored in the Bernstein basis of degree d + 1, whose
 # binomial coefficients C(d + 1, k) fit in a float64 only up to d + 1 = 1029.
 MAX_SANDWICH_DEGREE = 1028
+# Points of the uniform grid on [0, C] that measures eps_hat and verifies a pair.
+_VERIFY_POINTS = 10_000
+# Eigenvalues down to -_EIG_FLOOR are round-off of a zero and clamp to 0.
+_EIG_FLOOR = 1e-9
 
 
 def _bernstein_weights(degree: int, t: np.ndarray) -> np.ndarray:
@@ -171,11 +175,11 @@ class SandwichPair:
         w = self._weights(x)
         return w @ self.lower, w @ self.upper
 
-    def verify(self, grid_points: int = 10_000) -> None:
+    def verify(self) -> None:
         """Check the two-sided bound exactly, and the width cap 2*eps_hat*x up
         to the rounding of the two evaluations, on a uniform grid; raise
         DegreeTooLow on any violation."""
-        x = np.linspace(0.0, self.domain_max, grid_points)
+        x = np.linspace(0.0, self.domain_max, _VERIFY_POINTS)
         w = self._weights(x)
         lo, up = w @ self.lower, w @ self.upper
         target = np.log1p(x)
@@ -188,7 +192,7 @@ class SandwichPair:
         bad_width = int(np.sum((up - lo) > 2.0 * self.eps_hat * x + slack))
         if bad_lower or bad_upper or bad_width:
             raise DegreeTooLow(
-                f"sandwich invariants fail on the {grid_points}-point grid "
+                f"sandwich invariants fail on the {_VERIFY_POINTS}-point grid "
                 f"(degree {self.degree}, domain [0, {self.domain_max:g}]): "
                 f"{bad_lower} lower, {bad_upper} upper, {bad_width} width violations"
             )
@@ -200,7 +204,7 @@ def default_domain_max(model: SpectralModel) -> float:
     return 2.0 * model.abs_acf_integral()
 
 
-def sandwich_polynomials(C: float, d: int, grid_points: int = 10_000) -> SandwichPair:
+def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     """Construct the polynomial sandwich of log(1+x) on [0, C].
 
     The base approximant is the degree-d Bernstein polynomial B_d of
@@ -226,7 +230,7 @@ def sandwich_polynomials(C: float, d: int, grid_points: int = 10_000) -> Sandwic
     node_values[0] = 1.0
     node_values[1:] = np.log1p(nodes[1:]) / nodes[1:]
 
-    x = np.linspace(0.0, C, grid_points)
+    x = np.linspace(0.0, C, _VERIFY_POINTS)
     g = np.empty_like(x)
     g[0] = 1.0
     g[1:] = np.log1p(x[1:]) / x[1:]
@@ -240,18 +244,16 @@ def sandwich_polynomials(C: float, d: int, grid_points: int = 10_000) -> Sandwic
     upper[1:] = C * (j[1:] / (d + 1)) * (node_values + eps_hat)
 
     pair = SandwichPair(degree=d, domain_max=float(C), eps_hat=eps_hat, lower=lower, upper=upper)
-    pair.verify(grid_points)
+    pair.verify()
     return pair
 
 
-def sandwich_rate_bounds(
-    pair: SandwichPair, spectrum, T: float, eps_tol: float = 1e-9
-) -> tuple[float, float]:
+def sandwich_rate_bounds(pair: SandwichPair, spectrum, T: float) -> tuple[float, float]:
     """Certified bracket (sum p1(eig)/T, sum p2(eig)/T) around the eigenvalue
     log-moment sum log(1+eig)/T.
 
-    Eigenvalues must lie in [-eps_tol, domain_max]; small negatives within the
-    tolerance are clamped to 0 before evaluation.  An eigenvalue above the
+    Eigenvalues must lie in [-1e-9, domain_max]; small negatives within the
+    floor are clamped to 0 before evaluation.  An eigenvalue above the
     domain cap raises DomainExceeded — it signals the cap was configured below
     2 * integral |R| for the model that produced the spectrum.
     """
@@ -263,10 +265,8 @@ def sandwich_rate_bounds(
         raise ValueError("spectrum must be non-empty")
     lo_eig = float(eig.min())
     hi_eig = float(eig.max())
-    if lo_eig < -eps_tol:
-        raise DomainExceeded(
-            f"eigenvalue {lo_eig:.6e} below the admissible floor -{eps_tol:g}"
-        )
+    if lo_eig < -_EIG_FLOOR:
+        raise DomainExceeded(f"eigenvalue {lo_eig:.6e} below the admissible floor -{_EIG_FLOOR:g}")
     if hi_eig > pair.domain_max:
         raise DomainExceeded(
             f"eigenvalue {hi_eig:.6e} exceeds the domain cap {pair.domain_max:g}; "
@@ -358,9 +358,6 @@ class RateReport:
                 raise ValueError(f"rates must be nonnegative, got point {p}")
             if not (math.isfinite(p.abs_err) and math.isfinite(p.rel_err)):
                 raise ValueError(f"errors must be finite, got point {p}")
-
-    def rel_errors(self) -> tuple[float, ...]:
-        return tuple(p.rel_err for p in self.points)
 
     def table_rows(self) -> list[tuple]:
         return [p.table_row() for p in self.points]

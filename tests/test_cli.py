@@ -8,11 +8,21 @@ import budgets run the real module entry point in subprocesses.
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from szegolab import DEFAULT_SCHEDULE, ModelKind, UsageError
-from szegolab.cli import _COMMANDS, _OPTS, _SCALE_FLAGS, _fmt_cell, main, parse_config
+from szegolab.cli import (
+    _BYTE_ESTIMATES,
+    _COMMANDS,
+    _OPTS,
+    _SCALE_FLAGS,
+    _fmt_cell,
+    main,
+    parse_config,
+    run,
+)
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
 RATE_HEADER = (
@@ -190,6 +200,42 @@ def test_model_error_lists_every_model_kind():
 
 
 # ---------------------------------------------------------------------------
+# memory guard
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "argv",
+    [("sandwich", "--schedule", "100:20000"), ("mc-validate", "--model", "gauss", "--n", "2000")],
+    ids=" ".join,
+)
+def test_memory_exhausting_inputs_are_refused_before_allocating(argv):
+    with pytest.raises(UsageError, match=r"needs an estimated \d+\.\d GiB of memory, over the cap"):
+        parse_config(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sandwich", "--schedule", "10:200"),
+        ("sandwich", "--schedule", "10:1000", "--degree", "8"),
+        ("mc-validate", "--model", "gauss", "--n", "20", "--paths", "200", "--lags", "0"),
+        ("mc-validate", "--n", "40", "--paths", "1000", "--refine", "4", "--lags", "0"),
+    ],
+    ids=" ".join,
+)
+def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
+    config = parse_config(argv)
+    run(config)  # loads modules and fills caches outside the measurement
+    tracemalloc.start()
+    try:
+        run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < _BYTE_ESTIMATES[config.command](config)
+
+
+# ---------------------------------------------------------------------------
 # report formatting
 # ---------------------------------------------------------------------------
 def test_cell_formatting():
@@ -222,6 +268,21 @@ def test_out_flag_redirects_report(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "l,gamma,gammaHat"
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dump-gram", "--out", "{tmp}"),
+        ("mc-validate", "--n", "4", "--paths", "100", "--lags", "0",
+         "--dump-batch", "{tmp}/missing/x.bin"),
+    ],
+    ids=["out", "dump-batch"],
+)
+def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 def test_dump_gram_reports_wrapped_coefficients(tmp_path):

@@ -15,11 +15,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.polynomial.hermite import hermval
 
+import szegolab.gram
 from szegolab import (
     GramSequence,
     ModelKind,
-    QuadratureFailure,
+    NonConvergedQuadrature,
     SamplingGrid,
     SpectralModel,
     gamma_sequence,
@@ -30,10 +32,9 @@ from szegolab import (
 # ---------------------------------------------------------------------------
 # sampling grid
 # ---------------------------------------------------------------------------
-def test_grid_fields_and_times():
+def test_grid_step():
     grid = SamplingGrid(T=10.0, n=4)
     assert grid.h == 2.5
-    assert np.array_equal(grid.times(), np.array([0.0, 2.5, 5.0, 7.5, 10.0]))
 
 
 @pytest.mark.parametrize(
@@ -69,6 +70,24 @@ def test_squared_exponential_closed_form_oracle():
     gs = gamma_sequence(model, SamplingGrid(T=2.1, n=3))  # h = 0.7
     expected = [0.672758233989, 0.536603473916, 0.272189049918]
     assert np.allclose(gs.gamma, expected, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-6])
+def test_squared_exponential_at_tiny_step(h):
+    # Reference: the even Taylor series gamma_l = h sum_k 2 h^(2k) R^(2k)(l h) / (2k+2)!
+    # with R(t) = exp(-t^2 / 2), whose derivatives are
+    # R^(2k)(t) = 2^-k H_2k(t / sqrt 2) R(t) (physicists' Hermite H).  The
+    # terms fall by about h^2 each, so four of them reach rounding; the closed
+    # form's second difference lost 1.5e-10 relative at h = 1e-3.
+    n = 30
+    grid = SamplingGrid(T=n * h, n=n)
+    x = grid.h * np.arange(n) / math.sqrt(2.0)
+    reference = np.zeros(n)
+    for k in range(4):
+        deriv = 0.5**k * hermval(x, [0.0] * (2 * k) + [1.0]) * np.exp(-x * x)
+        reference += 2.0 * grid.h ** (2 * k + 1) * deriv / math.factorial(2 * k + 2)
+    gamma = gamma_sequence(SpectralModel.gaussian_kernel(1.0, 1.0), grid).gamma
+    assert np.max(np.abs(gamma / reference - 1.0)) <= 1e-13
 
 
 def test_triangular_closed_form_oracle():
@@ -108,12 +127,13 @@ def test_quadrature_matches_closed_form(model):
     assert np.allclose(quad.gamma, closed.gamma, rtol=0.0, atol=1e-10)
 
 
-def test_quadrature_budget_exhaustion_raises():
+def test_quadrature_budget_exhaustion_raises(monkeypatch):
     # a fast-decaying covariance on a wide cell needs many bisections; a
     # budget of one panel cannot reach the per-cell accuracy target
+    monkeypatch.setattr(szegolab.gram, "_MAX_PANELS", 1)
     model = SpectralModel.ornstein_uhlenbeck(1.0, 50.0)
-    with pytest.raises(QuadratureFailure):
-        gamma_sequence(model, SamplingGrid(T=8.0, n=2), method="quadrature", max_panels=1)
+    with pytest.raises(NonConvergedQuadrature):
+        gamma_sequence(model, SamplingGrid(T=8.0, n=2), method="quadrature")
 
 
 def test_unknown_method_rejected():
@@ -148,14 +168,13 @@ def test_coefficient_mass_bounded_by_acf_integral():
             assert float(np.sum(np.abs(gs.gamma))) <= integral + 1e-9
 
 
-def test_sequence_constructor_rejects_bad_wrap():
-    model = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
+def test_sequence_constructor_derives_the_wrap_and_validates_gamma():
     grid = SamplingGrid(T=2.0, n=4)
-    gs = gamma_sequence(model, grid)
-    broken = gs.gamma_hat.copy()
-    broken[1] += 1e-9
-    with pytest.raises(ValueError):
-        GramSequence(grid=grid, gamma=gs.gamma.copy(), gamma_hat=broken)
+    gs = GramSequence(grid=grid, gamma=[4.0, 3.0, 2.0, 1.0])
+    assert np.array_equal(gs.gamma_hat, [4.0, 4.0, 4.0, 4.0])
+    for gamma in ([1.0, 2.0, 3.0], [1.0, 2.0, math.nan, 0.0]):
+        with pytest.raises(ValueError):
+            GramSequence(grid=grid, gamma=gamma)
 
 
 def test_arrays_are_immutable():
@@ -176,7 +195,7 @@ def test_midstep_consistency_first_order():
         acf_at_nodes = model.acf(h * np.arange(40))
         dev = float(np.max(np.abs(gs.gamma / h - acf_at_nodes)))
         # bounded by C h with C = P * alpha (Lipschitz constant of R)
-        assert dev <= model.power * model.rate * h
+        assert dev <= model.power * model.scale * h
         deviations.append(dev)
     # at least first-order shrinkage under halving
     assert deviations[1] <= 0.6 * deviations[0]

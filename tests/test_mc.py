@@ -151,7 +151,7 @@ def test_ar1_paths_match_scalar_recursion_bitwise():
     model = SpectralModel.ornstein_uhlenbeck(2.5, 0.7)
     delta = 0.03
     z = np.random.default_rng(0).standard_normal((5, 40))
-    rho = math.exp(-model.rate * delta)
+    rho = math.exp(-model.scale * delta)
     scale = math.sqrt(model.power * (1.0 - rho * rho))
     expected = np.empty_like(z)
     for i, row in enumerate(z.tolist()):

@@ -1,6 +1,6 @@
 """Spectral layer: circulant eigenvalues (two routes), dense eigensolve,
 Cholesky log-det, the O(n^2) Levinson/Schur log-dets and displacement traces
-against those dense reference routes, trace powers, and the norm diagnostics.
+against those dense reference routes, and the norm diagnostics.
 
 The norm_report oracle recomputes every quantity from first principles:
 the theta-grid bound by direct exactly-summed cosine series, the Frobenius
@@ -33,7 +33,6 @@ from szegolab import (
     toeplitz_eigs,
     toeplitz_matrix,
     toeplitz_traces,
-    trace_power,
 )
 
 MODELS = {
@@ -86,13 +85,11 @@ def test_circulant_method_validation():
 # ---------------------------------------------------------------------------
 def test_spectrum_result_requires_sorted_finite():
     with pytest.raises(ValueError):
-        SpectrumResult(source="toeplitz", eigenvalues=np.array([2.0, 1.0]))
+        SpectrumResult(eigenvalues=np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
-        SpectrumResult(source="toeplitz", eigenvalues=np.array([1.0, math.nan]))
+        SpectrumResult(eigenvalues=np.array([1.0, math.nan]))
     with pytest.raises(ValueError):
-        SpectrumResult(source="toeplitz", eigenvalues=np.array([]))
-    with pytest.raises(ValueError):
-        SpectrumResult(source="other", eigenvalues=np.array([1.0]))
+        SpectrumResult(eigenvalues=np.array([]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +154,7 @@ def test_fast_toeplitz_routes_match_dense_references(kind, n):
     for value in (mi_levinson(gs.gamma), mi_schur(gs.gamma), eig_sum):
         assert value == pytest.approx(reference, rel=1e-12)
     for k, trace in zip((2, 3, 4), toeplitz_traces(gs.gamma)):
-        assert trace == pytest.approx(trace_power(A, k, method="direct"), rel=1e-12)
+        assert trace == pytest.approx(np.trace(np.linalg.matrix_power(A, k)), rel=1e-12)
 
 
 def test_levinson_matches_eigenvalue_sum_on_default_schedule(ou11, schedule_spectra):
@@ -199,32 +196,6 @@ def test_study_point_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-
-
-# ---------------------------------------------------------------------------
-# trace powers
-# ---------------------------------------------------------------------------
-def test_trace_power_routes_agree():
-    rng = np.random.default_rng(7)
-    B = rng.normal(size=(40, 40))
-    M = 0.5 * (B + B.T)
-    for k in (1, 2, 3, 4):
-        via_eigs = trace_power(M, k)
-        via_matmul = trace_power(M, k, method="direct")
-        assert via_eigs == pytest.approx(via_matmul, rel=1e-8)
-
-
-def test_trace_power_on_spectrum_and_vector():
-    spec = SpectrumResult(source="circulant", eigenvalues=np.array([1.0, 2.0, 3.0]))
-    assert trace_power(spec, 2) == 14.0
-    assert trace_power(np.array([1.0, 2.0, 3.0]), 3) == 36.0
-
-
-def test_trace_power_validation():
-    with pytest.raises(ValueError):
-        trace_power(np.eye(2), 0)
-    with pytest.raises(ValueError):
-        trace_power(np.eye(2), 2, method="magic")
 
 
 # ---------------------------------------------------------------------------
