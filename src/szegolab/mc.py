@@ -12,6 +12,14 @@ the analytic gamma_l coefficients within Monte-Carlo error — an end-to-end
 check that catches sign and normalization mistakes the analytic code paths
 could reproduce consistently on both sides.
 
+Sampling is exact on the refined grid.  A family with an AR(1) step (the
+exponential covariance) runs that one-step recursion.  Every other family is
+sampled by circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997): the
+refined-grid autocovariance is embedded in a symmetric circulant of size
+M = 2(m - 1), padded by doubling M while the embedding is indefinite, and each
+path is the first m points of C^(1/2) w for M standard normals w, at
+O(M log M) cost and O(M) memory per path.
+
 Randomness: each path draws from its own counter-based substream keyed by
 (seed, path index), so serial and parallel generation produce bit-identical
 batches and a fixed seed reproduces the batch exactly, on any platform.
@@ -24,7 +32,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import FactorizationFailure
 from .gram import SamplingGrid
@@ -45,6 +52,12 @@ BATCH_MAGIC = b"SZGL"
 BATCH_VERSION = 1
 _HEADER = struct.Struct("<4sIQIIQ")  # magic, version, N, n, refine, seed — 32 bytes
 _SEED_MAX = 2**64
+_EPS = float(np.finfo(float).eps)
+# An embedding eigenvalue above -_CLIP_RTOL * max(lambda) is rounding, not
+# indefiniteness: an FFT of length M computes each eigenvalue to within about
+# eps * log2(M) * sum|c_k|, sum|c_k| = max(lambda) for a nonnegative acf, and
+# log2(M) < 64 for every M that fits in memory.
+_CLIP_RTOL = 64 * _EPS
 
 
 @dataclass(frozen=True)
@@ -54,8 +67,10 @@ class PathBatch:
     ``increments`` is the N x n table of integrated-input approximations;
     ``noisy`` (optional) adds the per-cell channel noise.  ``generator``
     records the random source and library version behind the seed;
-    ``jitter`` records any diagonal regularization applied during the
-    covariance factorization (0.0 when none was needed).  ``values``
+    ``jitter`` is the diagonal regularization applied to the covariance,
+    0.0 on both exact routes, which apply none.  ``min_embedding_eig`` is
+    the smallest eigenvalue of the circulant embedding before rounding
+    negatives are clipped to zero (None on the AR(1) route).  ``values``
     optionally retains the raw refined-grid samples for order-of-accuracy
     studies.
     """
@@ -69,6 +84,7 @@ class PathBatch:
     noisy: np.ndarray | None
     generator: str
     jitter: float = 0.0
+    min_embedding_eig: float | None = None
     values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -102,11 +118,21 @@ class PathBatch:
 
 def _path_normals(seed: int, paths: int, count: int) -> np.ndarray:
     """paths x count standard normals; row i comes from the counter-based
-    substream keyed by (seed, i), independent of generation order."""
+    substream keyed by (seed, i), independent of generation order.
+
+    One Philox generator serves every row: its state is reset to key
+    (seed, i), counter 0 and an empty buffer, exactly the state a fresh
+    ``Philox(key=[seed, i])`` starts in, which costs less than building one.
+    """
     out = np.empty((paths, count))
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
     for i in range(paths):
-        key = np.array([seed, i], dtype=np.uint64)
-        out[i] = np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
+        key[1] = i
+        bits.state = state
+        gen.standard_normal(out=out[i])
     return out
 
 
@@ -132,28 +158,42 @@ def _ar1_paths(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndarray:
     return np.ascontiguousarray(xt.T)
 
 
-def _factor_paths(
-    model: SpectralModel, z: np.ndarray, delta: float
-) -> tuple[np.ndarray, float]:
-    """Sample via a dense Cholesky factor of the stationary covariance on the
-    refined grid, regularizing once with a recorded diagonal jitter if the
-    matrix is indefinite at working precision."""
-    m = z.shape[1]
-    first_col = np.asarray(model.acf(delta * np.arange(m)), dtype=float)
-    cov = scipy.linalg.toeplitz(first_col)
-    jitter_unit = 1e-12 * model.power
-    for jitter in (0.0, jitter_unit):
-        try:
-            chol = scipy.linalg.cholesky(
-                cov + jitter * np.eye(m) if jitter else cov, lower=True, check_finite=False
-            )
-            return z @ chol.T, jitter
-        except scipy.linalg.LinAlgError:
-            continue
+def _embedding_sizes(model: SpectralModel, m: int, delta: float):
+    """Circulant sizes the embedding tries in turn: M = 2(m - 1), doubled
+    until the acf at the embedding's largest lag M/2 falls to eps * P.  Past
+    that size the embedded acf is zero to working precision, so padding
+    further cannot make an indefinite embedding definite."""
+    size = 2 * (m - 1)
+    while abs(model.acf(delta * (size // 2))) > _EPS * model.power:
+        yield size
+        size *= 2
+    yield size
+
+
+def _embedding_roots(model: SpectralModel, m: int, delta: float) -> tuple[np.ndarray, float]:
+    """Square roots of the eigenvalues (rfft order) of the smallest circulant
+    embedding of the acf on m refined-grid points that is positive
+    semidefinite up to rounding, and its smallest eigenvalue before the
+    rounding negatives were clipped to zero."""
+    for size in _embedding_sizes(model, m, delta):
+        acf = model.acf(delta * np.arange(size // 2 + 1))
+        lam = np.fft.rfft(np.concatenate((acf, acf[-2:0:-1]))).real
+        low = float(lam.min())
+        if low >= -_CLIP_RTOL * float(lam.max()):
+            return np.sqrt(np.maximum(lam, 0.0)), low
     raise FactorizationFailure(
-        f"covariance on the refined grid (m={m}, delta={delta:g}) is numerically "
-        f"indefinite even with diagonal jitter {jitter_unit:g}; reduce refine"
+        f"circulant embedding of the covariance on the refined grid (m={m}, "
+        f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue {low:g}), "
+        "where the covariance has decayed below rounding"
     )
+
+
+def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """First m points of C^(1/2) w for each row w of ``w``, where C is the
+    circulant with eigenvalues ``roots**2``; rows of independent standard
+    normals give rows with covariance C[:m, :m]."""
+    size = w.shape[1]
+    return np.fft.irfft(roots * np.fft.rfft(w, axis=1), n=size, axis=1)[:, :m]
 
 
 def sample_paths(
@@ -168,13 +208,17 @@ def sample_paths(
     """Simulate ``paths`` independent stationary inputs and reduce them to
     per-cell trapezoid increments (plus noisy observations when requested).
 
+    Both routes are exact on the refined grid of m = n*refine + 1 points.
     A model whose family record has an AR(1) step (the exponential
-    covariance) uses that exact one-step autoregression (identical in
-    distribution to the dense factorization); other models factor the
-    refined-grid covariance densely.  Deterministic given
-    (seed, arguments): each path consumes its own substream, the first
-    n*refine+1 draws for the path and the next n draws for its channel noise,
-    so the increment table does not depend on ``include_noise``.
+    covariance) runs that one-step autoregression on m draws per path.
+    Other models use circulant embedding: M draws per path, where M is the
+    embedding size (2(m - 1), or a power-of-two multiple of it when padding
+    was needed; ``min_embedding_eig`` records its smallest eigenvalue).
+    Raises ``FactorizationFailure`` when no embedding within the padding
+    stop is positive semidefinite.  Deterministic given (seed, arguments):
+    each path consumes its own substream, the path's draws first and the
+    next n draws for its channel noise, so the increment table does not
+    depend on ``include_noise``.
     """
     if not isinstance(refine, (int, np.integer)) or isinstance(refine, bool) or refine < 4:
         raise ValueError(f"refine must be an integer >= 4, got {refine!r}")
@@ -188,23 +232,22 @@ def sample_paths(
     m = n * refine + 1
     delta = grid.h / refine
     n_noise = n if include_noise else 0
-    z = _path_normals(seed, paths, m + n_noise)
 
-    jitter = 0.0
-    if model.power == 0.0:
-        x = np.zeros((paths, m))
-        increments = np.zeros((paths, n))
+    if model.family.ar1_step is not None:
+        min_eig, width = None, m
+        z = _path_normals(seed, paths, width + n_noise)
+        x = _ar1_paths(model, z[:, :m], delta)
     else:
-        if model.family.ar1_step is not None:
-            x = _ar1_paths(model, z[:, :m], delta)
-        else:
-            x, jitter = _factor_paths(model, z[:, :m], delta)
-        cell_areas = 0.5 * delta * (x[:, :-1] + x[:, 1:])
-        increments = cell_areas.reshape(paths, n, refine).sum(axis=2)
+        roots, min_eig = _embedding_roots(model, m, delta)
+        width = 2 * (roots.size - 1)
+        z = _path_normals(seed, paths, width + n_noise)
+        x = _embedded_paths(roots, z[:, :width], m)
+    cell_areas = 0.5 * delta * (x[:, :-1] + x[:, 1:])
+    increments = cell_areas.reshape(paths, n, refine).sum(axis=2)
 
     noisy = None
     if include_noise:
-        noisy = increments + math.sqrt(grid.h) * z[:, m:]
+        noisy = increments + math.sqrt(grid.h) * z[:, width:]
 
     return PathBatch(
         model=model,
@@ -215,7 +258,7 @@ def sample_paths(
         increments=increments,
         noisy=noisy,
         generator=f"numpy.random.Philox (numpy {np.__version__})",
-        jitter=jitter,
+        min_embedding_eig=min_eig,
         values=x if keep_values else None,
     )
 

@@ -60,6 +60,10 @@ __all__ = [
     "psd_alignment_sup",
 ]
 
+# Rows per block of the symmetry check in ``toeplitz_eigs``: its two
+# temporaries hold 2 * _SYMMETRY_ROWS * n floats, not 2 * n * n.
+_SYMMETRY_ROWS = 256
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -146,11 +150,16 @@ def toeplitz_eigs(A: np.ndarray, grid: SamplingGrid | None = None) -> SpectrumRe
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    # NaN propagates through max and min, so these two reductions check
+    # finiteness and find max|A| without an n x n temporary.
+    top, bottom = float(np.max(A)), float(np.min(A))
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
+    tol = 1e-12 * max(1.0, top, -bottom)
+    for lo in range(0, A.shape[0], _SYMMETRY_ROWS):
+        rows = slice(lo, lo + _SYMMETRY_ROWS)
+        if float(np.max(np.abs(A[rows] - A[:, rows].T))) > tol:
+            raise ValueError("matrix is not symmetric")
     try:
         eig = np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver-dependent

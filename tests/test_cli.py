@@ -218,6 +218,9 @@ def test_memory_exhausting_inputs_are_refused_before_allocating(argv):
         ("sandwich", "--schedule", "10:200"),
         ("sandwich", "--schedule", "10:1000", "--degree", "8"),
         ("mc-validate", "--model", "gauss", "--n", "20", "--paths", "200", "--lags", "0"),
+        # padded: the embedding of this short horizon is indefinite until M grows 8-fold
+        ("mc-validate", "--model", "gauss", "--T", "1", "--n", "20", "--paths", "200",
+         "--lags", "0"),
         ("mc-validate", "--n", "40", "--paths", "1000", "--refine", "4", "--lags", "0"),
     ],
     ids=" ".join,
@@ -233,6 +236,14 @@ def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < _BYTE_ESTIMATES[config.command](config)
+
+
+def test_large_gaussian_mc_validate_fits_at_few_paths(capsys):
+    # the circulant embedding holds O(paths * m) floats, where a dense
+    # covariance factor held O(m^2): n = 2000 (m = 16001) now fits at 200
+    # paths, while the default 10000 paths stay refused
+    assert main(["mc-validate", "--model", "gauss", "--n", "2000", "--paths", "200"]) == 0
+    assert "zScore" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +480,12 @@ def test_mc_validate_dump_and_reproducibility(tmp_path):
     assert table.shape == (150, 100)
 
 
-LAZY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.integrate", "scipy.special")
+SCIPY_MODULES = (
+    "scipy", "scipy.signal", "scipy.stats", "scipy.linalg", "scipy.integrate", "scipy.special"
+)
 
 
-def _scipy_submodules_loaded_by(code: str, watched=LAZY_SCIPY) -> list[str]:
+def _scipy_submodules_loaded_by(code: str, watched=SCIPY_MODULES) -> list[str]:
     # runs ``code`` in a fresh interpreter and lists the ``watched`` modules
     # it loaded; sys.modules also sees the scipy submodules that load lazily
     # on attribute access
@@ -497,7 +510,7 @@ def _scipy_submodules_loaded_by_cli(*argv: str, exit_code: int = 0) -> list[str]
 
 def test_import_loads_no_scipy_submodule():
     # nor a thread pool or logging: each costs every process import time
-    watched = (*LAZY_SCIPY, "concurrent.futures", "logging")
+    watched = (*SCIPY_MODULES, "concurrent.futures", "logging")
     assert _scipy_submodules_loaded_by("import sys, szegolab, szegolab.cli", watched) == []
 
 
@@ -508,19 +521,13 @@ def test_usage_error_loads_no_scipy_submodule():
 @pytest.mark.parametrize(
     "argv",
     [(command,) for command in _COMMANDS]
-    + [("rate", "--model", "gauss"), ("rate", "--model", "tri")],
+    + [("rate", "--model", "gauss"), ("rate", "--model", "tri")]
+    + [("mc-validate", "--model", "gauss"), ("mc-validate", "--model", "tri")],
     ids=" ".join,
 )
 def test_cli_run_loads_no_scipy_submodule(argv):
     # every subcommand at its defaults computes on numpy and math alone
     assert _scipy_submodules_loaded_by_cli(*argv) == []
-
-
-@pytest.mark.parametrize("model", ["gauss", "tri"])
-def test_mc_validate_of_a_non_markov_kernel_loads_only_linalg(model):
-    # the dense covariance factor of the Monte-Carlo paths is the one scipy use
-    loaded = _scipy_submodules_loaded_by_cli("mc-validate", "--model", model)
-    assert loaded == ["scipy.linalg"]
 
 
 def test_config_file_value_feeds_the_computation(tmp_path):

@@ -1,12 +1,14 @@
-"""Monte-Carlo layer: counter-based reproducibility, sampler correctness,
-trapezoid accuracy order, agreement with the analytic covariances, and the
-binary increment dump.
+"""Monte-Carlo layer: counter-based reproducibility, sampler correctness
+(the circulant embedding against the dense Toeplitz covariance), trapezoid
+accuracy order, agreement with the analytic covariances, and the binary
+increment dump.
 
 Statistical assertions run at fixed seeds, so every "within k standard errors"
 check is deterministic in practice; the nested-refinement shift oracle (seed
 11) was frozen from an independent run of the same construction.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -16,6 +18,7 @@ import scipy.linalg
 
 from szegolab import (
     FactorizationFailure,
+    ModelKind,
     PathBatch,
     SamplingGrid,
     SpectralModel,
@@ -26,7 +29,22 @@ from szegolab import (
     sample_paths,
     write_batch,
 )
-from szegolab.mc import BATCH_MAGIC, BATCH_VERSION, _HEADER, _ar1_paths
+from szegolab import models
+from szegolab.mc import (
+    BATCH_MAGIC,
+    BATCH_VERSION,
+    _HEADER,
+    _ar1_paths,
+    _embedded_paths,
+    _embedding_roots,
+    _path_normals,
+)
+
+_KINDS = {
+    "ou": SpectralModel.ornstein_uhlenbeck(1.0, 1.0),
+    "gauss": SpectralModel.gaussian_kernel(1.1, 0.9),
+    "tri": SpectralModel.triangular(1.1, 0.9),
+}
 
 
 def _trapezoid_weights(h: float, refine: int) -> np.ndarray:
@@ -90,8 +108,9 @@ def test_batch_arrays_read_only(ou11):
         batch.noisy[0, 0] = 1.0
 
 
-def test_zero_power_paths_are_exactly_zero():
-    model = SpectralModel.ornstein_uhlenbeck(0.0, 1.0)
+@pytest.mark.parametrize("kind", _KINDS)
+def test_zero_power_paths_are_exactly_zero(kind):
+    model = dataclasses.replace(_KINDS[kind], power=0.0)
     batch = sample_paths(model, SamplingGrid(T=2.0, n=8), paths=5, seed=3)
     assert np.all(batch.increments == 0.0)
     # the channel noise is still drawn, so the noisy table is pure noise
@@ -111,20 +130,34 @@ def test_seed_determinism_bitwise(ou11):
     assert not np.array_equal(a.increments, c.increments)
 
 
-def test_each_path_has_its_own_substream(ou11):
+@pytest.mark.parametrize("kind", _KINDS)
+def test_each_path_has_its_own_substream(kind):
     # growing the batch must not disturb the paths already drawn
     grid = SamplingGrid(T=2.0, n=10)
-    small = sample_paths(ou11, grid, refine=4, paths=3, seed=9)
-    large = sample_paths(ou11, grid, refine=4, paths=8, seed=9)
+    small = sample_paths(_KINDS[kind], grid, refine=4, paths=3, seed=9)
+    large = sample_paths(_KINDS[kind], grid, refine=4, paths=8, seed=9)
     assert np.array_equal(large.increments[:3], small.increments)
+    assert np.array_equal(large.noisy[:3], small.noisy)
 
 
-def test_increments_do_not_depend_on_noise_flag(ou11):
+@pytest.mark.parametrize("kind", _KINDS)
+def test_increments_do_not_depend_on_noise_flag(kind):
     grid = SamplingGrid(T=2.0, n=10)
-    with_noise = sample_paths(ou11, grid, paths=5, seed=77, include_noise=True)
-    without = sample_paths(ou11, grid, paths=5, seed=77, include_noise=False)
+    with_noise = sample_paths(_KINDS[kind], grid, paths=5, seed=77, include_noise=True)
+    without = sample_paths(_KINDS[kind], grid, paths=5, seed=77, include_noise=False)
     assert np.array_equal(with_noise.increments, without.increments)
     assert without.noisy is None
+
+
+def test_reset_generator_matches_fresh_generators_bitwise():
+    # one generator reset to key (seed, i) must draw what a fresh one draws
+    for seed in (0, 42, 2**64 - 1):
+        fresh = np.stack([
+            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+            .standard_normal(37)
+            for i in range(6)
+        ])
+        assert np.array_equal(_path_normals(seed, 6, 37), fresh)
 
 
 def test_generator_metadata_names_counter_based_source(ou11):
@@ -178,11 +211,16 @@ def test_exponential_model_one_step_regression(ou11):
     assert float(np.var(x)) == pytest.approx(ou11.power, abs=5e-2)
 
 
-def test_dense_route_matches_analytic_covariances():
-    model = SpectralModel.gaussian_kernel(1.0, 0.7)
+@pytest.mark.parametrize(
+    "model",
+    [SpectralModel.gaussian_kernel(1.0, 0.7), SpectralModel.triangular(1.0, 0.7)],
+    ids=lambda model: model.kind.value,
+)
+def test_embedding_route_matches_analytic_covariances(model):
     grid = SamplingGrid(T=4.0, n=20)
     batch = sample_paths(model, grid, refine=8, paths=400, seed=7)
-    assert batch.jitter in (0.0, 1e-12 * model.power)
+    assert batch.jitter == 0.0
+    assert batch.min_embedding_eig > -1e-12 * model.power
     gamma = gamma_sequence(model, grid).gamma
     tilde, se = empirical_gram(batch, lags=(0, 1, 2))
     for l in (0, 1, 2):
@@ -272,33 +310,46 @@ def test_empirical_gram_default_covers_all_lags(ou11):
 
 
 # ---------------------------------------------------------------------------
-# factorization fallback
+# circulant embedding against the dense covariance
 # ---------------------------------------------------------------------------
-def test_factorization_jitter_is_recorded(monkeypatch):
-    model = SpectralModel.gaussian_kernel(2.0, 0.5)
-    real = scipy.linalg.cholesky
-    calls = {"count": 0}
+@pytest.mark.parametrize(
+    "model, T, padding",
+    [
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 10.0, 1),
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 4.0, 2),
+        (SpectralModel.gaussian_kernel(1.0, 1.0), 1.0, 8),
+        (SpectralModel.triangular(1.1, 0.9), 4.0, 1),
+        (SpectralModel.triangular(1.0, 2.0), 1.0, 1),
+    ],
+    ids=["gauss", "gauss-padded-2", "gauss-padded-8", "tri", "tri-wide"],
+)
+def test_embedding_reproduces_the_dense_covariance(model, T, padding):
+    # Push the identity through the sampler's linear map: its rows are the
+    # columns of C^(1/2) restricted to the first m points, so their Gram
+    # matrix is the covariance the paths have.  It must be the dense
+    # Toeplitz covariance of the refined grid.
+    n, refine = 20, 4
+    m, delta = n * refine + 1, T / (n * refine)
+    roots, _ = _embedding_roots(model, m, delta)
+    size = 2 * (roots.size - 1)
+    assert size == 2 * (m - 1) * padding
+    x = _embedded_paths(roots, np.eye(size), m)
+    dense = scipy.linalg.toeplitz(model.acf(delta * np.arange(m)))
+    assert np.max(np.abs(x.T @ x - dense)) <= 1e-12 * model.power
 
-    def flaky(a, **kwargs):
-        calls["count"] += 1
-        if calls["count"] == 1:
-            raise scipy.linalg.LinAlgError("forced indefinite")
-        return real(a, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky", flaky)
-    batch = sample_paths(model, SamplingGrid(T=1.0, n=4), refine=4, paths=2, seed=0)
-    assert batch.jitter == 1e-12 * model.power
-
-
-def test_factorization_failure_after_jitter(monkeypatch):
-    def broken(a, **kwargs):
-        raise scipy.linalg.LinAlgError("forced indefinite")
-
-    monkeypatch.setattr(scipy.linalg, "cholesky", broken)
-    with pytest.raises(FactorizationFailure):
-        sample_paths(
-            SpectralModel.gaussian_kernel(1.0, 0.5), SamplingGrid(T=1.0, n=4), paths=2, seed=0
-        )
+def test_indefinite_kernel_fails_at_the_padding_stop(monkeypatch):
+    # A box-shaped autocovariance is not positive definite: its spectrum is
+    # a sinc, which changes sign.  This one is a box of radius 0.5 on a
+    # lower box of radius s = 3.  Padding doubles M from 2(m - 1) = 32 while
+    # the acf at lag M/2 is nonzero (lags 1 and 2 lie inside radius 3) and
+    # stops at M = 128, where lag 4 lies outside it.
+    family = models._FAMILIES[ModelKind.GAUSSIAN_KERNEL]
+    boxes = dataclasses.replace(family, acf=lambda p, s, t: p * ((t < 0.5) + 0.1 * (t < s)))
+    monkeypatch.setitem(models._FAMILIES, ModelKind.GAUSSIAN_KERNEL, boxes)
+    model = SpectralModel.gaussian_kernel(1.0, 3.0)
+    with pytest.raises(FactorizationFailure, match="indefinite at size 128"):
+        sample_paths(model, SamplingGrid(T=1.0, n=4), refine=4, paths=2, seed=0)
 
 
 # ---------------------------------------------------------------------------

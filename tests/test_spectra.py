@@ -34,6 +34,7 @@ from szegolab import (
     toeplitz_matrix,
     toeplitz_traces,
 )
+from szegolab.spectra import _SYMMETRY_ROWS
 
 MODELS = {
     "ou": SpectralModel.ornstein_uhlenbeck(1.0, 1.0),
@@ -110,6 +111,32 @@ def test_toeplitz_eigs_rejects_nonsymmetric_and_nonfinite():
         toeplitz_eigs(np.array([[1.0, math.inf], [math.inf, 1.0]]))
     with pytest.raises(ValueError):
         toeplitz_eigs(np.ones((2, 3)))
+
+
+def test_blockwise_symmetry_check_decides_as_the_whole_matrix_check():
+    # The check runs in row blocks; its verdict must be the one-shot
+    # max|A - A^T| > 1e-12 * max(1, max|A|) at every position, in the first
+    # block and the ragged last one, just below and above the tolerance.
+    rng = np.random.default_rng(8)
+    n = _SYMMETRY_ROWS + 45
+    base = rng.normal(size=(n, n))
+    base = base + base.T
+    tol = 1e-12 * float(np.max(np.abs(base)))
+    for i, j in [(0, n - 1), (n - 1, 3), (_SYMMETRY_ROWS + 1, _SYMMETRY_ROWS)]:
+        for bump in (0.5 * tol, 2.0 * tol):
+            A = base.copy()
+            A[i, j] += bump
+            reference = float(np.max(np.abs(A - A.T))) > 1e-12 * max(1.0, float(np.max(np.abs(A))))
+            if reference:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    toeplitz_eigs(A)
+            else:
+                toeplitz_eigs(A)
+    for bad in (math.nan, -math.inf):
+        A = base.copy()
+        A[n - 1, n - 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            toeplitz_eigs(A)
 
 
 # ---------------------------------------------------------------------------
