@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import NumericalError, SzegolabError, UsageError
 from .gram import SamplingGrid, gamma_sequence, toeplitz_matrix
-from .mc import _embedding_sizes, empirical_gram, noise_variance_ratio, sample_paths, write_batch
+from .mc import _batch_bytes, empirical_gram, noise_variance_ratio, sample_paths, write_batch
 from .models import ModelKind, SpectralModel
-from .spectra import _SYMMETRY_ROWS, circulant_eigs, toeplitz_eigs
+from .spectra import _toeplitz_eigs_bytes, circulant_eigs, toeplitz_eigs
 from .szego import (
     DEFAULT_SCHEDULE,
     RATE_COLUMNS,
@@ -240,29 +240,18 @@ _MEMORY_CAP = 2 * 2**30
 
 
 def _sandwich_bytes(config: RunConfig) -> int:
-    """Upper bound on the bytes a sandwich run holds: two n x n float64
-    arrays at the schedule's largest n (the Toeplitz matrix and the
-    eigensolver's working copy), the two row-block temporaries of the
-    eigensolver's symmetry check, and four tables of Bernstein weights on the
-    verification grid."""
+    """Upper bound on the bytes a sandwich run holds: the n x n Toeplitz
+    matrix at the schedule's largest n, what its eigensolve allocates, and
+    four tables of Bernstein weights on the verification grid."""
     n = max(n for _, n in config.schedule.points)
-    return 8 * (2 * n * n + 2 * _SYMMETRY_ROWS * n + 4 * _VERIFY_POINTS * (config.degree + 2))
+    return 8 * (n * n + 4 * _VERIFY_POINTS * (config.degree + 2)) + _toeplitz_eigs_bytes(n)
 
 
 def _mc_validate_bytes(config: RunConfig) -> int:
-    """Upper bound on the bytes an mc-validate run holds: four float64 tables
-    of paths x (width + n) for the normals, the paths and their transforms.
-    The width is the m = n * refine + 1 points of the refined grid for a
-    family with an AR(1) step, and otherwise the largest circulant embedding
-    the padding rule can reach."""
-    n = config.n
-    m = n * config.refine + 1
-    if config.model.family.ar1_step is None:
-        delta = SamplingGrid(T=config.T, n=n).h / config.refine
-        width = max(_embedding_sizes(config.model, m, delta))
-    else:
-        width = m
-    return 8 * 4 * config.paths * (width + n)
+    """Upper bound on the bytes an mc-validate run holds, as the sampler
+    bounds its batch; the embedding search stops once over the cap."""
+    grid = SamplingGrid(T=config.T, n=config.n)
+    return _batch_bytes(config.model, grid, config.refine, config.paths, _MEMORY_CAP)
 
 
 _BYTE_ESTIMATES = {"sandwich": _sandwich_bytes, "mc-validate": _mc_validate_bytes}

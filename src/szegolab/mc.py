@@ -18,7 +18,9 @@ sampled by circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997): the
 refined-grid autocovariance is embedded in a symmetric circulant of size
 M = 2(m - 1), padded by doubling M while the embedding is indefinite, and each
 path is the first m points of C^(1/2) w for M standard normals w, at
-O(M log M) cost and O(M) memory per path.
+O(M log M) cost and O(M) memory per path.  Paths are drawn in blocks of rows,
+so each working table stays near 8 MiB whatever the path count; only the
+n-column result tables grow with it.
 
 Randomness: each path draws from its own counter-based substream keyed by
 (seed, path index), so serial and parallel generation produce bit-identical
@@ -58,6 +60,10 @@ _EPS = float(np.finfo(float).eps)
 # eps * log2(M) * sum|c_k|, sum|c_k| = max(lambda) for a nonnegative acf, and
 # log2(M) < 64 for every M that fits in memory.
 _CLIP_RTOL = 64 * _EPS
+# sample_paths draws, transforms and reduces the paths in blocks of rows that
+# hold about this many float64 values each (8 MiB), so its working tables do
+# not grow with the number of paths.
+_BLOCK_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -116,23 +122,24 @@ class PathBatch:
             object.__setattr__(self, "values", val)
 
 
-def _path_normals(seed: int, paths: int, count: int) -> np.ndarray:
-    """paths x count standard normals; row i comes from the counter-based
-    substream keyed by (seed, i), independent of generation order.
+def _path_normals(seed: int, rows: range, count: int) -> np.ndarray:
+    """len(rows) x count standard normals; the row for path i comes from the
+    counter-based substream keyed by (seed, i), independent of generation
+    order.
 
     One Philox generator serves every row: its state is reset to key
     (seed, i), counter 0 and an empty buffer, exactly the state a fresh
     ``Philox(key=[seed, i])`` starts in, which costs less than building one.
     """
-    out = np.empty((paths, count))
+    out = np.empty((len(rows), count))
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bits)
     state = bits.state
     key = state["state"]["key"]
-    for i in range(paths):
+    for row, i in zip(out, rows):
         key[1] = i
         bits.state = state
-        gen.standard_normal(out=out[i])
+        gen.standard_normal(out=row)
     return out
 
 
@@ -170,21 +177,31 @@ def _embedding_sizes(model: SpectralModel, m: int, delta: float):
     yield size
 
 
+def _embedding_eigs(model: SpectralModel, size: int, delta: float) -> np.ndarray:
+    """Eigenvalues (rfft order) of the symmetric circulant of the given size
+    whose first row is the acf at lags 0, delta, ..., (size/2) delta, wrapped."""
+    acf = model.acf(delta * np.arange(size // 2 + 1))
+    return np.fft.rfft(np.concatenate((acf, acf[-2:0:-1]))).real
+
+
+def _semidefinite(lam: np.ndarray) -> bool:
+    """Whether every eigenvalue is nonnegative up to the FFT's rounding."""
+    return float(lam.min()) >= -_CLIP_RTOL * float(lam.max())
+
+
 def _embedding_roots(model: SpectralModel, m: int, delta: float) -> tuple[np.ndarray, float]:
     """Square roots of the eigenvalues (rfft order) of the smallest circulant
     embedding of the acf on m refined-grid points that is positive
     semidefinite up to rounding, and its smallest eigenvalue before the
     rounding negatives were clipped to zero."""
     for size in _embedding_sizes(model, m, delta):
-        acf = model.acf(delta * np.arange(size // 2 + 1))
-        lam = np.fft.rfft(np.concatenate((acf, acf[-2:0:-1]))).real
-        low = float(lam.min())
-        if low >= -_CLIP_RTOL * float(lam.max()):
-            return np.sqrt(np.maximum(lam, 0.0)), low
+        lam = _embedding_eigs(model, size, delta)
+        if _semidefinite(lam):
+            return np.sqrt(np.maximum(lam, 0.0)), float(lam.min())
     raise FactorizationFailure(
         f"circulant embedding of the covariance on the refined grid (m={m}, "
-        f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue {low:g}), "
-        "where the covariance has decayed below rounding"
+        f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue "
+        f"{float(lam.min()):g}), where the covariance has decayed below rounding"
     )
 
 
@@ -192,8 +209,44 @@ def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
     """First m points of C^(1/2) w for each row w of ``w``, where C is the
     circulant with eigenvalues ``roots**2``; rows of independent standard
     normals give rows with covariance C[:m, :m]."""
-    size = w.shape[1]
-    return np.fft.irfft(roots * np.fft.rfft(w, axis=1), n=size, axis=1)[:, :m]
+    spectrum = np.fft.rfft(w, axis=1)
+    spectrum *= roots
+    return np.fft.irfft(spectrum, n=w.shape[1], axis=1)[:, :m]
+
+
+def _block_rows(paths: int, count: int) -> int:
+    """Paths per block when each path draws ``count`` normals."""
+    return min(paths, max(1, _BLOCK_VALUES // count))
+
+
+def _batch_bytes(
+    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, limit: int
+) -> int:
+    """Upper bound on the bytes held while ``sample_paths`` runs with channel
+    noise (and without ``keep_values``), and while ``empirical_gram`` or
+    ``noise_variance_ratio`` reads its batch: the increment and noisy tables
+    and two temporaries of their size, one block of four working tables of
+    width + n values per path, and four vectors of width values for the
+    embedding's eigenvalue search.
+
+    The width is m = n * refine + 1 on the AR(1) route and otherwise the
+    embedding size the sampler picks, found by the same search; the search
+    stops at the first size whose bound exceeds ``limit``.
+    """
+    n = grid.n
+    m = n * refine + 1
+
+    def bound(width: int) -> int:
+        block = _block_rows(paths, width + n) * (width + n)
+        return 8 * (4 * paths * n + 4 * block + 4 * width)
+
+    if model.family.ar1_step is not None:
+        return bound(m)
+    delta = grid.h / refine
+    for size in _embedding_sizes(model, m, delta):
+        if bound(size) > limit or _semidefinite(_embedding_eigs(model, size, delta)):
+            break
+    return bound(size)
 
 
 def sample_paths(
@@ -215,10 +268,12 @@ def sample_paths(
     embedding size (2(m - 1), or a power-of-two multiple of it when padding
     was needed; ``min_embedding_eig`` records its smallest eigenvalue).
     Raises ``FactorizationFailure`` when no embedding within the padding
-    stop is positive semidefinite.  Deterministic given (seed, arguments):
-    each path consumes its own substream, the path's draws first and the
-    next n draws for its channel noise, so the increment table does not
-    depend on ``include_noise``.
+    stop is positive semidefinite.  Paths are drawn and reduced in blocks of
+    about ``_BLOCK_VALUES`` values, so the working memory beyond the result
+    tables does not grow with ``paths``.  Deterministic given (seed,
+    arguments): each path consumes its own substream, the path's draws first
+    and the next n draws for its channel noise, so the increment table does
+    not depend on ``include_noise`` or on the blocking.
     """
     if not isinstance(refine, (int, np.integer)) or isinstance(refine, bool) or refine < 4:
         raise ValueError(f"refine must be an integer >= 4, got {refine!r}")
@@ -231,23 +286,30 @@ def sample_paths(
     n = grid.n
     m = n * refine + 1
     delta = grid.h / refine
-    n_noise = n if include_noise else 0
-
     if model.family.ar1_step is not None:
-        min_eig, width = None, m
-        z = _path_normals(seed, paths, width + n_noise)
-        x = _ar1_paths(model, z[:, :m], delta)
+        roots, min_eig, width = None, None, m
     else:
         roots, min_eig = _embedding_roots(model, m, delta)
         width = 2 * (roots.size - 1)
-        z = _path_normals(seed, paths, width + n_noise)
-        x = _embedded_paths(roots, z[:, :width], m)
-    cell_areas = 0.5 * delta * (x[:, :-1] + x[:, 1:])
-    increments = cell_areas.reshape(paths, n, refine).sum(axis=2)
+    count = width + (n if include_noise else 0)
 
-    noisy = None
-    if include_noise:
-        noisy = increments + math.sqrt(grid.h) * z[:, width:]
+    increments = np.empty((paths, n))
+    noisy = np.empty((paths, n)) if include_noise else None
+    values = np.empty((paths, m)) if keep_values else None
+    rows = _block_rows(paths, count)
+    for start in range(0, paths, rows):
+        block = slice(start, min(start + rows, paths))
+        z = _path_normals(seed, range(paths)[block], count)
+        if roots is None:
+            x = _ar1_paths(model, z[:, :m], delta)
+        else:
+            x = _embedded_paths(roots, z[:, :width], m)
+        cell_areas = 0.5 * delta * (x[:, :-1] + x[:, 1:])
+        increments[block] = cell_areas.reshape(-1, n, refine).sum(axis=2)
+        if include_noise:
+            noisy[block] = increments[block] + math.sqrt(grid.h) * z[:, width:]
+        if keep_values:
+            values[block] = x
 
     return PathBatch(
         model=model,
@@ -259,7 +321,7 @@ def sample_paths(
         noisy=noisy,
         generator=f"numpy.random.Philox (numpy {np.__version__})",
         min_embedding_eig=min_eig,
-        values=x if keep_values else None,
+        values=values,
     )
 
 

@@ -65,6 +65,13 @@ __all__ = [
 _SYMMETRY_ROWS = 256
 
 
+def _toeplitz_eigs_bytes(n: int) -> int:
+    """Upper bound on the bytes ``toeplitz_eigs`` allocates for an n x n
+    input: the eigensolver's working copy and the symmetry check's two
+    row-block temporaries."""
+    return 8 * (n * n + 2 * min(n, _SYMMETRY_ROWS) * n)
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     """A real spectrum and, optionally, the sampling grid it came from.

@@ -204,12 +204,35 @@ def test_model_error_lists_every_model_kind():
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "argv",
-    [("sandwich", "--schedule", "100:20000"), ("mc-validate", "--model", "gauss", "--n", "2000")],
+    [
+        ("sandwich", "--schedule", "100:20000"),
+        ("mc-validate", "--model", "gauss", "--n", "2000", "--paths", "100000"),
+        # the embedding would need M ~ 1e10 points per path
+        ("mc-validate", "--model", "gauss", "--width", "1e6"),
+    ],
     ids=" ".join,
 )
 def test_memory_exhausting_inputs_are_refused_before_allocating(argv):
     with pytest.raises(UsageError, match=r"needs an estimated \d+\.\d GiB of memory, over the cap"):
         parse_config(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the acf decays only at M = 8 * 2(m - 1), but 2(m - 1) is already definite
+        ("mc-validate", "--model", "tri", "--support", "50"),
+        # the same at M ~ 10^8, which would not fit
+        ("mc-validate", "--model", "tri", "--support", "1e6"),
+        # definite only once padded 4-fold
+        ("mc-validate", "--model", "gauss", "--width", "5"),
+        ("mc-validate", "--model", "gauss", "--n", "2000"),
+    ],
+    ids=" ".join,
+)
+def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
+    config = parse_config(argv)
+    assert _BYTE_ESTIMATES[config.command](config) < 2**30
 
 
 @pytest.mark.parametrize(
@@ -222,6 +245,8 @@ def test_memory_exhausting_inputs_are_refused_before_allocating(argv):
         ("mc-validate", "--model", "gauss", "--T", "1", "--n", "20", "--paths", "200",
          "--lags", "0"),
         ("mc-validate", "--n", "40", "--paths", "1000", "--refine", "4", "--lags", "0"),
+        # several blocks of paths
+        ("mc-validate", "--model", "tri", "--n", "100", "--paths", "2000", "--lags", "0"),
     ],
     ids=" ".join,
 )
@@ -239,9 +264,8 @@ def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
 
 
 def test_large_gaussian_mc_validate_fits_at_few_paths(capsys):
-    # the circulant embedding holds O(paths * m) floats, where a dense
-    # covariance factor held O(m^2): n = 2000 (m = 16001) now fits at 200
-    # paths, while the default 10000 paths stay refused
+    # the circulant embedding holds O(m) floats per block of paths, where a
+    # dense covariance factor held O(m^2): n = 2000 (m = 16001) fits
     assert main(["mc-validate", "--model", "gauss", "--n", "2000", "--paths", "200"]) == 0
     assert "zScore" in capsys.readouterr().out
 

@@ -29,7 +29,7 @@ from szegolab import (
     sample_paths,
     write_batch,
 )
-from szegolab import models
+from szegolab import mc, models
 from szegolab.mc import (
     BATCH_MAGIC,
     BATCH_VERSION,
@@ -149,6 +149,26 @@ def test_increments_do_not_depend_on_noise_flag(kind):
     assert without.noisy is None
 
 
+@pytest.mark.parametrize("kind", _KINDS)
+def test_blocking_does_not_change_the_batch(kind, monkeypatch):
+    # blocks of a few paths must reproduce the one-block batch bit for bit
+    grid = SamplingGrid(T=2.0, n=10)
+    args = dict(refine=4, paths=7, seed=21, keep_values=True)
+    whole = sample_paths(_KINDS[kind], grid, **args)
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)
+    blocked = sample_paths(_KINDS[kind], grid, **args)
+    for name in ("increments", "noisy", "values"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+
+
+def test_kept_values_hold_only_the_refined_grid():
+    # the raw samples are copied out of the wider embedding tables
+    batch = sample_paths(_KINDS["gauss"], SamplingGrid(T=1.0, n=8), paths=3, seed=2,
+                         keep_values=True)
+    assert batch.values.shape == (3, 8 * 8 + 1)
+    assert batch.values.base is None
+
+
 def test_reset_generator_matches_fresh_generators_bitwise():
     # one generator reset to key (seed, i) must draw what a fresh one draws
     for seed in (0, 42, 2**64 - 1):
@@ -157,7 +177,7 @@ def test_reset_generator_matches_fresh_generators_bitwise():
             .standard_normal(37)
             for i in range(6)
         ])
-        assert np.array_equal(_path_normals(seed, 6, 37), fresh)
+        assert np.array_equal(_path_normals(seed, range(6), 37), fresh)
 
 
 def test_generator_metadata_names_counter_based_source(ou11):
