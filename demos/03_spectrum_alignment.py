@@ -41,7 +41,9 @@ rows = [
 ]
 base = None
 for T, n in rows:
-    sup = psd_alignment_sup(model, SamplingGrid(T=T, n=n))
+    point = SamplingGrid(T=T, n=n)
+    psi_hat = circulant_eigs(gamma_sequence(model, point).gamma_hat, point).dft_values
+    sup = psd_alignment_sup(model, point, psi_hat)
     note = ""
     if base is None:
         base = sup

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NumericalError, SzegolabError, UsageError
 from .gram import SamplingGrid, gamma_sequence, toeplitz_matrix
 from .mc import _batch_bytes, empirical_gram, noise_variance_ratio, sample_paths, write_batch
-from .models import ModelKind, SpectralModel
+from .models import _FAMILIES, ModelKind, SpectralModel
 from .spectra import _toeplitz_eigs_bytes, circulant_eigs, toeplitz_eigs
 from .szego import (
     DEFAULT_SCHEDULE,
@@ -64,13 +64,6 @@ _COMMANDS = (
 # two or three bits of double rounding in the summed coefficients.
 _GUARD_REL = 1e-12
 _GUARD_ABS = 1e-12
-
-# The flag that sets each model kind's scale parameter, and what it is.
-_SCALE_FLAGS = {
-    "ou": ("rate-param", "decay rate"),
-    "gauss": ("width", "kernel width"),
-    "tri": ("support", "support radius"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +158,14 @@ class _Opt:
 # The study-point defaults match the documented diagnostic operating points
 # (h = 0.05 resolution for the dumps).
 _OPTS = (
-    _Opt("model", _conv_model, f"input model kind: {' | '.join(_SCALE_FLAGS)} (default ou)",
+    _Opt("model", _conv_model,
+         f"input model kind: {' | '.join(kind.value for kind in ModelKind)} (default ou)",
          ModelKind("ou")),
     _Opt("power", _conv_float, "stationary variance P >= 0 (default 1)", 1.0),
     *(
-        _Opt(flag, _conv_float, f"{what} of the {name} model (default 1)", 1.0)
-        for name, (flag, what) in _SCALE_FLAGS.items()
+        _Opt(_FAMILIES[kind].scale_flag, _conv_float,
+             f"{_FAMILIES[kind].scale_help} of the {kind.value} model (default 1)", 1.0)
+        for kind in ModelKind
     ),
     _Opt("tol", _conv_float, "spectral quadrature tolerance (default 1e-8)", 1e-8,
          checks=(lambda v: None if v > 0.0 else f"tol must be > 0, got {v!r}",)),
@@ -302,10 +297,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _build_model(values: dict, provided: set[str]) -> SpectralModel:
     kind = values["model"]
-    scale_key = _SCALE_FLAGS[kind.value][0]
-    for owner, (key, _) in _SCALE_FLAGS.items():
+    scale_key = _FAMILIES[kind].scale_flag
+    for owner in ModelKind:
+        key = _FAMILIES[owner].scale_flag
         if key != scale_key and key in provided:
-            raise UsageError(f"--{key} applies only to --model {owner}")
+            raise UsageError(f"--{key} applies only to --model {owner.value}")
     try:
         return SpectralModel(kind, values["power"], values[scale_key.replace("-", "_")])
     except ValueError as exc:

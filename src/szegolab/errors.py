@@ -55,5 +55,7 @@ class DomainExceeded(NumericalError):
 
 
 class FactorizationFailure(NumericalError):
-    """Dense covariance factorization failed even after diagonal jitter; the
-    refined sampling grid is too fine for the working precision."""
+    """The circulant embedding of the covariance on the refined sampling grid
+    stayed indefinite up to the padding stop, the size at which the
+    covariance has decayed below rounding; the kernel is not positive
+    definite on that grid."""

@@ -17,8 +17,9 @@ which satisfies the wrap symmetry gammaHat_l = gammaHat_{n-l} and therefore
 has a real spectrum.
 
 Coefficients are computed from the closed form in each model's family record
-(``models``); an adaptive Gauss-Legendre fallback on the exactly reduced
-one-dimensional form is available for cross-checks.
+(``models``).  ``_gamma_quadrature``, an adaptive Gauss-Legendre rule on the
+exactly reduced one-dimensional form, is the reference the tests compare
+them against.
 """
 
 from __future__ import annotations
@@ -96,6 +97,9 @@ _MAX_PANELS = 4096  # panels one coefficient's quadrature may evaluate
 
 
 def _gamma_quadrature(model: SpectralModel, grid: SamplingGrid) -> np.ndarray:
+    """Reference gamma_0..gamma_{n-1} by adaptive quadrature, 1e-10 absolute
+    per coefficient; raises NonConvergedQuadrature when the panel budget is
+    exhausted."""
     h, n = grid.h, grid.n
     breakpoints = model.acf_breakpoints()
     out = np.empty(n)
@@ -117,24 +121,11 @@ def _gamma_quadrature(model: SpectralModel, grid: SamplingGrid) -> np.ndarray:
 # --------------------------------------------------------------------------
 # public operations
 # --------------------------------------------------------------------------
-def gamma_sequence(
-    model: SpectralModel,
-    grid: SamplingGrid,
-    method: str = "closed",
-) -> GramSequence:
-    """Build the Gram coefficient sequence for a model on a grid.
-
-    ``method="closed"`` evaluates the closed form of the model's family;
-    ``"quadrature"`` uses the adaptive Gauss-Legendre fallback (1e-10 absolute
-    per coefficient, raising NonConvergedQuadrature when the panel budget is
-    exhausted).
-    """
-    if method not in ("closed", "quadrature"):
-        raise ValueError(f"method must be 'closed' or 'quadrature', got {method!r}")
+def gamma_sequence(model: SpectralModel, grid: SamplingGrid) -> GramSequence:
+    """Build the Gram coefficient sequence for a model on a grid from the
+    closed form of the model's family."""
     if model.power == 0.0:
         gamma = np.zeros(grid.n)
-    elif method == "quadrature":
-        gamma = _gamma_quadrature(model, grid)
     else:
         gamma = model.family.gamma(model.power, model.scale, grid.h, grid.n)
     return GramSequence(grid=grid, gamma=gamma)

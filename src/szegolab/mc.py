@@ -5,7 +5,7 @@ sub-steps per sampling cell), forms the per-cell integral increments
 
     inc_i ~ integral_{t_i}^{t_{i+1}} X(s) ds        (trapezoid rule)
 
-and optionally the channel observations inc_i + sqrt(h) * Z_i (independent
+and the channel observations inc_i + sqrt(h) * Z_i (independent
 Gaussian noise of variance h per cell, matching integrated white noise).  The
 empirical normalized covariances (n/T) * E[inc_j * inc_{j+l}] must then match
 the analytic gamma_l coefficients within Monte-Carlo error — an end-to-end
@@ -71,14 +71,12 @@ class PathBatch:
     """A batch of simulated input paths reduced to per-cell increments.
 
     ``increments`` is the N x n table of integrated-input approximations;
-    ``noisy`` (optional) adds the per-cell channel noise.  ``generator``
-    records the random source and library version behind the seed;
-    ``jitter`` is the diagonal regularization applied to the covariance,
-    0.0 on both exact routes, which apply none.  ``min_embedding_eig`` is
-    the smallest eigenvalue of the circulant embedding before rounding
-    negatives are clipped to zero (None on the AR(1) route).  ``values``
-    optionally retains the raw refined-grid samples for order-of-accuracy
-    studies.
+    ``noisy`` adds the per-cell channel noise.  ``generator`` records the
+    random source and library version behind the seed.  ``jitter`` is always
+    0.0: both sampling routes are exact, so no diagonal regularization is
+    added to the covariance.  ``min_embedding_eig`` is the smallest
+    eigenvalue of the circulant embedding before rounding negatives are
+    clipped to zero (None on the AR(1) route).
     """
 
     model: SpectralModel
@@ -87,11 +85,10 @@ class PathBatch:
     paths: int
     seed: int
     increments: np.ndarray
-    noisy: np.ndarray | None
+    noisy: np.ndarray
     generator: str
     jitter: float = 0.0
     min_embedding_eig: float | None = None
-    values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.refine, (int, np.integer)) or self.refine < 4:
@@ -100,26 +97,15 @@ class PathBatch:
             raise ValueError(f"paths must be an integer >= 1, got {self.paths!r}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _SEED_MAX:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        inc = np.asarray(self.increments, dtype=float)
         shape = (self.paths, self.grid.n)
-        if inc.shape != shape:
-            raise ValueError(f"increments must have shape {shape}, got {inc.shape}")
-        if not np.all(np.isfinite(inc)):
-            raise ValueError("increments must be finite")
-        inc.flags.writeable = False
-        object.__setattr__(self, "increments", inc)
-        if self.noisy is not None:
-            noi = np.asarray(self.noisy, dtype=float)
-            if noi.shape != shape:
-                raise ValueError(f"noisy table must have shape {shape}, got {noi.shape}")
-            if not np.all(np.isfinite(noi)):
-                raise ValueError("noisy table must be finite")
-            noi.flags.writeable = False
-            object.__setattr__(self, "noisy", noi)
-        if self.values is not None:
-            val = np.asarray(self.values, dtype=float)
-            val.flags.writeable = False
-            object.__setattr__(self, "values", val)
+        for name in ("increments", "noisy"):
+            table = np.asarray(getattr(self, name), dtype=float)
+            if table.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
+            if not np.all(np.isfinite(table)):
+                raise ValueError(f"{name} must be finite")
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
 
 def _path_normals(seed: int, rows: range, count: int) -> np.ndarray:
@@ -222,12 +208,11 @@ def _block_rows(paths: int, count: int) -> int:
 def _batch_bytes(
     model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, limit: int
 ) -> int:
-    """Upper bound on the bytes held while ``sample_paths`` runs with channel
-    noise (and without ``keep_values``), and while ``empirical_gram`` or
-    ``noise_variance_ratio`` reads its batch: the increment and noisy tables
-    and two temporaries of their size, one block of four working tables of
-    width + n values per path, and four vectors of width values for the
-    embedding's eigenvalue search.
+    """Upper bound on the bytes held while ``sample_paths`` runs, and while
+    ``empirical_gram`` or ``noise_variance_ratio`` reads its batch: the
+    increment and noisy tables and two temporaries of their size, one block
+    of four working tables of width + n values per path, and four vectors of
+    width values for the embedding's eigenvalue search.
 
     The width is m = n * refine + 1 on the AR(1) route and otherwise the
     embedding size the sampler picks, found by the same search; the search
@@ -255,11 +240,9 @@ def sample_paths(
     refine: int = 8,
     paths: int = 1000,
     seed: int = 42,
-    include_noise: bool = True,
-    keep_values: bool = False,
 ) -> PathBatch:
     """Simulate ``paths`` independent stationary inputs and reduce them to
-    per-cell trapezoid increments (plus noisy observations when requested).
+    per-cell trapezoid increments and their noisy channel observations.
 
     Both routes are exact on the refined grid of m = n*refine + 1 points.
     A model whose family record has an AR(1) step (the exponential
@@ -272,8 +255,8 @@ def sample_paths(
     about ``_BLOCK_VALUES`` values, so the working memory beyond the result
     tables does not grow with ``paths``.  Deterministic given (seed,
     arguments): each path consumes its own substream, the path's draws first
-    and the next n draws for its channel noise, so the increment table does
-    not depend on ``include_noise`` or on the blocking.
+    and the next n draws for its channel noise, so the tables do not depend
+    on the blocking.
     """
     if not isinstance(refine, (int, np.integer)) or isinstance(refine, bool) or refine < 4:
         raise ValueError(f"refine must be an integer >= 4, got {refine!r}")
@@ -291,11 +274,10 @@ def sample_paths(
     else:
         roots, min_eig = _embedding_roots(model, m, delta)
         width = 2 * (roots.size - 1)
-    count = width + (n if include_noise else 0)
+    count = width + n
 
     increments = np.empty((paths, n))
-    noisy = np.empty((paths, n)) if include_noise else None
-    values = np.empty((paths, m)) if keep_values else None
+    noisy = np.empty((paths, n))
     rows = _block_rows(paths, count)
     for start in range(0, paths, rows):
         block = slice(start, min(start + rows, paths))
@@ -306,10 +288,7 @@ def sample_paths(
             x = _embedded_paths(roots, z[:, :width], m)
         cell_areas = 0.5 * delta * (x[:, :-1] + x[:, 1:])
         increments[block] = cell_areas.reshape(-1, n, refine).sum(axis=2)
-        if include_noise:
-            noisy[block] = increments[block] + math.sqrt(grid.h) * z[:, width:]
-        if keep_values:
-            values[block] = x
+        noisy[block] = increments[block] + math.sqrt(grid.h) * z[:, width:]
 
     return PathBatch(
         model=model,
@@ -321,12 +300,12 @@ def sample_paths(
         noisy=noisy,
         generator=f"numpy.random.Philox (numpy {np.__version__})",
         min_embedding_eig=min_eig,
-        values=values,
     )
 
 
-def empirical_gram(batch: PathBatch, lags=None) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical normalized covariances and their standard errors.
+def empirical_gram(batch: PathBatch, lags) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical normalized covariances at the given lags and their standard
+    errors.
 
     gammaTilde_l = (n/T) * mean over paths and valid offsets of
     inc_j * inc_{j+l}; the standard error comes from the variance of the
@@ -336,8 +315,6 @@ def empirical_gram(batch: PathBatch, lags=None) -> tuple[np.ndarray, np.ndarray]
     if batch.paths < 100:
         raise ValueError(f"empirical covariances need >= 100 paths, got {batch.paths}")
     n = batch.grid.n
-    if lags is None:
-        lags = range(n)
     lags = [int(l) for l in lags]
     for l in lags:
         if not 0 <= l < n:
@@ -357,8 +334,6 @@ def empirical_gram(batch: PathBatch, lags=None) -> tuple[np.ndarray, np.ndarray]
 def noise_variance_ratio(batch: PathBatch) -> float:
     """Sample variance of the added channel noise divided by its nominal
     per-cell variance h; should sit near 1."""
-    if batch.noisy is None:
-        raise ValueError("batch has no noisy table; sample with include_noise=True")
     noise = batch.noisy - batch.increments
     return float(np.var(noise, ddof=1)) / batch.grid.h
 

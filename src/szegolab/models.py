@@ -64,6 +64,8 @@ class ModelFamily:
     of the power P = R(0) and the family's scale parameter s."""
 
     scale_name: str  # the name of s in error messages
+    scale_flag: str  # the command-line flag that sets s
+    scale_help: str  # what s is, in the flag's help text
     acf: Callable  # (P, s, |tau|) -> R(tau)
     psd: Callable  # (P, s, lam) -> f(lam)
     abs_acf_integral: Callable  # (P, s) -> integral |R| over the line
@@ -142,12 +144,13 @@ _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise, into an object array
 
 def _gamma_squared_exponential(power: float, width: float, h: float, n: int) -> np.ndarray:
     s = width
-    if h < 0.01 * s:
+    if h < s:
         # The closed form below is a second difference whose rounding error
-        # grows as 1e-16 * (s/h)^2.  R varies on the scale s >> h, so one
-        # 16-point panel per lag of
+        # grows as 1e-16 * (s/h)^2 and, in the tail, exceeds the true
+        # gamma_l and turns it negative.  R varies on the scale s > h, so
+        # one 16-point panel per lag of
         # gamma_l = (1/h) * integral_0^h (h - u) [R(l h + u) + R(l h - u)] du
-        # is accurate to rounding.
+        # is accurate to rounding, and every term of it is positive.
         lag = h * np.arange(n, dtype=float)[:, None]
         two_var = 2.0 * s * s
 
@@ -203,6 +206,8 @@ def _gamma_triangular(power: float, support: float, h: float, n: int) -> np.ndar
 _FAMILIES = {
     ModelKind.ORNSTEIN_UHLENBECK: ModelFamily(
         scale_name="rate",
+        scale_flag="rate-param",
+        scale_help="decay rate",
         acf=lambda p, s, t: p * np.exp(-s * t),
         psd=lambda p, s, x: p * s / (math.pi * (s * s + x * x)),
         abs_acf_integral=lambda p, s: 2.0 * p / s,
@@ -217,6 +222,8 @@ _FAMILIES = {
     ),
     ModelKind.GAUSSIAN_KERNEL: ModelFamily(
         scale_name="width",
+        scale_flag="width",
+        scale_help="kernel width",
         acf=lambda p, s, t: p * np.exp(-(t * t) / (2.0 * s**2)),
         psd=lambda p, s, x: (p * s / math.sqrt(_TWO_PI)) * np.exp(-(s * s) * (x * x) / 2.0),
         abs_acf_integral=lambda p, s: p * s * math.sqrt(_TWO_PI),
@@ -230,6 +237,8 @@ _FAMILIES = {
     ),
     ModelKind.TRIANGULAR: ModelFamily(
         scale_name="support",
+        scale_flag="support",
+        scale_help="support radius",
         acf=lambda p, s, t: p * np.maximum(0.0, 1.0 - t / s),
         # sin(u)^2/u^2 with u = x*s/2 and the removable singularity at u = 0;
         # np.sinc evaluates sin(pi y)/(pi y), so u = pi * y.

@@ -1,6 +1,6 @@
 """Adaptive 16-point Gauss-Legendre quadrature, vectorised over panels: the
 one adaptive rule of the package, used by the spectral functionals
-(``models``) and the Gram-coefficient fallback (``gram``)."""
+(``models``) and the Gram-coefficient reference (``gram``)."""
 
 from __future__ import annotations
 

@@ -5,9 +5,9 @@ The circulant spectrum is the real DFT of the wrapped first row,
 
     psiHat_m = sum_k gammaHat_k * exp(-2pi i m k / n),  m = 0..n-1,
 
-real because the row is wrap-symmetric.  A direct O(n^2) cosine transform is
-the reference path; the FFT is an accelerated path contracted to agree with it
-to 1e-10 relative.
+real because the row is wrap-symmetric.  ``circulant_eigs`` computes it by
+FFT; ``_direct_dft``, a direct O(n^2) cosine transform, is the reference it is
+contracted to agree with to 1e-10 relative.
 
 The sampled mutual information mi = (1/2) * log det(I + A) has two O(n^2)-time,
 O(n)-memory routes that work on the gamma sequence and never build A:
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetryError, ConvergenceFailure, NotPositiveDefinite
-from .gram import GramSequence, SamplingGrid, gamma_sequence
+from .gram import GramSequence, SamplingGrid
 from .models import SpectralModel
 
 __all__ = [
@@ -132,23 +132,15 @@ def _direct_dft(row: np.ndarray, block: int = 256) -> np.ndarray:
     return out
 
 
-def circulant_eigs(row, grid: SamplingGrid | None = None, method: str = "fft") -> SpectrumResult:
-    """Real spectrum of the circulant matrix with the given first row.
-
-    ``method="direct"`` uses the O(n^2) cosine-sum reference transform;
-    ``method="fft"`` is the accelerated path (valid for any n), contracted to
-    agree with the reference to 1e-10 relative.
-    """
+def circulant_eigs(row, grid: SamplingGrid | None = None) -> SpectrumResult:
+    """Real spectrum of the circulant matrix with the given first row, by FFT
+    (valid for any n); ``_direct_dft`` is the O(n^2) reference it is tested
+    against, to 1e-10 relative."""
     row = np.ascontiguousarray(np.asarray(row, dtype=float))
     if row.ndim != 1 or row.size < 1:
         raise ValueError("circulant first row must be a non-empty vector")
     _check_wrap_symmetry(row)
-    if method == "fft":
-        vals = np.fft.fft(row).real.copy()
-    elif method == "direct":
-        vals = _direct_dft(row)
-    else:
-        raise ValueError(f"method must be 'fft' or 'direct', got {method!r}")
+    vals = np.fft.fft(row).real.copy()
     return SpectrumResult(eigenvalues=np.sort(vals), grid=grid, dft_values=vals)
 
 
@@ -351,17 +343,14 @@ def norm_report(gs: GramSequence) -> NormReport:
     )
 
 
-def psd_alignment_sup(
-    model: SpectralModel, grid: SamplingGrid, dft_values: np.ndarray | None = None
-) -> float:
+def psd_alignment_sup(model: SpectralModel, grid: SamplingGrid, dft_values) -> float:
     """sup over 0 < m < n/2 of |psiHat_m - 2pi f(2pi m / T)|.
 
-    Measures how closely the circulant spectrum tracks the power spectral
-    density on the resolvable frequencies lam_m = 2pi m / T.  Returns NaN when
-    the index range is empty (n <= 2).
+    Measures how closely the circulant spectrum, given in DFT index order as
+    ``circulant_eigs(...).dft_values``, tracks the power spectral density on
+    the resolvable frequencies lam_m = 2pi m / T.  Returns NaN when the index
+    range is empty (n <= 2).
     """
-    if dft_values is None:
-        dft_values = circulant_eigs(gamma_sequence(model, grid).gamma_hat, grid).dft_values
     dft_values = np.asarray(dft_values, dtype=float)
     n = dft_values.size
     m_hi = (n + 1) // 2  # smallest index with m >= n/2

@@ -248,9 +248,11 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     return pair
 
 
-def sandwich_rate_bounds(pair: SandwichPair, spectrum, T: float) -> tuple[float, float]:
+def sandwich_rate_bounds(
+    pair: SandwichPair, spectrum: SpectrumResult, T: float
+) -> tuple[float, float]:
     """Certified bracket (sum p1(eig)/T, sum p2(eig)/T) around the eigenvalue
-    log-moment sum log(1+eig)/T.
+    log-moment sum log(1+eig)/T of the spectrum.
 
     Eigenvalues must lie in [-1e-9, domain_max]; small negatives within the
     floor are clamped to 0 before evaluation.  An eigenvalue above the
@@ -259,12 +261,9 @@ def sandwich_rate_bounds(pair: SandwichPair, spectrum, T: float) -> tuple[float,
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be finite and > 0, got {T!r}")
-    eig = spectrum.eigenvalues if isinstance(spectrum, SpectrumResult) else spectrum
-    eig = np.asarray(eig, dtype=float)
-    if eig.size == 0:
-        raise ValueError("spectrum must be non-empty")
-    lo_eig = float(eig.min())
-    hi_eig = float(eig.max())
+    eig = spectrum.eigenvalues  # sorted ascending
+    lo_eig = float(eig[0])
+    hi_eig = float(eig[-1])
     if lo_eig < -_EIG_FLOOR:
         raise DomainExceeded(f"eigenvalue {lo_eig:.6e} below the admissible floor -{_EIG_FLOOR:g}")
     if hi_eig > pair.domain_max:
@@ -430,8 +429,6 @@ def rate_convergence(
     recurrences are per-step Python that holds the GIL.  Any numerical failure
     is re-raised with the offending (T, n) point named.
     """
-    if not isinstance(schedule, ConvergenceSchedule):
-        schedule = ConvergenceSchedule(tuple(schedule))
     target = 0.5 * spectral_functional(model, "log1p", tol)
     points = []
     for grid in schedule.grids():

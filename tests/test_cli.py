@@ -17,12 +17,12 @@ from szegolab.cli import (
     _BYTE_ESTIMATES,
     _COMMANDS,
     _OPTS,
-    _SCALE_FLAGS,
     _fmt_cell,
     main,
     parse_config,
     run,
 )
+from szegolab.models import _FAMILIES
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
 RATE_HEADER = (
@@ -75,7 +75,7 @@ _SAMPLE_TEXT = {
     "domain-max": "4.5", "refine": "5", "paths": "150", "lags": "0,3",
     "dump-batch": "batch.szgl",
 }
-_NEEDS = {flag: ("--model", kind) for kind, (flag, _) in _SCALE_FLAGS.items()}
+_NEEDS = {_FAMILIES[kind].scale_flag: ("--model", kind.value) for kind in ModelKind}
 
 
 def _resolved(config, name: str):
@@ -182,13 +182,15 @@ def test_usage_errors(argv):
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_every_model_kind_builds_with_its_own_scale_flag(kind):
-    flag = _SCALE_FLAGS[kind.value][0]
+    flag = _FAMILIES[kind].scale_flag
     config = parse_config(["rate", "--model", kind.value, "--power", "2", f"--{flag}", "0.5"])
     assert config.model.kind is kind
     assert (config.model.power, config.model.scale) == (2.0, 0.5)
-    for other, (other_flag, _) in _SCALE_FLAGS.items():
-        if other != kind.value:
-            with pytest.raises(UsageError, match=f"--{other_flag} applies only to --model {other}"):
+    for other in ModelKind:
+        if other is not kind:
+            other_flag = _FAMILIES[other].scale_flag
+            message = f"--{other_flag} applies only to --model {other.value}"
+            with pytest.raises(UsageError, match=message):
                 parse_config(["rate", "--model", kind.value, f"--{other_flag}", "0.5"])
 
 
@@ -421,9 +423,12 @@ def test_tight_tolerances_print_no_warning(args, codes):
 
 
 def test_power_sum_on_one_cell_has_no_wrap_term(capsys):
+    # one cell has no wrapped pair: the sum is all Parseval part
     assert main(["power-sum", "--n", "1", "--format", "csv"]) == 0
     header, rows = _csv_rows(capsys.readouterr().out)
-    assert float(rows[0][header.index("s2")]) == 0.0
+    cell = dict(zip(header, rows[0]))
+    assert float(cell["s2"]) == 0.0
+    assert float(cell["lhs"]) == float(cell["s1"])
 
 
 def test_sandwich_subcommand_brackets_each_point(capsys):

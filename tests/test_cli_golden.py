@@ -93,8 +93,8 @@ GOLDEN = {
     "equivalence --model gauss --power 1.5 --width 1.3 --schedule 5:50,10:100": "427b32b08d7c058035a283c89846c9787e9aedff5eb9ca2729a3e427fd8034bb",  # exit 0
     "sandwich --model gauss --schedule 5:50,10:100": "77590068acb6397ba328642ea952a06cc4fdff1dbe4f30972fa3606910924d05",  # exit 0
     "mc-validate --model gauss --n 20 --paths 200 --lags 0,1": "4e51f3b1c89526977584e27241672167ca736f86ff00693005d2778b3df7508b",  # exit 0
-    "dump-gram --model gauss --n 16": "3e44a37395da8911ec3ca0535ec0b356064077825480f1592483f1d26fa5ea24",  # exit 0
-    "dump-spectrum --model gauss --n 16": "5106990c6ec9bbb82721ae128ede195075ca8ee07f8aa93a2cf489873700ee95",  # exit 0
+    "dump-gram --model gauss --n 16": "f19565baa695f71b949a103505ed5b6a2891c8d1860cce72e4418ccc6010d54f",  # exit 0
+    "dump-spectrum --model gauss --n 16": "53adcae05a3279458264b3d0d85cf77bc06cc5d3a4f397e9d60c57418f794874",  # exit 0
     "rate --model gauss --width -1": "32e696df8e594dc4c18046e5fdbb4ddfc1735dd3ee7dd97ec328520ce8b04ebd",  # exit 2
     "rate --model tri --power 1.5 --support 0.9 --schedule 5:50,10:100": "e47f5aa3e5a501737afa867b97111c650c508a21634fe5582fc9570c0dc2e36d",  # exit 0
     "equivalence --model tri --power 1.5 --support 0.9 --schedule 5:50,10:100": "05e3e9b512b62e8f2043e23228db3d85b592bd5c71414e42e818fae4ae56638a",  # exit 0

@@ -1,4 +1,4 @@
-"""Gram-coefficient layer: exact closed forms, the quadrature fallback, the
+"""Gram-coefficient layer: exact closed forms, the quadrature reference, the
 wrap identity, and the Toeplitz/circulant matrix builders.
 
 Closed-form oracles (independent derivations):
@@ -27,6 +27,7 @@ from szegolab import (
     gamma_sequence,
     toeplitz_matrix,
 )
+from szegolab.gram import _gamma_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,16 @@ def test_squared_exponential_at_tiny_step(h):
     assert np.max(np.abs(gamma / reference - 1.0)) <= 1e-13
 
 
+@pytest.mark.parametrize("ratio", [0.05, 0.1, 0.5])
+def test_squared_exponential_tail_is_positive_and_decreasing(ratio):
+    # The exact gamma_l is positive and strictly decreasing in l; the erf
+    # closed form's rounding made tail entries negative at h = 0.05 sigma.
+    model = SpectralModel.gaussian_kernel(1.0, 1.0)
+    gamma = gamma_sequence(model, SamplingGrid(T=400 * ratio, n=400)).gamma
+    assert np.all(gamma >= 0.0)
+    assert np.all(np.diff(gamma) <= 0.0)
+
+
 def test_triangular_closed_form_oracle():
     model = SpectralModel.triangular(1.0, 1.0)
     gs = gamma_sequence(model, SamplingGrid(T=2.4, n=6))  # h = 0.4
@@ -110,7 +121,7 @@ def test_zero_power_gives_zero_coefficients():
 
 
 # ---------------------------------------------------------------------------
-# quadrature fallback agrees with the closed forms
+# quadrature reference agrees with the closed forms
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "model",
@@ -122,9 +133,9 @@ def test_zero_power_gives_zero_coefficients():
 )
 def test_quadrature_matches_closed_form(model):
     grid = SamplingGrid(T=4.0, n=10)  # h = 0.4, spans kinks of every model
-    closed = gamma_sequence(model, grid, method="closed")
-    quad = gamma_sequence(model, grid, method="quadrature")
-    assert np.allclose(quad.gamma, closed.gamma, rtol=0.0, atol=1e-10)
+    closed = gamma_sequence(model, grid).gamma
+    quad = _gamma_quadrature(model, grid)
+    assert np.allclose(quad, closed, rtol=0.0, atol=1e-10)
 
 
 def test_quadrature_budget_exhaustion_raises(monkeypatch):
@@ -133,13 +144,7 @@ def test_quadrature_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(szegolab.gram, "_MAX_PANELS", 1)
     model = SpectralModel.ornstein_uhlenbeck(1.0, 50.0)
     with pytest.raises(NonConvergedQuadrature):
-        gamma_sequence(model, SamplingGrid(T=8.0, n=2), method="quadrature")
-
-
-def test_unknown_method_rejected():
-    model = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
-    with pytest.raises(ValueError):
-        gamma_sequence(model, SamplingGrid(T=1.0, n=2), method="magic")
+        _gamma_quadrature(model, SamplingGrid(T=8.0, n=2))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_batch_validation(ou11):
         paths=2,
         seed=0,
         increments=np.zeros((2, 4)),
-        noisy=None,
+        noisy=np.zeros((2, 4)),
         generator="test",
     )
     PathBatch(**ok)  # sanity: the baseline is accepted
@@ -78,6 +78,7 @@ def test_batch_validation(ou11):
         ("seed", 2**64),
         ("increments", np.zeros((2, 5))),
         ("increments", np.full((2, 4), np.nan)),
+        ("noisy", None),
         ("noisy", np.zeros((3, 4))),
         ("noisy", np.full((2, 4), np.inf)),
     ]:
@@ -141,32 +142,15 @@ def test_each_path_has_its_own_substream(kind):
 
 
 @pytest.mark.parametrize("kind", _KINDS)
-def test_increments_do_not_depend_on_noise_flag(kind):
-    grid = SamplingGrid(T=2.0, n=10)
-    with_noise = sample_paths(_KINDS[kind], grid, paths=5, seed=77, include_noise=True)
-    without = sample_paths(_KINDS[kind], grid, paths=5, seed=77, include_noise=False)
-    assert np.array_equal(with_noise.increments, without.increments)
-    assert without.noisy is None
-
-
-@pytest.mark.parametrize("kind", _KINDS)
 def test_blocking_does_not_change_the_batch(kind, monkeypatch):
     # blocks of a few paths must reproduce the one-block batch bit for bit
     grid = SamplingGrid(T=2.0, n=10)
-    args = dict(refine=4, paths=7, seed=21, keep_values=True)
+    args = dict(refine=4, paths=7, seed=21)
     whole = sample_paths(_KINDS[kind], grid, **args)
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)
     blocked = sample_paths(_KINDS[kind], grid, **args)
-    for name in ("increments", "noisy", "values"):
+    for name in ("increments", "noisy"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name))
-
-
-def test_kept_values_hold_only_the_refined_grid():
-    # the raw samples are copied out of the wider embedding tables
-    batch = sample_paths(_KINDS["gauss"], SamplingGrid(T=1.0, n=8), paths=3, seed=2,
-                         keep_values=True)
-    assert batch.values.shape == (3, 8 * 8 + 1)
-    assert batch.values.base is None
 
 
 def test_reset_generator_matches_fresh_generators_bitwise():
@@ -221,11 +205,19 @@ def test_ar1_paths_match_scalar_recursion_bitwise():
 # ---------------------------------------------------------------------------
 # sampler correctness on the refined grid
 # ---------------------------------------------------------------------------
+def _ar1_refined_values(model, grid, refine, paths, seed):
+    """The refined-grid values ``sample_paths`` reduces for a model with an
+    AR(1) step: each path's substream holds m + n normals, m = n * refine + 1,
+    and the first m run through the recursion."""
+    m = grid.n * refine + 1
+    z = _path_normals(seed, range(paths), m + grid.n)
+    return _ar1_paths(model, z[:, :m], grid.h / refine)
+
+
 def test_exponential_model_one_step_regression(ou11):
     grid = SamplingGrid(T=4.0, n=20)
-    batch = sample_paths(ou11, grid, refine=8, paths=200, seed=5, keep_values=True)
-    x = batch.values
-    delta = grid.h / batch.refine
+    x = _ar1_refined_values(ou11, grid, refine=8, paths=200, seed=5)
+    delta = grid.h / 8
     rho_hat = float(np.sum(x[:, 1:] * x[:, :-1]) / np.sum(x[:, :-1] ** 2))
     assert rho_hat == pytest.approx(math.exp(-delta), abs=5e-3)
     assert float(np.var(x)) == pytest.approx(ou11.power, abs=5e-2)
@@ -264,15 +256,17 @@ def test_trapezoid_variance_error_is_second_order(ou11):
 
 
 def test_nested_refinement_shift(ou11):
-    # Subsample one batch's refined paths at coarser trapezoid resolutions:
+    # Subsample the batch's refined-grid paths, rebuilt by the sampler's own
+    # helpers, at coarser trapezoid resolutions:
     # the induced shift in the lag-0 estimate is negative (coarser rules
     # undershoot here) and shrinks as the resolution rises.
     grid = SamplingGrid(T=10.0, n=50)
-    batch = sample_paths(ou11, grid, refine=16, paths=2000, seed=11, keep_values=True)
+    batch = sample_paths(ou11, grid, refine=16, paths=2000, seed=11)
+    values = _ar1_refined_values(ou11, grid, refine=16, paths=2000, seed=11)
     scale = grid.n / grid.T
 
     def gamma0_at(stride: int) -> float:
-        x = batch.values[:, ::stride]
+        x = values[:, ::stride]
         delta = grid.h / (batch.refine // stride)
         cells = 0.5 * delta * (x[:, :-1] + x[:, 1:])
         inc = cells.reshape(batch.paths, grid.n, -1).sum(axis=2)
@@ -303,16 +297,10 @@ def test_noise_variance_ratio_near_one(mc_batch):
     assert 0.9 <= noise_variance_ratio(mc_batch) <= 1.1
 
 
-def test_noise_variance_ratio_requires_noisy_table(ou11):
-    batch = sample_paths(ou11, SamplingGrid(T=1.0, n=4), paths=2, seed=0, include_noise=False)
-    with pytest.raises(ValueError):
-        noise_variance_ratio(batch)
-
-
 def test_empirical_gram_requires_enough_paths(ou11):
     batch = sample_paths(ou11, SamplingGrid(T=1.0, n=4), paths=99, seed=0)
     with pytest.raises(ValueError):
-        empirical_gram(batch)
+        empirical_gram(batch, lags=(0,))
 
 
 def test_empirical_gram_rejects_bad_lags(ou11):
@@ -321,12 +309,6 @@ def test_empirical_gram_rejects_bad_lags(ou11):
         empirical_gram(batch, lags=(4,))
     with pytest.raises(ValueError):
         empirical_gram(batch, lags=(-1,))
-
-
-def test_empirical_gram_default_covers_all_lags(ou11):
-    batch = sample_paths(ou11, SamplingGrid(T=1.0, n=4), paths=100, seed=0)
-    tilde, se = empirical_gram(batch)
-    assert tilde.shape == se.shape == (4,)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from szegolab import (
     toeplitz_matrix,
     toeplitz_traces,
 )
-from szegolab.spectra import _SYMMETRY_ROWS
+from szegolab.spectra import _SYMMETRY_ROWS, _direct_dft
 
 MODELS = {
     "ou": SpectralModel.ornstein_uhlenbeck(1.0, 1.0),
@@ -56,10 +56,10 @@ def _wrap_symmetric_row(n: int, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 33, 64])
 def test_fft_route_matches_direct_route(n):
     row = _wrap_symmetric_row(n, seed=n)
-    fast = circulant_eigs(row, method="fft")
-    direct = circulant_eigs(row, method="direct")
-    scale = max(1.0, float(np.max(np.abs(direct.dft_values))))
-    assert np.max(np.abs(fast.dft_values - direct.dft_values)) <= 1e-10 * scale
+    fast = circulant_eigs(row).dft_values
+    direct = _direct_dft(row)
+    scale = max(1.0, float(np.max(np.abs(direct))))
+    assert np.max(np.abs(fast - direct)) <= 1e-10 * scale
 
 
 def test_circulant_matches_dense_eigendecomposition():
@@ -74,11 +74,6 @@ def test_wrap_asymmetry_rejected():
     row[3] += 1e-6
     with pytest.raises(AsymmetryError):
         circulant_eigs(row)
-
-
-def test_circulant_method_validation():
-    with pytest.raises(ValueError):
-        circulant_eigs(np.ones(4), method="magic")
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +290,24 @@ def test_trace_equality_of_first_power():
 # ---------------------------------------------------------------------------
 # spectrum / spectral-density alignment
 # ---------------------------------------------------------------------------
+def _alignment(model, grid):
+    dft = circulant_eigs(gamma_sequence(model, grid).gamma_hat, grid).dft_values
+    return psd_alignment_sup(model, grid, dft)
+
+
 def test_psd_alignment_fine_point_oracle():
     model = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
-    grid = SamplingGrid(T=100.0, n=4000)
-    sup = psd_alignment_sup(model, grid)
+    sup = _alignment(model, SamplingGrid(T=100.0, n=4000))
     assert sup == pytest.approx(1.0300490e-4, rel=1e-5)
 
 
 def test_psd_alignment_quarters_when_n_doubles_at_fixed_T():
     model = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
-    coarse = psd_alignment_sup(model, SamplingGrid(T=100.0, n=4000))
-    fine = psd_alignment_sup(model, SamplingGrid(T=100.0, n=8000))
+    coarse = _alignment(model, SamplingGrid(T=100.0, n=4000))
+    fine = _alignment(model, SamplingGrid(T=100.0, n=8000))
     assert fine / coarse == pytest.approx(0.25, abs=0.05)
 
 
 def test_psd_alignment_empty_range_is_nan():
     model = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
-    assert math.isnan(psd_alignment_sup(model, SamplingGrid(T=1.0, n=2)))
+    assert math.isnan(_alignment(model, SamplingGrid(T=1.0, n=2)))

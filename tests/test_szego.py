@@ -23,6 +23,7 @@ from szegolab import (
     SamplingGrid,
     SandwichPair,
     SpectralModel,
+    SpectrumResult,
     default_domain_max,
     gamma_sequence,
     mi_logdet,
@@ -175,15 +176,16 @@ def test_sandwich_rate_bounds_bracket_small_points(ou11, pair64):
 
 
 def test_sandwich_rate_bounds_zero_spectrum(pair64):
-    lower, upper = sandwich_rate_bounds(pair64, np.zeros(5), 2.0)
+    lower, upper = sandwich_rate_bounds(pair64, SpectrumResult(np.zeros(5)), 2.0)
     assert lower == 0.0 and upper == 0.0
 
 
 def test_sandwich_rate_bounds_domain_errors(pair64):
-    with pytest.raises(DomainExceeded):
-        sandwich_rate_bounds(pair64, np.array([0.5, 5.0]), 1.0)  # above the cap
-    with pytest.raises(DomainExceeded):
-        sandwich_rate_bounds(pair64, np.array([-1e-3, 0.5]), 1.0)  # below the floor
+    above_cap = SpectrumResult(np.array([0.5, 5.0]))
+    below_floor = SpectrumResult(np.array([-1e-3, 0.5]))
+    for spectrum in (above_cap, below_floor):
+        with pytest.raises(DomainExceeded):
+            sandwich_rate_bounds(pair64, spectrum, 1.0)
 
 
 # ---------------------------------------------------------------------------
