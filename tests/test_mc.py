@@ -142,6 +142,21 @@ def test_each_path_has_its_own_substream(kind):
 
 
 @pytest.mark.parametrize("kind", _KINDS)
+def test_channel_noise_follows_the_path_draws(kind):
+    # each substream holds the path's draws first and its n noise draws
+    # after them, so the noise never shifts the draws behind the increments
+    model, grid, refine = _KINDS[kind], SamplingGrid(T=2.0, n=10), 4
+    batch = sample_paths(model, grid, refine=refine, paths=5, seed=77)
+    m = grid.n * refine + 1
+    if model.family.ar1_step is None:
+        width = 2 * (_embedding_roots(model, m, grid.h / refine)[0].size - 1)
+    else:
+        width = m
+    z = _path_normals(77, range(5), width + grid.n)
+    assert np.array_equal(batch.noisy, batch.increments + math.sqrt(grid.h) * z[:, width:])
+
+
+@pytest.mark.parametrize("kind", _KINDS)
 def test_blocking_does_not_change_the_batch(kind, monkeypatch):
     # blocks of a few paths must reproduce the one-block batch bit for bit
     grid = SamplingGrid(T=2.0, n=10)
@@ -297,6 +312,16 @@ def test_noise_variance_ratio_near_one(mc_batch):
     assert 0.9 <= noise_variance_ratio(mc_batch) <= 1.1
 
 
+def test_noise_variance_ratio_reads_the_noise_column(ou11):
+    # dyadic tables, so noisy - increments gives the noise back exactly
+    grid = SamplingGrid(T=2.0, n=4)
+    increments = np.array([[1.0, -0.5, 0.25, 2.0], [0.0, 1.5, -1.0, 0.5]])
+    noise = np.array([[0.125, -0.375, 0.25, 0.0], [0.5, -0.125, -0.25, 0.625]])
+    batch = PathBatch(model=ou11, grid=grid, refine=4, paths=2, seed=0,
+                      increments=increments, noisy=increments + noise, generator="test")
+    assert noise_variance_ratio(batch) == float(np.var(noise, ddof=1)) / grid.h
+
+
 def test_empirical_gram_requires_enough_paths(ou11):
     batch = sample_paths(ou11, SamplingGrid(T=1.0, n=4), paths=99, seed=0)
     with pytest.raises(ValueError):
@@ -309,6 +334,16 @@ def test_empirical_gram_rejects_bad_lags(ou11):
         empirical_gram(batch, lags=(4,))
     with pytest.raises(ValueError):
         empirical_gram(batch, lags=(-1,))
+
+
+def test_empirical_gram_returns_each_requested_lag(ou11):
+    # one entry per lag, in the order asked, each its own single-lag estimate
+    batch = sample_paths(ou11, SamplingGrid(T=1.0, n=4), paths=100, seed=0)
+    tilde, se = empirical_gram(batch, lags=range(4))
+    assert tilde.shape == se.shape == (4,)
+    picked, picked_se = empirical_gram(batch, lags=(3, 1))
+    assert np.array_equal(picked, tilde[[3, 1]])
+    assert np.array_equal(picked_se, se[[3, 1]])
 
 
 # ---------------------------------------------------------------------------

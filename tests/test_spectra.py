@@ -308,6 +308,19 @@ def test_psd_alignment_quarters_when_n_doubles_at_fixed_T():
     assert fine / coarse == pytest.approx(0.25, abs=0.05)
 
 
+def test_psd_alignment_reads_the_given_spectrum():
+    # a spectrum equal to 2pi f on the resolvable indices except one entry
+    # offset by 0.25 has that offset as its sup; m = 0 and m >= n/2 are ignored
+    model = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
+    grid = SamplingGrid(T=4.0, n=9)
+    m = np.arange(grid.n)
+    dft = 2.0 * math.pi * np.asarray(model.psd(2.0 * math.pi * m / grid.T))
+    dft[[0, 5, 8]] += 100.0
+    assert psd_alignment_sup(model, grid, dft) == 0.0
+    dft[2] += 0.25
+    assert psd_alignment_sup(model, grid, dft) == pytest.approx(0.25, rel=1e-12)
+
+
 def test_psd_alignment_empty_range_is_nan():
     model = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
     assert math.isnan(_alignment(model, SamplingGrid(T=1.0, n=2)))
