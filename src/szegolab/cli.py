@@ -237,7 +237,8 @@ _MEMORY_CAP = 2 * 2**30
 def _sandwich_bytes(config: RunConfig) -> int:
     """Upper bound on the bytes a sandwich run holds: the n x n Toeplitz
     matrix at the schedule's largest n, what its eigensolve allocates, and
-    four tables of Bernstein weights on the verification grid."""
+    what building one table of degree-d Bernstein weights on the verification
+    grid allocates (at most four arrays of that size)."""
     n = max(n for _, n in config.schedule.points)
     return 8 * (n * n + 4 * _VERIFY_POINTS * (config.degree + 2)) + _toeplitz_eigs_bytes(n)
 

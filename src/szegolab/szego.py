@@ -15,12 +15,13 @@ diagnostics, the Toeplitz/circulant trace-power gaps (Toeplitz traces from the
 displacement recurrence of A^2), and the alignment of the circulant spectrum
 with the power spectral density.  No study point builds the n x n matrix A.
 
-``sandwich_polynomials`` constructs the constructive two-sided polynomial
-bound p1(x) <= log(1+x) <= p2(x) on [0, C] from the Bernstein approximant of
-g(x) = log(1+x)/x, and ``sandwich_rate_bounds`` turns it into a certified
-bracket on eigenvalue log-moments.  ``power_sum_check`` verifies the circulant
-power-sum identity sum psiHat_m^q / T -> (1/2pi) integral (2pi f)^q dlam,
-including the two-term split whose cross term must vanish for q = 2.
+``sandwich_polynomials`` bounds log(1+x) on [0, C] by x * (B_d(x) -/+ eps_hat),
+with B_d the Bernstein approximant of g(x) = log(1+x)/x and eps_hat its
+sup-error, and ``sandwich_rate_bounds`` sums that into a certified bracket of
+width 2 * eps_hat * tr(A)/T on eigenvalue log-moments.  ``power_sum_check``
+verifies the circulant power-sum identity sum psiHat_m^q / T ->
+(1/2pi) integral (2pi f)^q dlam, including the two-term split whose cross term
+must vanish for q = 2.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ DEFAULT_SCHEDULE = ConvergenceSchedule(((25.0, 500), (50.0, 1000), (100.0, 2000)
 # ---------------------------------------------------------------------------
 # polynomial sandwich
 # ---------------------------------------------------------------------------
-# The sandwich is stored in the Bernstein basis of degree d + 1, whose
-# binomial coefficients C(d + 1, k) fit in a float64 only up to d + 1 = 1029.
+# The sandwich is one Bernstein polynomial of degree d, whose binomial
+# coefficients C(d, k) fit in a float64 up to d = 1029; the cap is kept at
+# 1028 so that the --degree range and its messages stay as they are.
 MAX_SANDWICH_DEGREE = 1028
 # Points of the uniform grid on [0, C] that measures eps_hat and verifies a pair.
 _VERIFY_POINTS = 10_000
@@ -125,76 +127,81 @@ def _bernstein_weights(degree: int, t: np.ndarray) -> np.ndarray:
     return coef * t**k * (1.0 - t) ** (degree - k)
 
 
+def _log1p_over_x(x: np.ndarray) -> np.ndarray:
+    """g(x) = log(1+x)/x, continuously extended by g(0) = 1."""
+    g = np.ones_like(x)
+    pos = x > 0.0
+    g[pos] = np.log1p(x[pos]) / x[pos]
+    return g
+
+
 @dataclass(frozen=True)
 class SandwichPair:
-    """Two-sided polynomial bound p1(x) <= log(1+x) <= p2(x) on [0, domain_max].
+    """Two-sided polynomial bound p1(x) <= log(1+x) <= p2(x) on [0, domain_max],
 
-    Both polynomials are stored as Bernstein-basis coefficient vectors of
-    degree ``degree + 1`` (one above the base approximant, because of the
-    multiplication by x), which keeps evaluation free of the catastrophic
-    cancellation a monomial representation would suffer at this degree.
+        p1(x) = x * (B_d(x) - eps_hat),   p2(x) = x * (B_d(x) + eps_hat),
+
+    where B_d is the degree-d Bernstein polynomial with coefficients
+    ``node_values``.  The Bernstein basis keeps evaluation free of the
+    cancellation a monomial form would suffer at this degree.
     """
 
     degree: int
     domain_max: float
     eps_hat: float
-    lower: np.ndarray
-    upper: np.ndarray
+    node_values: np.ndarray
 
     def __post_init__(self) -> None:
         if not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
             raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
+        if self.degree > MAX_SANDWICH_DEGREE:
+            raise ValueError(f"degree must be <= {MAX_SANDWICH_DEGREE}, got {self.degree}")
         if not (math.isfinite(self.domain_max) and self.domain_max > 0.0):
             raise ValueError(f"domain_max must be finite and > 0, got {self.domain_max!r}")
         if not (math.isfinite(self.eps_hat) and self.eps_hat >= 0.0):
             raise ValueError(f"eps_hat must be finite and >= 0, got {self.eps_hat!r}")
-        for name in ("lower", "upper"):
-            coeffs = np.asarray(getattr(self, name), dtype=float)
-            if coeffs.shape != (self.degree + 2,):
-                raise ValueError(
-                    f"{name} must have {self.degree + 2} Bernstein coefficients, "
-                    f"got shape {coeffs.shape}"
-                )
-            if not np.all(np.isfinite(coeffs)):
-                raise ValueError(f"{name} coefficients must be finite")
-            coeffs.flags.writeable = False
-            object.__setattr__(self, name, coeffs)
+        coeffs = np.asarray(self.node_values, dtype=float)
+        if coeffs.shape != (self.degree + 1,) or not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"node_values must be {self.degree + 1} finite Bernstein "
+                             f"coefficients, got shape {coeffs.shape}")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "node_values", coeffs)
 
-    def _weights(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def _base(self, x: np.ndarray) -> np.ndarray:
+        """B_d at points x of [0, domain_max]."""
         t = x / self.domain_max
         if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
             raise DomainExceeded(
                 f"evaluation point outside [0, {self.domain_max:g}]: "
                 f"range [{x.min():g}, {x.max():g}]"
             )
-        return _bernstein_weights(self.degree + 1, np.clip(t, 0.0, 1.0))
+        return _bernstein_weights(self.degree, np.clip(t, 0.0, 1.0)) @ self.node_values
 
     def evaluate_pair(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Both bounds from one basis evaluation (identical weights)."""
-        w = self._weights(x)
-        return w @ self.lower, w @ self.upper
+        """Both bounds from one evaluation of B_d."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self._bracket(x, self._base(x))
+
+    def _bracket(self, x: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.clip(x, 0.0, self.domain_max)
+        return x * (base - self.eps_hat), x * (base + self.eps_hat)
 
     def verify(self) -> None:
-        """Check the two-sided bound exactly, and the width cap 2*eps_hat*x up
-        to the rounding of the two evaluations, on a uniform grid; raise
-        DegreeTooLow on any violation."""
+        """Check the two-sided bound on a uniform grid; raise DegreeTooLow on
+        any violation."""
         x = np.linspace(0.0, self.domain_max, _VERIFY_POINTS)
-        w = self._weights(x)
-        lo, up = w @ self.lower, w @ self.upper
+        self._check_grid(x, self._base(x))
+
+    def _check_grid(self, x: np.ndarray, base: np.ndarray) -> None:
+        lo, up = self._bracket(x, base)
         target = np.log1p(x)
-        # a priori rounding bound gamma_k * (w @ (|lower| + |upper|)) of the two
-        # dot products, k = 2(d + 2); their terms are of order log(1 + C)
-        ku = 2 * (self.degree + 2) * (np.finfo(float).eps / 2.0)
-        slack = ku / (1.0 - ku) * (w @ (np.abs(self.lower) + np.abs(self.upper)))
         bad_lower = int(np.sum(lo > target))
         bad_upper = int(np.sum(up < target))
-        bad_width = int(np.sum((up - lo) > 2.0 * self.eps_hat * x + slack))
-        if bad_lower or bad_upper or bad_width:
+        if bad_lower or bad_upper:
             raise DegreeTooLow(
-                f"sandwich invariants fail on the {_VERIFY_POINTS}-point grid "
+                f"sandwich bracket fails on the {_VERIFY_POINTS}-point grid "
                 f"(degree {self.degree}, domain [0, {self.domain_max:g}]): "
-                f"{bad_lower} lower, {bad_upper} upper, {bad_width} width violations"
+                f"{bad_lower} lower, {bad_upper} upper violations"
             )
 
 
@@ -208,14 +215,10 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     """Construct the polynomial sandwich of log(1+x) on [0, C].
 
     The base approximant is the degree-d Bernstein polynomial B_d of
-    g(x) = log(1+x)/x (continuously extended by g(0) = 1); eps_hat is its
-    grid sup-error, inflated by one part in 1e9 so the floating-point
-    inequalities below hold strictly.  Then
-
-        p1(x) = x * (B_d(x) - eps_hat),   p2(x) = x * (B_d(x) + eps_hat),
-
-    stored exactly in the Bernstein basis of degree d+1 via the identity
-    t * b_{k,d}(t) = ((k+1)/(d+1)) * b_{k+1,d+1}(t).
+    g(x) = log(1+x)/x, whose coefficients are the node values g(kC/d);
+    eps_hat is its sup-error on the verification grid, inflated by one part
+    in 1e9 so the floating-point inequalities of the bracket hold strictly.
+    One table of B_d on that grid gives both eps_hat and the grid check.
     """
     if not (isinstance(C, (int, float, np.floating)) and math.isfinite(C) and C > 0.0):
         raise ValueError(f"domain cap C must be finite and > 0, got {C!r}")
@@ -225,26 +228,13 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
         raise ValueError(f"degree d must be <= {MAX_SANDWICH_DEGREE}, got {d}")
     d = int(d)
 
-    nodes = C * np.arange(d + 1) / d
-    node_values = np.empty(d + 1)
-    node_values[0] = 1.0
-    node_values[1:] = np.log1p(nodes[1:]) / nodes[1:]
-
+    node_values = _log1p_over_x(C * np.arange(d + 1) / d)
     x = np.linspace(0.0, C, _VERIFY_POINTS)
-    g = np.empty_like(x)
-    g[0] = 1.0
-    g[1:] = np.log1p(x[1:]) / x[1:]
     base = _bernstein_weights(d, x / C) @ node_values
-    eps_hat = float(np.max(np.abs(base - g))) * (1.0 + 1e-9) + 1e-15
+    eps_hat = float(np.max(np.abs(base - _log1p_over_x(x)))) * (1.0 + 1e-9) + 1e-15
 
-    j = np.arange(d + 2, dtype=float)
-    lower = np.zeros(d + 2)
-    upper = np.zeros(d + 2)
-    lower[1:] = C * (j[1:] / (d + 1)) * (node_values - eps_hat)
-    upper[1:] = C * (j[1:] / (d + 1)) * (node_values + eps_hat)
-
-    pair = SandwichPair(degree=d, domain_max=float(C), eps_hat=eps_hat, lower=lower, upper=upper)
-    pair.verify()
+    pair = SandwichPair(degree=d, domain_max=float(C), eps_hat=eps_hat, node_values=node_values)
+    pair._check_grid(x, base)
     return pair
 
 
@@ -252,7 +242,9 @@ def sandwich_rate_bounds(
     pair: SandwichPair, spectrum: SpectrumResult, T: float
 ) -> tuple[float, float]:
     """Certified bracket (sum p1(eig)/T, sum p2(eig)/T) around the eigenvalue
-    log-moment sum log(1+eig)/T of the spectrum.
+    log-moment sum log(1+eig)/T of the spectrum, computed as
+    (sum x*B_d(x) -/+ eps_hat * sum x)/T over the clamped eigenvalues x, so
+    its width is 2 * eps_hat * tr(A)/T.
 
     Eigenvalues must lie in [-1e-9, domain_max]; small negatives within the
     floor are clamped to 0 before evaluation.  An eigenvalue above the
@@ -271,8 +263,10 @@ def sandwich_rate_bounds(
             f"eigenvalue {hi_eig:.6e} exceeds the domain cap {pair.domain_max:g}; "
             "the cap must be at least twice the absolute autocovariance integral"
         )
-    lo, up = pair.evaluate_pair(np.clip(eig, 0.0, pair.domain_max))
-    return float(np.sum(lo)) / T, float(np.sum(up)) / T
+    x = np.clip(eig, 0.0, pair.domain_max)
+    mid = float(np.sum(x * pair._base(x)))
+    half_width = pair.eps_hat * float(np.sum(x))
+    return (mid - half_width) / T, (mid + half_width) / T
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,8 @@ def test_sandwich_verify_rejects_understated_error(pair64):
     cheat = SandwichPair(
         degree=pair64.degree,
         domain_max=pair64.domain_max,
-        eps_hat=pair64.eps_hat / 4.0,  # claims a tighter cap than the coefficients realize
-        lower=pair64.lower.copy(),
-        upper=pair64.upper.copy(),
+        eps_hat=pair64.eps_hat / 4.0,  # claims a tighter cap than the base realizes
+        node_values=pair64.node_values.copy(),
     )
     with pytest.raises(DegreeTooLow):
         cheat.verify()
@@ -107,22 +106,34 @@ def test_sandwich_verify_rejects_understated_error(pair64):
 
 @pytest.mark.parametrize("degree", [850, 900, 1028])
 def test_sandwich_constructs_at_high_degree(degree):
-    # the width check allows for the rounding of the two Bernstein dot
-    # products, whose terms are of order log(1 + C), not of the width
     pair = sandwich_polynomials(4.0, degree)
     assert pair.degree == degree
     if degree == MAX_SANDWICH_DEGREE:
-        widened = pair.upper.copy()
-        widened[1:] += 1e-3 * pair.eps_hat * pair.domain_max
+        # B_d >= g for convex g, so a base shifted up by 2 eps_hat puts the
+        # lower bound above log(1 + x) at every x > 0
         cheat = SandwichPair(
             degree=degree,
             domain_max=pair.domain_max,
             eps_hat=pair.eps_hat,
-            lower=pair.lower,
-            upper=widened,
+            node_values=pair.node_values + 2.0 * pair.eps_hat,
         )
         with pytest.raises(DegreeTooLow):
             cheat.verify()
+
+
+def test_sandwich_pair_rejects_a_degree_beyond_its_basis():
+    for degree in (MAX_SANDWICH_DEGREE + 1, 2000):
+        with pytest.raises(ValueError, match=f"degree must be <= {MAX_SANDWICH_DEGREE}"):
+            SandwichPair(
+                degree=degree, domain_max=4.0, eps_hat=0.0, node_values=np.ones(degree + 1)
+            )
+
+
+def test_sandwich_pair_validates_node_values():
+    with pytest.raises(ValueError, match="65 finite Bernstein coefficients"):
+        SandwichPair(degree=64, domain_max=4.0, eps_hat=0.0, node_values=np.ones(66))
+    with pytest.raises(ValueError, match="finite"):
+        SandwichPair(degree=64, domain_max=4.0, eps_hat=0.0, node_values=np.full(65, np.nan))
 
 
 def test_sandwich_construction_validation():
