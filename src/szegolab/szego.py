@@ -16,12 +16,11 @@ displacement recurrence of A^2), and the alignment of the circulant spectrum
 with the power spectral density.  No study point builds the n x n matrix A.
 
 ``sandwich_polynomials`` bounds log(1+x) on [0, C] by x * (B_d(x) -/+ eps_hat),
-with B_d the Bernstein approximant of g(x) = log(1+x)/x and eps_hat its
-sup-error, and ``sandwich_rate_bounds`` sums that into a certified bracket of
-width 2 * eps_hat * tr(A)/T on eigenvalue log-moments.  ``power_sum_check``
-verifies the circulant power-sum identity sum psiHat_m^q / T ->
-(1/2pi) integral (2pi f)^q dlam, including the two-term split whose cross term
-must vanish for q = 2.
+with B_d the Bernstein approximant of g(x) = log(1+x)/x and eps_hat its sup
+error on a grid; ``sandwich_rate_bounds`` sums that into a
+bracket of width 2 * eps_hat * tr(A)/T on eigenvalue log-moments.
+``power_sum_check`` verifies sum psiHat_m^q / T -> (1/2pi) integral (2pi f)^q,
+including the q = 2 split whose cross term must vanish.
 """
 
 from __future__ import annotations
@@ -104,9 +103,8 @@ DEFAULT_SCHEDULE = ConvergenceSchedule(((25.0, 500), (50.0, 1000), (100.0, 2000)
 # ---------------------------------------------------------------------------
 # polynomial sandwich
 # ---------------------------------------------------------------------------
-# The sandwich is one Bernstein polynomial of degree d, whose binomial
-# coefficients C(d, k) fit in a float64 up to d = 1029; the cap is kept at
-# 1028 so that the --degree range and its messages stay as they are.
+# The binomial coefficients C(d, k) of the one degree-d Bernstein basis fit in
+# a float64 up to d = 1029; the cap stays 1028 to keep the --degree range.
 MAX_SANDWICH_DEGREE = 1028
 # Points of the uniform grid on [0, C] that measures eps_hat and verifies a pair.
 _VERIFY_POINTS = 10_000
@@ -123,27 +121,33 @@ def _bernstein_weights(degree: int, t: np.ndarray) -> np.ndarray:
     """
     k = np.arange(degree + 1)
     coef = np.array([float(math.comb(degree, i)) for i in range(degree + 1)])
-    t = t[:, None]
-    return coef * t**k * (1.0 - t) ** (degree - k)
+    out = np.empty((t.size, degree + 1))
+    for i in range(0, t.size, 1024):  # row blocks keep the temporaries small
+        block = t[i : i + 1024, None]
+        out[i : i + 1024] = coef * _power(block, k) * _power(1.0 - block, degree - k)
+    return out
+
+
+def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """base**exponent for bases in [0, 1]; powers below e^-746 round to 0, so
+    they skip pow, whose slow underflow path would dominate the cost."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = ~(exponent * np.log(base) < -746.0)  # 0 * log(0) is nan: kept
+    return np.power(base, exponent, out=np.zeros(keep.shape), where=keep)
 
 
 def _log1p_over_x(x: np.ndarray) -> np.ndarray:
     """g(x) = log(1+x)/x, continuously extended by g(0) = 1."""
-    g = np.ones_like(x)
-    pos = x > 0.0
-    g[pos] = np.log1p(x[pos]) / x[pos]
-    return g
+    with np.errstate(invalid="ignore"):
+        return np.where(x > 0.0, np.log1p(x) / x, 1.0)
 
 
 @dataclass(frozen=True)
 class SandwichPair:
-    """Two-sided polynomial bound p1(x) <= log(1+x) <= p2(x) on [0, domain_max],
-
-        p1(x) = x * (B_d(x) - eps_hat),   p2(x) = x * (B_d(x) + eps_hat),
-
-    where B_d is the degree-d Bernstein polynomial with coefficients
-    ``node_values``.  The Bernstein basis keeps evaluation free of the
-    cancellation a monomial form would suffer at this degree.
+    """Two-sided polynomial bound p1(x) = x * (B_d(x) - eps_hat) <= log(1+x) <=
+    p2(x) = x * (B_d(x) + eps_hat) on [0, domain_max], where B_d is the degree-d
+    Bernstein polynomial with coefficients ``node_values``; the Bernstein basis
+    keeps evaluation free of the cancellation a monomial form would suffer.
     """
 
     degree: int
@@ -152,17 +156,17 @@ class SandwichPair:
     node_values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
-            raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
-        if self.degree > MAX_SANDWICH_DEGREE:
-            raise ValueError(f"degree must be <= {MAX_SANDWICH_DEGREE}, got {self.degree}")
+        degree = self.degree
+        if not isinstance(degree, (int, np.integer)) or not 1 <= degree <= MAX_SANDWICH_DEGREE:
+            raise ValueError(f"degree must be an integer in 1..{MAX_SANDWICH_DEGREE}, "
+                             f"got {degree!r}")
         if not (math.isfinite(self.domain_max) and self.domain_max > 0.0):
             raise ValueError(f"domain_max must be finite and > 0, got {self.domain_max!r}")
         if not (math.isfinite(self.eps_hat) and self.eps_hat >= 0.0):
             raise ValueError(f"eps_hat must be finite and >= 0, got {self.eps_hat!r}")
         coeffs = np.asarray(self.node_values, dtype=float)
-        if coeffs.shape != (self.degree + 1,) or not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"node_values must be {self.degree + 1} finite Bernstein "
+        if coeffs.shape != (degree + 1,) or not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"node_values must be {degree + 1} finite Bernstein "
                              f"coefficients, got shape {coeffs.shape}")
         coeffs.flags.writeable = False
         object.__setattr__(self, "node_values", coeffs)
@@ -171,19 +175,14 @@ class SandwichPair:
         """B_d at points x of [0, domain_max]."""
         t = x / self.domain_max
         if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
-            raise DomainExceeded(
-                f"evaluation point outside [0, {self.domain_max:g}]: "
-                f"range [{x.min():g}, {x.max():g}]"
-            )
+            raise DomainExceeded(f"evaluation point outside [0, {self.domain_max:g}]: "
+                                 f"range [{x.min():g}, {x.max():g}]")
         return _bernstein_weights(self.degree, np.clip(t, 0.0, 1.0)) @ self.node_values
 
     def evaluate_pair(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Both bounds from one evaluation of B_d."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._bracket(x, self._base(x))
-
-    def _bracket(self, x: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.clip(x, 0.0, self.domain_max)
+        base, x = self._base(x), np.clip(x, 0.0, self.domain_max)
         return x * (base - self.eps_hat), x * (base + self.eps_hat)
 
     def verify(self) -> None:
@@ -193,16 +192,13 @@ class SandwichPair:
         self._check_grid(x, self._base(x))
 
     def _check_grid(self, x: np.ndarray, base: np.ndarray) -> None:
-        lo, up = self._bracket(x, base)
         target = np.log1p(x)
-        bad_lower = int(np.sum(lo > target))
-        bad_upper = int(np.sum(up < target))
+        bad_lower = int(np.sum(x * (base - self.eps_hat) > target))
+        bad_upper = int(np.sum(x * (base + self.eps_hat) < target))
         if bad_lower or bad_upper:
-            raise DegreeTooLow(
-                f"sandwich bracket fails on the {_VERIFY_POINTS}-point grid "
-                f"(degree {self.degree}, domain [0, {self.domain_max:g}]): "
-                f"{bad_lower} lower, {bad_upper} upper violations"
-            )
+            raise DegreeTooLow(f"sandwich bracket fails on the {_VERIFY_POINTS}-point grid (degree "
+                               f"{self.degree}, domain [0, {self.domain_max:g}]): {bad_lower} "
+                               f"lower, {bad_upper} upper violations")
 
 
 def default_domain_max(model: SpectralModel) -> float:
@@ -214,18 +210,15 @@ def default_domain_max(model: SpectralModel) -> float:
 def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     """Construct the polynomial sandwich of log(1+x) on [0, C].
 
-    The base approximant is the degree-d Bernstein polynomial B_d of
-    g(x) = log(1+x)/x, whose coefficients are the node values g(kC/d);
-    eps_hat is its sup-error on the verification grid, inflated by one part
-    in 1e9 so the floating-point inequalities of the bracket hold strictly.
-    One table of B_d on that grid gives both eps_hat and the grid check.
+    B_d is the Bernstein polynomial of g(x) = log(1+x)/x on the nodes kC/d;
+    eps_hat is its sup-error on the verification grid, inflated by one part in
+    1e9 so the floating-point inequalities of the bracket hold strictly.
     """
     if not (isinstance(C, (int, float, np.floating)) and math.isfinite(C) and C > 0.0):
         raise ValueError(f"domain cap C must be finite and > 0, got {C!r}")
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"degree d must be an integer >= 1, got {d!r}")
-    if d > MAX_SANDWICH_DEGREE:
-        raise ValueError(f"degree d must be <= {MAX_SANDWICH_DEGREE}, got {d}")
+    if (not isinstance(d, (int, np.integer)) or isinstance(d, bool)
+            or not 1 <= d <= MAX_SANDWICH_DEGREE):
+        raise ValueError(f"degree d must be an integer in 1..{MAX_SANDWICH_DEGREE}, got {d!r}")
     d = int(d)
 
     node_values = _log1p_over_x(C * np.arange(d + 1) / d)
@@ -254,8 +247,7 @@ def sandwich_rate_bounds(
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be finite and > 0, got {T!r}")
     eig = spectrum.eigenvalues  # sorted ascending
-    lo_eig = float(eig[0])
-    hi_eig = float(eig[-1])
+    lo_eig, hi_eig = float(eig[0]), float(eig[-1])
     if lo_eig < -_EIG_FLOOR:
         raise DomainExceeded(f"eigenvalue {lo_eig:.6e} below the admissible floor -{_EIG_FLOOR:g}")
     if hi_eig > pair.domain_max:

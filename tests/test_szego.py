@@ -123,7 +123,7 @@ def test_sandwich_constructs_at_high_degree(degree):
 
 def test_sandwich_pair_rejects_a_degree_beyond_its_basis():
     for degree in (MAX_SANDWICH_DEGREE + 1, 2000):
-        with pytest.raises(ValueError, match=f"degree must be <= {MAX_SANDWICH_DEGREE}"):
+        with pytest.raises(ValueError, match=f"integer in 1..{MAX_SANDWICH_DEGREE}, got {degree}"):
             SandwichPair(
                 degree=degree, domain_max=4.0, eps_hat=0.0, node_values=np.ones(degree + 1)
             )
@@ -157,6 +157,19 @@ def test_bernstein_weights_match_exact_rational_values(degree):
     ])
     assert np.max(np.abs(weights - exact)) <= 1e-13
     assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("degree", [1, 2, 65, 200, 512, MAX_SANDWICH_DEGREE + 1])
+def test_bernstein_weights_match_plain_powers_bit_for_bit(degree):
+    # skipping the powers that underflow to 0 must not change a single bit
+    rng = np.random.default_rng(3)
+    near_ends = rng.random(1500) ** 8
+    t = np.concatenate([np.linspace(0.0, 1.0, 2001), near_ends, 1.0 - near_ends,
+                        [5e-324, 1e-300, 1.0 - 2.0**-53]])
+    k = np.arange(degree + 1)
+    coef = np.array([float(math.comb(degree, i)) for i in range(degree + 1)])
+    plain = coef * t[:, None] ** k * (1.0 - t[:, None]) ** (degree - k)
+    assert np.array_equal(_bernstein_weights(degree, t), plain)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 65, 200, MAX_SANDWICH_DEGREE + 1])
