@@ -2,7 +2,7 @@
 
 log(1 + x) is awkward to control uniformly, but log(1 + x)/x is continuous on
 a bounded eigenvalue range [0, C], so a Bernstein approximant of it — shifted
-down and up by its own verified sup-error and multiplied back by x — yields
+down and up by its own certified sup-error and multiplied back by x — yields
 two polynomials p1 <= log(1 + x) <= p2 whose gap is exactly (2 * epsHat) * x.
 Summed over the Gram spectrum, they bracket the sampled rate with a width
 proportional to the scaled trace, uniformly in the matrix size.
@@ -30,7 +30,7 @@ print(f"eigenvalue domain cap: C = 2 * integral|R| = {C:g}")
 
 for degree in (8, 16, 32, 64):
     pair = sandwich_polynomials(C, degree)
-    print(f"  degree {degree:>3}: verified base error epsHat = {pair.eps_hat:.6e}")
+    print(f"  degree {degree:>3}: certified base error epsHat = {pair.eps_hat:.6e}")
 pair = sandwich_polynomials(C, 64)
 
 x = np.linspace(0.0, C, 5)

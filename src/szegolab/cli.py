@@ -237,8 +237,9 @@ _MEMORY_CAP = 2 * 2**30
 def _sandwich_bytes(config: RunConfig) -> int:
     """Upper bound on the bytes a sandwich run holds: the n x n Toeplitz
     matrix at the schedule's largest n, what its eigensolve allocates, and
-    what building one table of degree-d Bernstein weights on the verification
-    grid allocates (at most four arrays of that size)."""
+    four arrays the size of one table of degree-d Bernstein weights at
+    _VERIFY_POINTS rows, the most that the verification grid or the points
+    re-sampled between its nodes take at a time."""
     n = max(n for _, n in config.schedule.points)
     return 8 * (n * n + 4 * _VERIFY_POINTS * (config.degree + 2)) + _toeplitz_eigs_bytes(n)
 

@@ -17,8 +17,8 @@ with the power spectral density.  No study point builds the n x n matrix A.
 
 ``sandwich_polynomials`` bounds log(1+x) on [0, C] by x * (B_d(x) -/+ eps_hat),
 with B_d the Bernstein approximant of g(x) = log(1+x)/x and eps_hat its sup
-error on a grid; ``sandwich_rate_bounds`` sums that into a
-bracket of width 2 * eps_hat * tr(A)/T on eigenvalue log-moments.
+error, certified between grid points; ``sandwich_rate_bounds`` sums that into
+a bracket of width 2 * eps_hat * tr(A)/T on eigenvalue log-moments.
 ``power_sum_check`` verifies sum psiHat_m^q / T -> (1/2pi) integral (2pi f)^q,
 including the q = 2 split whose cross term must vanish.
 """
@@ -210,9 +210,13 @@ def default_domain_max(model: SpectralModel) -> float:
 def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     """Construct the polynomial sandwich of log(1+x) on [0, C].
 
-    B_d is the Bernstein polynomial of g(x) = log(1+x)/x on the nodes kC/d;
-    eps_hat is its sup-error on the verification grid, inflated by one part in
-    1e9 so the floating-point inequalities of the bracket hold strictly.
+    B_d is the Bernstein polynomial of g(x) = log(1+x)/x on the nodes kC/d.
+    eps_hat bounds |B_d - g| on all of [0, C]: g'' and B_d'' lie in [0, 2/3]
+    (g is the mean of 1/(1 + xs) over s in [0, 1]; B_d'' averages second
+    differences of g), so between grid points a step apart |B_d - g| exceeds
+    its larger endpoint value by at most step^2/12.  Intervals where that could
+    beat the grid maximum are re-sampled at a sub-step delta, and eps_hat is
+    (maximum + delta^2/12) inflated by 1e-9 relative and 1e-15 absolute.
     """
     if not (isinstance(C, (int, float, np.floating)) and math.isfinite(C) and C > 0.0):
         raise ValueError(f"domain cap C must be finite and > 0, got {C!r}")
@@ -224,7 +228,16 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     node_values = _log1p_over_x(C * np.arange(d + 1) / d)
     x = np.linspace(0.0, C, _VERIFY_POINTS)
     base = _bernstein_weights(d, x / C) @ node_values
-    eps_hat = float(np.max(np.abs(base - _log1p_over_x(x)))) * (1.0 + 1e-9) + 1e-15
+    err = np.abs(base - _log1p_over_x(x))
+    peak, rel, step = float(np.max(err)), 1e-9, C / (_VERIFY_POINTS - 1)
+    starts = x[:-1][np.maximum(err[:-1], err[1:]) + step**2 / 12.0 > peak]
+    # delta^2/12 within eps_hat's slack, at most one more grid of points
+    sub = math.ceil(step / math.sqrt(12.0 * max(rel * peak, 1e-15)))
+    sub = min(sub, _VERIFY_POINTS // (starts.size + 1))
+    fine = (starts[:, None] + np.arange(1, sub) * (step / sub)).ravel()
+    fine_err = np.abs(_bernstein_weights(d, fine / C) @ node_values - _log1p_over_x(fine))
+    peak = max(peak, float(np.max(fine_err, initial=0.0)))
+    eps_hat = (peak + (step / sub) ** 2 / 12.0) * (1.0 + rel) + 1e-15
 
     pair = SandwichPair(degree=d, domain_max=float(C), eps_hat=eps_hat, node_values=node_values)
     pair._check_grid(x, base)

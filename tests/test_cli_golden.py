@@ -84,21 +84,21 @@ def _invocations():
 GOLDEN = {
     "rate --model ou --power 1.5 --rate-param 0.8 --schedule 5:50,10:100": "288cfc7814f15c83f6f291c26976f9ae17169f231a85676e9b02c4bfd5bc913f",  # exit 0
     "equivalence --model ou --power 1.5 --rate-param 0.8 --schedule 5:50,10:100": "f53a7ee7d51f11a068bfe0f6dbcc8b27d79bdd0bd2a555eb82bc7a914d09b63e",  # exit 0
-    "sandwich --model ou --schedule 5:50,10:100": "02d933ae02edab60b880513dddb0dece733185410ed25e5dba8918d1f8c68fec",  # exit 0
+    "sandwich --model ou --schedule 5:50,10:100": "c930c1b6970b741c2bb70594cba82268d3708f97de9d52bb842cdecf3a5c5f30",  # exit 0
     "mc-validate --model ou --n 20 --paths 200 --lags 0,1": "f17a0797873d6c89806edaf4c88f62f2ab040fab32e2a23b528d9744e6a454bf",  # exit 0
     "dump-gram --model ou --n 16": "4a5594ebcf8e61951e9b0b579524cc0bda7818afac0f2d54231e3e31c5d3ed4b",  # exit 0
     "dump-spectrum --model ou --n 16": "efe99f5a6b1736ec8c9dbf6ad1bae19848ce2dfa0c4ecdf42a109458471c2fe0",  # exit 0
     "rate --model ou --rate-param -1": "ce490b5226881f0be2b0bcff1fdb5bbaa8c60b2befe2ab6e1d34dc1d075c27f1",  # exit 2
     "rate --model gauss --power 1.5 --width 1.3 --schedule 5:50,10:100": "c3ffbceab32afd7ca14076045610141da7e72f3c183fb4459f5966d3269cd3e0",  # exit 0
     "equivalence --model gauss --power 1.5 --width 1.3 --schedule 5:50,10:100": "427b32b08d7c058035a283c89846c9787e9aedff5eb9ca2729a3e427fd8034bb",  # exit 0
-    "sandwich --model gauss --schedule 5:50,10:100": "77590068acb6397ba328642ea952a06cc4fdff1dbe4f30972fa3606910924d05",  # exit 0
+    "sandwich --model gauss --schedule 5:50,10:100": "68a7e48d183cac89b94a0a15c67da1b1bc0665596dfb442332b4c79ad157eb89",  # exit 0
     "mc-validate --model gauss --n 20 --paths 200 --lags 0,1": "4e51f3b1c89526977584e27241672167ca736f86ff00693005d2778b3df7508b",  # exit 0
     "dump-gram --model gauss --n 16": "f19565baa695f71b949a103505ed5b6a2891c8d1860cce72e4418ccc6010d54f",  # exit 0
     "dump-spectrum --model gauss --n 16": "53adcae05a3279458264b3d0d85cf77bc06cc5d3a4f397e9d60c57418f794874",  # exit 0
     "rate --model gauss --width -1": "32e696df8e594dc4c18046e5fdbb4ddfc1735dd3ee7dd97ec328520ce8b04ebd",  # exit 2
     "rate --model tri --power 1.5 --support 0.9 --schedule 5:50,10:100": "e47f5aa3e5a501737afa867b97111c650c508a21634fe5582fc9570c0dc2e36d",  # exit 0
     "equivalence --model tri --power 1.5 --support 0.9 --schedule 5:50,10:100": "05e3e9b512b62e8f2043e23228db3d85b592bd5c71414e42e818fae4ae56638a",  # exit 0
-    "sandwich --model tri --schedule 5:50,10:100": "25f2269c680e727684688f286c62d1c22634f114e93b96c8db57c343fe4d29b1",  # exit 0
+    "sandwich --model tri --schedule 5:50,10:100": "c09977ef0020cd69f92f813fcce2691bee52b455ca4d2631c35c21558117ae6c",  # exit 0
     "mc-validate --model tri --n 20 --paths 200 --lags 0,1": "1751d389d50d849abaff0c6c8bb8ce403ba70dbae2285d95cf68556152d5259c",  # exit 0
     "dump-gram --model tri --n 16": "cf458e5d41f6f408da83d4883394f926df279a49e183ec7a7bd6931974e7080a",  # exit 0
     "dump-spectrum --model tri --n 16": "2ed525f26b28698c5bbd74510af8f3d83de88bda84b8b0143364fa4883c2ceea",  # exit 0
