@@ -38,8 +38,8 @@ from .szego import (
     RATE_COLUMNS,
     ConvergenceSchedule,
     MAX_SANDWICH_DEGREE,
-    _VERIFY_POINTS,
     _mi_from_eigs,
+    _pair_bytes,
     default_domain_max,
     power_sum_check,
     rate_convergence,
@@ -237,11 +237,11 @@ _MEMORY_CAP = 2 * 2**30
 def _sandwich_bytes(config: RunConfig) -> int:
     """Upper bound on the bytes a sandwich run holds: the n x n Toeplitz
     matrix at the schedule's largest n, what its eigensolve allocates, and
-    four arrays the size of one table of degree-d Bernstein weights at
-    _VERIFY_POINTS rows, the most that the verification grid or the points
-    re-sampled between its nodes take at a time."""
+    what building the degree-d pair holds: one block of Bernstein basis rows
+    and a few grids of floats, more than evaluating it at the eigenvalues
+    adds."""
     n = max(n for _, n in config.schedule.points)
-    return 8 * (n * n + 4 * _VERIFY_POINTS * (config.degree + 2)) + _toeplitz_eigs_bytes(n)
+    return 8 * n * n + _toeplitz_eigs_bytes(n) + _pair_bytes(config.degree)
 
 
 def _mc_validate_bytes(config: RunConfig) -> int:

@@ -18,7 +18,9 @@ with the power spectral density.  No study point builds the n x n matrix A.
 ``sandwich_polynomials`` bounds log(1+x) on [0, C] by x * (B_d(x) -/+ eps_hat),
 with B_d the Bernstein approximant of g(x) = log(1+x)/x and eps_hat its sup
 error, certified between grid points; ``sandwich_rate_bounds`` sums that into
-a bracket of width 2 * eps_hat * tr(A)/T on eigenvalue log-moments.
+a bracket of width 2 * eps_hat * tr(A)/T on eigenvalue log-moments.  One
+evaluator, ``_bernstein``, computes B_d for both, a block of basis rows at a
+time, so no evaluation holds a points x (d + 1) table.
 ``power_sum_check`` verifies sum psiHat_m^q / T -> (1/2pi) integral (2pi f)^q,
 including the q = 2 split whose cross term must vanish.
 """
@@ -108,24 +110,40 @@ DEFAULT_SCHEDULE = ConvergenceSchedule(((25.0, 500), (50.0, 1000), (100.0, 2000)
 MAX_SANDWICH_DEGREE = 1028
 # Points of the uniform grid on [0, C] that measures eps_hat and verifies a pair.
 _VERIFY_POINTS = 10_000
+# Points of one block of Bernstein basis rows in _bernstein.
+_BLOCK_ROWS = 1024
 # Eigenvalues down to -_EIG_FLOOR are round-off of a zero and clamp to 0.
 _EIG_FLOOR = 1e-9
 
 
-def _bernstein_weights(degree: int, t: np.ndarray) -> np.ndarray:
-    """Row-stochastic matrix of Bernstein basis values
-    b_{k,degree}(t) = C(degree, k) t^k (1 - t)^(degree - k), one row per t in [0, 1].
+def _bernstein(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * b_{k,d}(t) at each t in [0, 1], with d = len(coeffs) - 1
+    and b_{k,d}(t) = C(d, k) t^k (1 - t)^(d - k) the Bernstein basis.
 
+    The basis values are built _BLOCK_ROWS points at a time and each block is
+    multiplied by ``coeffs`` at once, so no call holds more than one block.
     The binomial coefficients are exact integers (``math.comb``) rounded once
-    to float; at t = 0 and t = 1 the rows are exact unit vectors (0^0 = 1).
+    to float; at t = 0 and t = 1 the basis rows are exact unit vectors (0^0 = 1).
     """
+    degree = coeffs.shape[0] - 1
     k = np.arange(degree + 1)
-    coef = np.array([float(math.comb(degree, i)) for i in range(degree + 1)])
-    out = np.empty((t.size, degree + 1))
-    for i in range(0, t.size, 1024):  # row blocks keep the temporaries small
-        block = t[i : i + 1024, None]
-        out[i : i + 1024] = coef * _power(block, k) * _power(1.0 - block, degree - k)
+    binom = np.array([float(math.comb(degree, i)) for i in range(degree + 1)])
+    out = np.empty(t.shape + coeffs.shape[1:])
+    for i in range(0, t.size, _BLOCK_ROWS):
+        block = t[i : i + _BLOCK_ROWS, None]
+        basis = _power(block, k)
+        basis *= binom
+        basis *= _power(1.0 - block, degree - k)
+        out[i : i + _BLOCK_ROWS] = basis @ coeffs
     return out
+
+
+def _pair_bytes(degree: int) -> int:
+    """Upper bound on the bytes that building a degree-d pair holds: three
+    float arrays of one block of basis rows, the most one ``_bernstein`` call
+    holds besides its points and result, and twelve arrays of the
+    verification grid's size."""
+    return 8 * (3 * _BLOCK_ROWS * (degree + 1) + 12 * _VERIFY_POINTS)
 
 
 def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
@@ -177,7 +195,7 @@ class SandwichPair:
         if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
             raise DomainExceeded(f"evaluation point outside [0, {self.domain_max:g}]: "
                                  f"range [{x.min():g}, {x.max():g}]")
-        return _bernstein_weights(self.degree, np.clip(t, 0.0, 1.0)) @ self.node_values
+        return _bernstein(self.node_values, np.clip(t, 0.0, 1.0))
 
     def evaluate_pair(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Both bounds from one evaluation of B_d."""
@@ -227,7 +245,7 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
 
     node_values = _log1p_over_x(C * np.arange(d + 1) / d)
     x = np.linspace(0.0, C, _VERIFY_POINTS)
-    base = _bernstein_weights(d, x / C) @ node_values
+    base = _bernstein(node_values, x / C)
     err = np.abs(base - _log1p_over_x(x))
     peak, rel, step = float(np.max(err)), 1e-9, C / (_VERIFY_POINTS - 1)
     starts = x[:-1][np.maximum(err[:-1], err[1:]) + step**2 / 12.0 > peak]
@@ -235,7 +253,7 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     sub = math.ceil(step / math.sqrt(12.0 * max(rel * peak, 1e-15)))
     sub = min(sub, _VERIFY_POINTS // (starts.size + 1))
     fine = (starts[:, None] + np.arange(1, sub) * (step / sub)).ravel()
-    fine_err = np.abs(_bernstein_weights(d, fine / C) @ node_values - _log1p_over_x(fine))
+    fine_err = np.abs(_bernstein(node_values, fine / C) - _log1p_over_x(fine))
     peak = max(peak, float(np.max(fine_err, initial=0.0)))
     eps_hat = (peak + (step / sub) ** 2 / 12.0) * (1.0 + rel) + 1e-15
 

@@ -242,6 +242,7 @@ def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
     [
         ("sandwich", "--schedule", "10:200"),
         ("sandwich", "--schedule", "10:1000", "--degree", "8"),
+        ("sandwich", "--schedule", "10:200", "--degree", "1028"),
         ("mc-validate", "--model", "gauss", "--n", "20", "--paths", "200", "--lags", "0"),
         # padded: the embedding of this short horizon is indefinite until M grows 8-fold
         ("mc-validate", "--model", "gauss", "--T", "1", "--n", "20", "--paths", "200",
