@@ -192,7 +192,7 @@ class SandwichPair:
     def _base(self, x: np.ndarray) -> np.ndarray:
         """B_d at points x of [0, domain_max]."""
         t = x / self.domain_max
-        if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
+        if not np.all((t >= -1e-12) & (t <= 1.0 + 1e-12)):  # NaN fails too
             raise DomainExceeded(f"evaluation point outside [0, {self.domain_max:g}]: "
                                  f"range [{x.min():g}, {x.max():g}]")
         return _bernstein(self.node_values, np.clip(t, 0.0, 1.0))
@@ -229,14 +229,18 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     """Construct the polynomial sandwich of log(1+x) on [0, C].
 
     B_d is the Bernstein polynomial of g(x) = log(1+x)/x on the nodes kC/d.
-    eps_hat bounds |B_d - g| on all of [0, C]: g'' and B_d'' lie in [0, 2/3]
-    (g is the mean of 1/(1 + xs) over s in [0, 1]; B_d'' averages second
-    differences of g), so between grid points a step apart |B_d - g| exceeds
-    its larger endpoint value by at most step^2/12.  Intervals where that could
-    beat the grid maximum are re-sampled at a sub-step delta, and eps_hat is
-    (maximum + delta^2/12) inflated by 1e-9 relative and 1e-15 absolute.
+    eps_hat bounds |B_d - g| = B_d - g on all of [0, C]: B_d'' >= 0 (B_d
+    averages second differences of g) and g'' <= 2/3 (g is the mean of
+    1/(1 + xs) over s in [0, 1]), so between points a step apart B_d - g
+    exceeds its larger endpoint value by at most kappa * step^2/8, kappa a
+    bound on g'' there.  As g'' decreases in x and is at most 2 log(1+x)/x^3,
+    the interval from grid point x_i takes kappa_i = min(2/3, 2 log(1+x_i)/x_i^3).
+    Intervals where that could beat the grid maximum are re-sampled at a
+    sub-step delta, and eps_hat is (maximum + delta^2/12) inflated by 1e-9
+    relative and 1e-15 absolute.
     """
-    if not (isinstance(C, (int, float, np.floating)) and math.isfinite(C) and C > 0.0):
+    if (not isinstance(C, (int, float, np.floating)) or isinstance(C, bool)
+            or not (math.isfinite(C) and C > 0.0)):
         raise ValueError(f"domain cap C must be finite and > 0, got {C!r}")
     if (not isinstance(d, (int, np.integer)) or isinstance(d, bool)
             or not 1 <= d <= MAX_SANDWICH_DEGREE):
@@ -248,7 +252,9 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     base = _bernstein(node_values, x / C)
     err = np.abs(base - _log1p_over_x(x))
     peak, rel, step = float(np.max(err)), 1e-9, C / (_VERIFY_POINTS - 1)
-    starts = x[:-1][np.maximum(err[:-1], err[1:]) + step**2 / 12.0 > peak]
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, where fmin keeps 2/3
+        kappa = np.fmin(2.0 / 3.0, 2.0 * np.log1p(x[:-1]) / x[:-1] ** 3)
+    starts = x[:-1][np.maximum(err[:-1], err[1:]) + kappa * step**2 / 8.0 > peak]
     # delta^2/12 within eps_hat's slack, at most one more grid of points
     sub = math.ceil(step / math.sqrt(12.0 * max(rel * peak, 1e-15)))
     sub = min(sub, _VERIFY_POINTS // (starts.size + 1))

@@ -85,6 +85,12 @@ def test_sandwich_brackets_log1p_on_grid(pair64):
     assert np.all(target <= up)
 
 
+@pytest.mark.parametrize("x", [np.nan, [1.0, np.nan], -1.0, 4.5])
+def test_sandwich_rejects_points_outside_its_domain(pair64, x):
+    with pytest.raises(DomainExceeded):
+        pair64.evaluate_pair(x)
+
+
 def test_sandwich_width_is_twice_eps_times_x(pair64):
     x = np.linspace(0.0, pair64.domain_max, 10_000)[1:]
     lo, up = pair64.evaluate_pair(x)
@@ -109,14 +115,21 @@ def test_sandwich_verify_rejects_understated_error(pair64):
 )
 def test_sandwich_brackets_log1p_between_grid_points(C, degree):
     # 40x denser than the verification grid; on it a grid-only eps_hat lets
-    # the lower bound cross log1p near the peak of |B_d - g|.  At C = 1e5
-    # step^2/12 dwarfs the grid maximum, so every interval is re-sampled and
-    # the point budget caps the sub-step.
+    # the lower bound cross log1p near the peak of |B_d - g|.  At C = 1e5 a
+    # step of the grid is 10, so only the local curvature bound keeps the
+    # re-sampled intervals few enough for a fine sub-step.
     pair = sandwich_polynomials(C, degree)
     x = np.linspace(0.0, C, 400_001)
     lo, up = pair.evaluate_pair(x)
     target = np.log1p(x)
     assert np.all(lo <= target) and np.all(target <= up)
+
+
+@pytest.mark.parametrize("degree", [64, 1028])
+def test_sandwich_error_stays_below_one_at_a_large_cap(degree):
+    # g = log(1 + x)/x <= 1, so eps_hat >= 1 would bracket nothing; a global
+    # curvature bound of 2/3 re-samples every interval and gave eps_hat ~ 9
+    assert sandwich_polynomials(1e5, degree).eps_hat < 1.0
 
 
 @pytest.mark.parametrize("degree", [850, 900, 1028])
@@ -154,6 +167,8 @@ def test_sandwich_pair_validates_node_values():
 def test_sandwich_construction_validation():
     with pytest.raises(ValueError):
         sandwich_polynomials(0.0, 64)
+    with pytest.raises(ValueError, match="domain cap"):
+        sandwich_polynomials(True, 8)
     with pytest.raises(ValueError):
         sandwich_polynomials(4.0, 0)
     with pytest.raises(ValueError):
