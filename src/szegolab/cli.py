@@ -168,8 +168,9 @@ _OPTS = (
         for kind in ModelKind
     ),
     _Opt("tol", _conv_float, "spectral quadrature tolerance (default 1e-8)", 1e-8,
+         commands=("rate", "equivalence", "power-sum"),
          checks=(lambda v: None if v > 0.0 else f"tol must be > 0, got {v!r}",)),
-    _Opt("seed", _conv_int, "64-bit random seed (default 42)", 42,
+    _Opt("seed", _conv_int, "64-bit random seed (default 42)", 42, commands=("mc-validate",),
          checks=(lambda v: None if 0 <= v < 2**64 else f"seed must be in [0, 2^64), got {v}",)),
     _Opt("format", _conv_format, "report format: text | csv (default text)", "text"),
     _Opt("out", str, "write the report to this path instead of stdout"),
@@ -214,10 +215,10 @@ class RunConfig:
 
     command: str
     model: SpectralModel
-    tol: float
-    seed: int
     fmt: str
     out: str | None
+    tol: float | None = None
+    seed: int | None = None
     schedule: ConvergenceSchedule | None = None
     T: float | None = None
     n: int | None = None

@@ -48,7 +48,7 @@ def test_defaults():
     assert config.model.kind is ModelKind.ORNSTEIN_UHLENBECK
     assert config.model.power == 1.0 and config.model.scale == 1.0
     assert config.tol == 1e-8
-    assert config.seed == 42
+    assert config.seed is None  # only mc-validate draws random numbers
     assert config.fmt == "text"
     assert config.out is None
     assert config.schedule == DEFAULT_SCHEDULE
@@ -58,7 +58,7 @@ def test_point_defaults():
     ps = parse_config(["power-sum"])
     assert (ps.T, ps.n, ps.q) == (100.0, 4000, 2)
     mc = parse_config(["mc-validate"])
-    assert (mc.T, mc.n, mc.refine, mc.paths) == (10.0, 100, 8, 10_000)
+    assert (mc.T, mc.n, mc.refine, mc.paths, mc.seed) == (10.0, 100, 8, 10_000, 42)
     assert mc.lags == (0, 1, 2, 5)
     assert mc.dump_batch is None
     for command in ("dump-gram", "dump-spectrum"):
@@ -113,6 +113,21 @@ def test_flag_config_file_and_default_agree(opt, command, tmp_path):
         assert opt.conv(stated.group(1)) == default
 
 
+@pytest.mark.parametrize(
+    "opt, command",
+    [(opt, command) for opt in _OPTS for command in _COMMANDS if command not in opt.commands],
+    ids=lambda item: getattr(item, "name", item),
+)
+def test_option_is_refused_where_it_is_not_read(opt, command, tmp_path):
+    text = _SAMPLE_TEXT[opt.name]
+    with pytest.raises(UsageError, match="unrecognized arguments"):
+        parse_config([command, f"--{opt.name}", text])
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{opt.name} = {text}\n")
+    with pytest.raises(UsageError, match="unknown config key"):
+        parse_config([command, "--config", str(cfg)])
+
+
 def test_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("# study configuration\nrate-param = 2.5\nq = 3\n")
@@ -156,7 +171,8 @@ def test_config_file_errors(tmp_path):
         ["rate", "--schedule", "5:100,4:80"],
         ["rate", "--schedule", "5x100"],
         ["rate", "--tol", "0"],
-        ["rate", "--seed", "-1"],
+        ["rate", "--seed", "-1"],  # seed is read only by mc-validate
+        ["mc-validate", "--seed", "-1"],
         ["rate", "--format", "xml"],
         ["power-sum", "--q", "5"],
         ["power-sum", "--q", "0"],

@@ -30,6 +30,7 @@ _USAGE_ERRORS = (
     ("rate", "--schedule", "5x100"),
     ("rate", "--tol", "0"),
     ("rate", "--seed", "-1"),
+    ("mc-validate", "--seed", "-1"),
     ("rate", "--format", "xml"),
     ("power-sum", "--q", "5"),
     ("power-sum", "--q", "0"),
@@ -47,6 +48,7 @@ _USAGE_ERRORS = (
     ("sandwich", "--degree", "1029"),
     ("sandwich", "--power", "0"),
     ("rate", "--tol", "0", "--seed", "-1"),
+    ("power-sum", "--tol", "0", "--q", "5"),
     ("rate", "--tol", "0", "--rate-param", "-1"),
     ("power-sum", "--q", "5", "--T", "-3"),
     ("power-sum", "--n", "0", "--q", "0"),
@@ -116,7 +118,8 @@ GOLDEN = {
     "rate --schedule 5:100,4:80": "cf40e4aa133b2587b1f1469cf6cf40ba487ebe420b088ede5a4237cb132edd1d",  # exit 2
     "rate --schedule 5x100": "5da343c3d76a48fad9af64c75bd8cebd08d905ebffe99c854e2b2f1784b90a46",  # exit 2
     "rate --tol 0": "5d1315529feff3be94095043e3e83e61c8bed17c7e0357e98f06ded97cffd3ba",  # exit 2
-    "rate --seed -1": "9860986114fa0f29a53ccc0469d50041bd027ae84f7e421d3a5d37308e2a567f",  # exit 2
+    "rate --seed -1": "fa15322184b1bdf4b8d375cd5ad2ead2e97f6058b8829e54af262edee85f54b0",  # exit 2
+    "mc-validate --seed -1": "9860986114fa0f29a53ccc0469d50041bd027ae84f7e421d3a5d37308e2a567f",  # exit 2
     "rate --format xml": "f160a658b98a9997e63a9b0c11edc216bc98ea340e022b02d14a8993bfceec98",  # exit 2
     "power-sum --q 5": "ea240a362ca9ed524a7e0602d24cb6c08d7c1e631bda2ff409670f440c9dc52b",  # exit 2
     "power-sum --q 0": "10e4f8d941767e623cc05981811592a5b34e82d16e2454b03a66fee2a7ad4081",  # exit 2
@@ -133,7 +136,8 @@ GOLDEN = {
     "frobnicate": "804eec66394a835732c9b9068a1d9feff44ffaff74ff0e58f30e67db03c6dc38",  # exit 2
     "sandwich --degree 1029": "a0c97692ba5bc2f65cde33681e0da94ac96ab0b6ad97f2418e7ff984697ef828",  # exit 2
     "sandwich --power 0": "b60e1441174e4c53c27949f427882b13ffa785eb7f1248e66e7185b9304a220f",  # exit 2
-    "rate --tol 0 --seed -1": "5d1315529feff3be94095043e3e83e61c8bed17c7e0357e98f06ded97cffd3ba",  # exit 2
+    "rate --tol 0 --seed -1": "fa15322184b1bdf4b8d375cd5ad2ead2e97f6058b8829e54af262edee85f54b0",  # exit 2
+    "power-sum --tol 0 --q 5": "5d1315529feff3be94095043e3e83e61c8bed17c7e0357e98f06ded97cffd3ba",  # exit 2
     "rate --tol 0 --rate-param -1": "ce490b5226881f0be2b0bcff1fdb5bbaa8c60b2befe2ab6e1d34dc1d075c27f1",  # exit 2
     "power-sum --q 5 --T -3": "cd9409fb463228ce87dac4fb4c20b87e66b331c437a7e1b9add2bc74685c0123",  # exit 2
     "power-sum --n 0 --q 0": "2b2ef812cdcbf93426029cc29d477da07513a31aa8d9d62844fea7a4ce361a8d",  # exit 2
