@@ -139,10 +139,10 @@ def _bernstein(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _pair_bytes(degree: int) -> int:
-    """Upper bound on the bytes that building a degree-d pair holds: three
-    float arrays of one block of basis rows, the most one ``_bernstein`` call
-    holds besides its points and result, and twelve arrays of the
-    verification grid's size."""
+    """Upper bound on the bytes that building a degree-d pair holds: twelve
+    arrays the size of the verification grid, and three float arrays of one
+    block of basis rows, the most that a ``_bernstein`` call holds besides
+    its points and its result."""
     return 8 * (3 * _BLOCK_ROWS * (degree + 1) + 12 * _VERIFY_POINTS)
 
 
