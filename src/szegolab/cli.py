@@ -37,7 +37,9 @@ from .szego import (
     DEFAULT_SCHEDULE,
     RATE_COLUMNS,
     ConvergenceSchedule,
+    MAX_DOMAIN_CAP,
     MAX_SANDWICH_DEGREE,
+    _domain_cap_message,
     _mi_from_eigs,
     _pair_bytes,
     default_domain_max,
@@ -195,7 +197,10 @@ _OPTS = (
     _Opt("domain-max", _conv_float,
          "eigenvalue domain cap (default: twice the absolute autocovariance integral)",
          commands=("sandwich",),
-         checks=(lambda v: None if v is None or v > 0.0 else f"domain-max must be > 0, got {v}",)),
+         checks=(
+             lambda v: None if v is None or v > 0.0 else f"domain-max must be > 0, got {v}",
+             lambda v: None if v is None or v <= MAX_DOMAIN_CAP else _domain_cap_message(v),
+         )),
     _Opt("refine", _conv_int, "sub-steps per sampling cell, >= 4 (default 8)", 8,
          commands=("mc-validate",),
          checks=(lambda v: None if v >= 4 else f"refine must be >= 4, got {v}",)),
@@ -355,10 +360,13 @@ def parse_config(argv) -> RunConfig:
         if not 0 <= lag < values["n"]:
             raise UsageError(f"lag must be in [0, n={values['n']}), got {lag}")
     if "domain_max" in values and values["domain_max"] is None:
-        if not default_domain_max(values["model"]) > 0.0:
+        cap = default_domain_max(values["model"])
+        if not cap > 0.0:
             raise UsageError(
                 "the default domain cap 2*integral|R| is 0 at power 0; pass --domain-max > 0"
             )
+        if cap > MAX_DOMAIN_CAP:
+            raise UsageError(_domain_cap_message(cap))
 
     values["fmt"] = values.pop("format")
     names = {field.name for field in fields(RunConfig)}

@@ -19,18 +19,23 @@ refined-grid autocovariance is embedded in a symmetric circulant of size
 M = 2(m - 1), padded by doubling M while the embedding is indefinite, and each
 path is the first m points of C^(1/2) w for M standard normals w, at
 O(M log M) cost and O(M) memory per path.  Paths are drawn in blocks of rows,
-so each working table stays near 8 MiB whatever the path count; only the
-n-column result tables grow with it.
+so each working table stays near 2 MiB whatever the path count; only the
+n-column result tables grow with it.  The blocks run on one thread per usable
+CPU (at most one per block), the calling thread included, and each thread
+holds one block's tables at a time.
 
 Randomness: each path draws from its own counter-based substream keyed by
-(seed, path index), so serial and parallel generation produce bit-identical
-batches and a fixed seed reproduces the batch exactly, on any platform.
+(seed, path index), and each block writes only its own rows, so the batch is
+bit-identical for any blocking and any number of threads, and a fixed seed
+reproduces it exactly, on any platform.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +66,9 @@ _EPS = float(np.finfo(float).eps)
 # log2(M) < 64 for every M that fits in memory.
 _CLIP_RTOL = 64 * _EPS
 # sample_paths draws, transforms and reduces the paths in blocks of rows that
-# hold about this many float64 values each (8 MiB), so its working tables do
-# not grow with the number of paths.
-_BLOCK_VALUES = 2**20
+# hold about this many float64 values each (2 MiB), so its working tables do
+# not grow with the number of paths and a block's tables stay in cache.
+_BLOCK_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -135,20 +140,23 @@ def _ar1_paths(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndarray:
     x_j = rho x_{j-1} + sqrt(P (1 - rho^2)) z_j with rho = exp(-alpha delta),
     the family record's AR(1) step, started from x_0 = sqrt(P) z_0.
 
-    ``z`` is (paths, m); the result is a C-contiguous (paths, m) array.  The
-    recursion runs over time steps on a C-ordered, time-major (m, paths)
-    buffer that starts out holding the innovations, so each step is one
-    contiguous vector operation across all paths.  Every value is rounded as
-    in the scalar recursion ``rho * x_prev + innovation``, so a path does not
-    depend on how many other paths share the batch.
+    ``z`` is (paths, m) and is overwritten with the result, which is returned.
+    The innovations are scaled in place, then the recursion runs over the
+    columns, one vector operation across all paths per time step, with no
+    transposed copy.  Every value is rounded as in the scalar recursion
+    ``rho * x_prev + innovation``, so a path does not depend on how many other
+    paths share the batch.
     """
     power = model.power
     rho = model.family.ar1_step(model.scale, delta)
-    xt = np.multiply(z.T, math.sqrt(power * (1.0 - rho * rho)), order="C")
-    xt[0] = math.sqrt(power) * z[:, 0]
-    for j in range(1, xt.shape[0]):
-        xt[j] += rho * xt[j - 1]
-    return np.ascontiguousarray(xt.T)
+    z[:, 0] *= math.sqrt(power)
+    z[:, 1:] *= math.sqrt(power * (1.0 - rho * rho))
+    columns = list(z.T)
+    step = np.empty(z.shape[0])
+    for prev, col in zip(columns, columns[1:]):
+        np.multiply(prev, rho, out=step)
+        col += step
+    return z
 
 
 def _embedding_sizes(model: SpectralModel, m: int, delta: float):
@@ -205,24 +213,72 @@ def _block_rows(paths: int, count: int) -> int:
     return min(paths, max(1, _BLOCK_VALUES // count))
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(paths: int, rows: int) -> int:
+    """Threads that ``sample_paths`` runs for ``paths`` paths in blocks of
+    ``rows``: one per usable CPU, and no more than there are blocks."""
+    return max(1, min(_usable_cpus(), -(-paths // rows)))
+
+
+def _run_blocks(fill, starts: range, workers: int) -> None:
+    """Call ``fill(start)`` for every start, split into ``workers`` strided
+    shares; the calling thread runs the first share and one new thread runs
+    each other share.  Every thread is joined before this returns, and the
+    first exception any share raised is then re-raised; a share stops at its
+    next block once any share has failed."""
+    errors: list[BaseException] = []
+
+    def share(first: int) -> None:
+        for start in starts[first::workers]:
+            if errors:
+                return
+            try:
+                fill(start)
+            except BaseException as exc:  # re-raised below, after the join
+                errors.append(exc)
+                return
+
+    threads = [threading.Thread(target=share, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _batch_bytes(
     model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, limit: int
 ) -> int:
     """Upper bound on the bytes held while ``sample_paths`` runs, and while
     ``empirical_gram`` or ``noise_variance_ratio`` reads its batch: the
-    increment and noisy tables and two temporaries of their size, one block
-    of four working tables of width + n values per path, and four vectors of
-    width values for the embedding's eigenvalue search.
+    increment and noisy tables and two temporaries of their size, four
+    working tables of width + n values per path for one block on each of the
+    sampler's threads, and four vectors of width values for the embedding's
+    eigenvalue search.
 
     The width is m = n * refine + 1 on the AR(1) route and otherwise the
     embedding size the sampler picks, found by the same search; the search
-    stops at the first size whose bound exceeds ``limit``.
+    stops at the first size whose bound exceeds ``limit``.  The block size
+    and the thread count are the sampler's own (``_block_rows``,
+    ``_workers``).
     """
     n = grid.n
     m = n * refine + 1
 
     def bound(width: int) -> int:
-        block = _block_rows(paths, width + n) * (width + n)
+        rows = _block_rows(paths, width + n)
+        block = _workers(paths, rows) * rows * (width + n)
         return 8 * (4 * paths * n + 4 * block + 4 * width)
 
     if model.family.ar1_step is not None:
@@ -253,10 +309,13 @@ def sample_paths(
     Raises ``FactorizationFailure`` when no embedding within the padding
     stop is positive semidefinite.  Paths are drawn and reduced in blocks of
     about ``_BLOCK_VALUES`` values, so the working memory beyond the result
-    tables does not grow with ``paths``.  Deterministic given (seed,
-    arguments): each path consumes its own substream, the path's draws first
-    and the next n draws for its channel noise, so the tables do not depend
-    on the blocking.
+    tables does not grow with ``paths``.  The blocks run on one thread per
+    usable CPU, at most one per block; each thread holds one block at a time
+    and writes only that block's rows, and an exception raised in any block
+    is re-raised here once every thread has finished.  Deterministic given
+    (seed, arguments): each path consumes its own substream, the path's draws
+    first and the next n draws for its channel noise, so the tables do not
+    depend on the blocking or on the number of threads.
     """
     if not isinstance(refine, (int, np.integer)) or isinstance(refine, bool) or refine < 4:
         raise ValueError(f"refine must be an integer >= 4, got {refine!r}")
@@ -275,20 +334,27 @@ def sample_paths(
         roots, min_eig = _embedding_roots(model, m, delta)
         width = 2 * (roots.size - 1)
     count = width + n
+    noise_scale = math.sqrt(grid.h)
 
     increments = np.empty((paths, n))
     noisy = np.empty((paths, n))
     rows = _block_rows(paths, count)
-    for start in range(0, paths, rows):
+
+    def fill(start: int) -> None:
         block = slice(start, min(start + rows, paths))
         z = _path_normals(seed, range(paths)[block], count)
         if roots is None:
             x = _ar1_paths(model, z[:, :m], delta)
         else:
             x = _embedded_paths(roots, z[:, :width], m)
-        cell_areas = 0.5 * delta * (x[:, :-1] + x[:, 1:])
-        increments[block] = cell_areas.reshape(-1, n, refine).sum(axis=2)
-        noisy[block] = increments[block] + math.sqrt(grid.h) * z[:, width:]
+        cell = x[:, :-1] + x[:, 1:]
+        cell *= 0.5 * delta
+        np.sum(cell.reshape(-1, n, refine), axis=2, out=increments[block])
+        noise = z[:, width:]
+        noise *= noise_scale
+        np.add(increments[block], noise, out=noisy[block])
+
+    _run_blocks(fill, range(0, paths, rows), _workers(paths, rows))
 
     return PathBatch(
         model=model,
@@ -341,17 +407,23 @@ def noise_variance_ratio(batch: PathBatch) -> float:
 def write_batch(batch: PathBatch, path) -> None:
     """Dump the increment table as a flat binary file: a 32-byte header
     (magic, version, N, n, refine, seed; little-endian) followed by the
-    row-major little-endian float64 table."""
+    row-major little-endian float64 table, written from the table's own
+    buffer (a copy is made only on a big-endian host)."""
     header = _HEADER.pack(
         BATCH_MAGIC, BATCH_VERSION, batch.paths, batch.grid.n, batch.refine, batch.seed
     )
+    table = np.ascontiguousarray(batch.increments, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(batch.increments, dtype="<f8").tobytes())
+        fh.write(table.data)
 
 
 def read_batch(path) -> tuple[dict, np.ndarray]:
-    """Read a dump written by ``write_batch``; returns (header fields, table)."""
+    """Read a dump written by ``write_batch``; returns (header fields, table).
+
+    The file size is checked against the header before the table is
+    allocated, and the payload is read straight into it; it is converted only
+    on a big-endian host."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -361,10 +433,12 @@ def read_batch(path) -> tuple[dict, np.ndarray]:
             raise ValueError(f"bad magic {magic!r}; not an increment dump")
         if version != BATCH_VERSION:
             raise ValueError(f"unsupported dump version {version}")
-        payload = fh.read()
-    expected = paths * n * 8
-    if len(payload) != expected:
-        raise ValueError(f"truncated table: expected {expected} bytes, got {len(payload)}")
-    table = np.frombuffer(payload, dtype="<f8").astype(float).reshape(paths, n)
+        expected = paths * n * 8
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size == expected:
+            table = np.empty((paths, n), dtype="<f8")
+            size = fh.readinto(table.data)
+        if size != expected:
+            raise ValueError(f"truncated table: expected {expected} bytes, got {size}")
     header = {"version": version, "paths": paths, "n": n, "refine": refine, "seed": seed}
-    return header, table
+    return header, table.astype(float, copy=False)

@@ -48,6 +48,7 @@ from .spectra import (
 __all__ = [
     "ConvergenceSchedule",
     "DEFAULT_SCHEDULE",
+    "MAX_DOMAIN_CAP",
     "MAX_SANDWICH_DEGREE",
     "SandwichPair",
     "RatePoint",
@@ -108,6 +109,9 @@ DEFAULT_SCHEDULE = ConvergenceSchedule(((25.0, 500), (50.0, 1000), (100.0, 2000)
 # The binomial coefficients C(d, k) of the one degree-d Bernstein basis fit in
 # a float64 up to d = 1029; the cap stays 1028 to keep the --degree range.
 MAX_SANDWICH_DEGREE = 1028
+# Above this domain cap the construction overflows float64: the curvature
+# bound cubes grid points and the re-sampling rule squares the grid step.
+MAX_DOMAIN_CAP = 1e100
 # Points of the uniform grid on [0, C] that measures eps_hat and verifies a pair.
 _VERIFY_POINTS = 10_000
 # Points of one block of Bernstein basis rows in _bernstein.
@@ -225,6 +229,11 @@ def default_domain_max(model: SpectralModel) -> float:
     return 2.0 * model.abs_acf_integral()
 
 
+def _domain_cap_message(C: float) -> str:
+    """The one message that refuses a domain cap above ``MAX_DOMAIN_CAP``."""
+    return f"domain cap must be <= {MAX_DOMAIN_CAP:g}, where the sandwich overflows; got {C:g}"
+
+
 def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     """Construct the polynomial sandwich of log(1+x) on [0, C].
 
@@ -242,6 +251,8 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     if (not isinstance(C, (int, float, np.floating)) or isinstance(C, bool)
             or not (math.isfinite(C) and C > 0.0)):
         raise ValueError(f"domain cap C must be finite and > 0, got {C!r}")
+    if C > MAX_DOMAIN_CAP:
+        raise ValueError(_domain_cap_message(C))
     if (not isinstance(d, (int, np.integer)) or isinstance(d, bool)
             or not 1 <= d <= MAX_SANDWICH_DEGREE):
         raise ValueError(f"degree d must be an integer in 1..{MAX_SANDWICH_DEGREE}, got {d!r}")

@@ -189,6 +189,8 @@ def test_config_file_errors(tmp_path):
         ["frobnicate"],
         ["sandwich", "--degree", "1029"],
         ["sandwich", "--power", "0"],
+        ["sandwich", "--domain-max", "1e200"],  # the construction would overflow
+        ["sandwich", "--power", "1e200"],  # so would the default cap 2*integral|R|
     ],
 )
 def test_usage_errors(argv):
@@ -266,6 +268,8 @@ def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
         ("mc-validate", "--n", "40", "--paths", "1000", "--refine", "4", "--lags", "0"),
         # several blocks of paths
         ("mc-validate", "--model", "tri", "--n", "100", "--paths", "2000", "--lags", "0"),
+        # more blocks than sampler threads, so each thread holds one block at a time
+        ("mc-validate", "--n", "100", "--paths", "4000", "--lags", "0"),
     ],
     ids=" ".join,
 )

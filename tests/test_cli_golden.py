@@ -38,6 +38,7 @@ _USAGE_ERRORS = (
     ("power-sum", "--n", "0"),
     ("sandwich", "--degree", "0"),
     ("sandwich", "--domain-max", "-1"),
+    ("sandwich", "--domain-max", "1e200"),
     ("mc-validate", "--paths", "10"),
     ("mc-validate", "--refine", "2"),
     ("mc-validate", "--lags", "0,100"),
@@ -127,6 +128,7 @@ GOLDEN = {
     "power-sum --n 0": "2b2ef812cdcbf93426029cc29d477da07513a31aa8d9d62844fea7a4ce361a8d",  # exit 2
     "sandwich --degree 0": "34a40e2f01f64aeb37768a1b2315eb8e35ab8df216cd8c182ea9c6b497cbd239",  # exit 2
     "sandwich --domain-max -1": "c7f55433303ae6e6fa55f64c3f6b7b588c63e00172acb259c4e590a11c0d2d76",  # exit 2
+    "sandwich --domain-max 1e200": "68731f9f98e51d9f448002c2f6a9309f63743a807e433ee9907d609d3b6acba2",  # exit 2
     "mc-validate --paths 10": "07bbc59a04111e3fff19c52f5c4142aea228aad9fb3956adb9964259912e3318",  # exit 2
     "mc-validate --refine 2": "c5b24b2f602c4c6b9a15ba4fc84654d44b650cabf6175736894c6140952a0435",  # exit 2
     "mc-validate --lags 0,100": "90816a928a2541714a62df87636d4acf4996798b4a2faaa17fe69302f5bd3123",  # exit 2

@@ -10,7 +10,10 @@ check is deterministic in practice; the nested-refinement shift oracle (seed
 
 import dataclasses
 import hashlib
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -166,6 +169,53 @@ def test_blocking_does_not_change_the_batch(kind, monkeypatch):
     blocked = sample_paths(_KINDS[kind], grid, **args)
     for name in ("increments", "noisy"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("block_values, paths", [(200, 12), (mc._BLOCK_VALUES, 1500)])
+def test_worker_count_does_not_change_the_batch(kind, block_values, paths, monkeypatch):
+    # one path per 200-value block, and at least three blocks of many paths
+    # at the default; three workers outnumber the two CPUs of the test host,
+    # and a short switch interval interleaves them often
+    grid, args = SamplingGrid(T=4.0, n=40), dict(refine=8, paths=paths, seed=5)
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
+    run_blocks, seen = mc._run_blocks, []
+
+    def recording(fill, starts, workers):
+        seen.append(workers)
+        run_blocks(fill, starts, workers)
+
+    monkeypatch.setattr(mc, "_run_blocks", recording)
+    batches = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+            batches.append(sample_paths(_KINDS[kind], grid, **args))
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [1, 2, 3]
+    for batch in batches[1:]:
+        for name in ("increments", "noisy"):
+            assert np.array_equal(getattr(batch, name), getattr(batches[0], name))
+
+
+def test_a_failing_block_is_raised_once_every_thread_has_ended(monkeypatch):
+    calls, embedded = itertools.count(), _embedded_paths
+
+    def failing_second_call(roots, w, m):
+        if next(calls) == 1:
+            raise RuntimeError("block failed")
+        return embedded(roots, w, m)
+
+    monkeypatch.setattr(mc, "_embedded_paths", failing_second_call)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed"):
+        sample_paths(_KINDS["gauss"], SamplingGrid(T=2.0, n=10), refine=4, paths=12, seed=1)
+    assert threading.active_count() == before
 
 
 def test_reset_generator_matches_fresh_generators_bitwise():

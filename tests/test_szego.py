@@ -34,7 +34,7 @@ from szegolab import (
     sandwich_rate_bounds,
     toeplitz_matrix,
 )
-from szegolab.szego import MAX_SANDWICH_DEGREE, _bernstein
+from szegolab.szego import MAX_DOMAIN_CAP, MAX_SANDWICH_DEGREE, _bernstein
 
 SQRT3 = math.sqrt(3.0)
 
@@ -130,6 +130,20 @@ def test_sandwich_error_stays_below_one_at_a_large_cap(degree):
     # g = log(1 + x)/x <= 1, so eps_hat >= 1 would bracket nothing; a global
     # curvature bound of 2/3 re-samples every interval and gave eps_hat ~ 9
     assert sandwich_polynomials(1e5, degree).eps_hat < 1.0
+
+
+@pytest.mark.parametrize("C", [MAX_DOMAIN_CAP * (1 + 1e-15), 1e120, 1e200])
+def test_sandwich_refuses_a_cap_above_the_overflow_limit(C):
+    # 1e200 raised a bare OverflowError from the squared grid step, and 1e120
+    # overflowed the cubed grid points into a bracket of width ~1e223
+    with pytest.raises(ValueError, match="domain cap must be <= 1e\\+100"):
+        sandwich_polynomials(C, 64)
+
+
+def test_sandwich_at_the_cap_limit_stays_finite():
+    with np.errstate(over="raise"):
+        pair = sandwich_polynomials(MAX_DOMAIN_CAP, 64)
+    assert math.isfinite(pair.eps_hat)
 
 
 @pytest.mark.parametrize("degree", [850, 900, 1028])
