@@ -215,10 +215,9 @@ def _block_rows(paths: int, count: int) -> int:
 
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on."""
-    try:
+    if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
+    return os.cpu_count() or 1
 
 
 def _workers(paths: int, rows: int) -> int:

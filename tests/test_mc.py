@@ -175,8 +175,8 @@ def test_blocking_does_not_change_the_batch(kind, monkeypatch):
 @pytest.mark.parametrize("block_values, paths", [(200, 12), (mc._BLOCK_VALUES, 1500)])
 def test_worker_count_does_not_change_the_batch(kind, block_values, paths, monkeypatch):
     # one path per 200-value block, and at least three blocks of many paths
-    # at the default; three workers outnumber the two CPUs of the test host,
-    # and a short switch interval interleaves them often
+    # at the default; three workers can outnumber the CPUs, and a short
+    # switch interval interleaves them often
     grid, args = SamplingGrid(T=4.0, n=40), dict(refine=8, paths=paths, seed=5)
     monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
     run_blocks, seen = mc._run_blocks, []
