@@ -223,15 +223,15 @@ def _usable_cpus() -> int:
 def _workers(paths: int, rows: int) -> int:
     """Threads that ``sample_paths`` runs for ``paths`` paths in blocks of
     ``rows``: one per usable CPU, and no more than there are blocks."""
-    return max(1, min(_usable_cpus(), -(-paths // rows)))
+    return min(_usable_cpus(), -(-paths // rows))
 
 
 def _run_blocks(fill, starts: range, workers: int) -> None:
     """Call ``fill(start)`` for every start, split into ``workers`` strided
     shares; the calling thread runs the first share and one new thread runs
-    each other share.  Every thread is joined before this returns, and the
-    first exception any share raised is then re-raised; a share stops at its
-    next block once any share has failed."""
+    each other share.  Every started thread is joined before this returns
+    or raises, and the first exception any share raised is then re-raised; a
+    share stops at its next block once any share has failed."""
     errors: list[BaseException] = []
 
     def share(first: int) -> None:
@@ -244,10 +244,12 @@ def _run_blocks(fill, starts: range, workers: int) -> None:
                 errors.append(exc)
                 return
 
-    threads = [threading.Thread(target=share, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
+    threads = []
     try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=share, args=(first,))
+            thread.start()
+            threads.append(thread)
         share(0)
     finally:
         for thread in threads:
