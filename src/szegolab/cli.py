@@ -29,10 +29,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericalError, SzegolabError, UsageError
-from .gram import SamplingGrid, gamma_sequence, toeplitz_matrix
+from .gram import SamplingGrid, gamma_sequence
 from .mc import _batch_bytes, empirical_gram, noise_variance_ratio, sample_paths, write_batch
 from .models import _FAMILIES, ModelKind, SpectralModel
-from .spectra import _toeplitz_eigs_bytes, circulant_eigs, toeplitz_eigs
+from .spectra import _toeplitz_eigs_bytes, _toeplitz_row_eigs, circulant_eigs
 from .szego import (
     DEFAULT_SCHEDULE,
     RATE_COLUMNS,
@@ -241,13 +241,13 @@ _MEMORY_CAP = 2 * 2**30
 
 
 def _sandwich_bytes(config: RunConfig) -> int:
-    """Upper bound on the bytes a sandwich run holds: the n x n Toeplitz
-    matrix at the schedule's largest n, what its eigensolve allocates, and
-    what building the degree-d pair holds: one block of Bernstein basis rows
-    and a few grids of floats, more than evaluating it at the eigenvalues
-    adds."""
+    """Upper bound on the bytes a sandwich run holds: what the split
+    eigensolve holds at the schedule's largest n (two half blocks, no n x n
+    matrix), and what building the degree-d pair holds: one block of
+    Bernstein basis rows and a few grids of floats, more than evaluating it
+    at the eigenvalues adds."""
     n = max(n for _, n in config.schedule.points)
-    return 8 * n * n + _toeplitz_eigs_bytes(n) + _pair_bytes(config.degree)
+    return _toeplitz_eigs_bytes(n) + _pair_bytes(config.degree)
 
 
 def _mc_validate_bytes(config: RunConfig) -> int:
@@ -483,7 +483,7 @@ def _run_sandwich(config: RunConfig):
     stderr_lines = [f"[sandwich] degree={pair.degree} domainMax={C:.8e} epsHat={pair.eps_hat:.8e}"]
     for grid in config.schedule.grids():
         gs = gamma_sequence(config.model, grid)
-        spectrum = toeplitz_eigs(toeplitz_matrix(gs), grid)
+        spectrum = _toeplitz_row_eigs(gs.gamma, grid)
         source = f"Toeplitz (T={grid.T:g}, n={grid.n})"
         eig_log_sum = 2.0 * _mi_from_eigs(spectrum.eigenvalues, source) / grid.T
         lower, upper = sandwich_rate_bounds(pair, spectrum, grid.T)

@@ -33,8 +33,8 @@ class AsymmetryError(NumericalError):
 
 
 class ConvergenceFailure(NumericalError):
-    """The dense symmetric eigensolver failed to converge (pathological
-    input)."""
+    """The symmetric eigensolver failed to converge on a block of the
+    Toeplitz spectrum (pathological input)."""
 
 
 class NotPositiveDefinite(NumericalError):

@@ -263,13 +263,16 @@ def _batch_bytes(
 ) -> int:
     """Upper bound on the bytes held while ``sample_paths`` runs, and while
     ``empirical_gram`` or ``noise_variance_ratio`` reads its batch: the
-    increment and noisy tables and two temporaries of their size, four
-    working tables of width + n values per path for one block on each of the
-    sampler's threads, and four vectors of width values for the embedding's
-    eigenvalue search.
+    increment and noisy tables and two temporaries of their size, the
+    working tables of width + n values per path that one block holds on each
+    of the sampler's threads, and four vectors of width values for the
+    embedding's eigenvalue search.
 
-    The width is m = n * refine + 1 on the AR(1) route and otherwise the
-    embedding size the sampler picks, found by the same search; the search
+    A block holds at most two such tables on the AR(1) route, whose width is
+    m = n * refine + 1: the normals, which the recursion overwrites, and the
+    cell areas.  It holds at most three on the embedding route, whose width
+    is the embedding size the sampler picks, found by the same search: the
+    normals, their half spectrum and its inverse transform.  The search
     stops at the first size whose bound exceeds ``limit``.  The block size
     and the thread count are the sampler's own (``_block_rows``,
     ``_workers``).
@@ -277,18 +280,18 @@ def _batch_bytes(
     n = grid.n
     m = n * refine + 1
 
-    def bound(width: int) -> int:
+    def bound(width: int, tables: int) -> int:
         rows = _block_rows(paths, width + n)
         block = _workers(paths, rows) * rows * (width + n)
-        return 8 * (4 * paths * n + 4 * block + 4 * width)
+        return 8 * (4 * paths * n + tables * block + 4 * width)
 
     if model.family.ar1_step is not None:
-        return bound(m)
+        return bound(m, 2)
     delta = grid.h / refine
     for size in _embedding_sizes(model, m, delta):
-        if bound(size) > limit or _semidefinite(_embedding_eigs(model, size, delta)):
+        if bound(size, 3) > limit or _semidefinite(_embedding_eigs(model, size, delta)):
             break
-    return bound(size)
+    return bound(size, 3)
 
 
 def sample_paths(

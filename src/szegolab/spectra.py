@@ -25,9 +25,22 @@ through the displacement recurrence
 
     S[i+1, j+1] = S[i, j] + gamma_{i+1} gamma_{j+1} - gamma_{n-1-i} gamma_{n-1-j},
 
-so that tr(A^3) = sum S o A and tr(A^4) = sum S o S.  The dense routes stay as
-references: ``toeplitz_eigs`` (backward-stable symmetric eigensolver) and
-``mi_logdet`` (sum log diag(Cholesky(I + A))).
+so that tr(A^3) = sum S o A and tr(A^4) = sum S o S.  ``mi_logdet``
+(sum log diag(Cholesky(I + A))) stays as the dense reference.
+
+``toeplitz_eigs`` gives the full spectrum of A from its first row by the
+centrosymmetric split (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  A
+symmetric Toeplitz A is centrosymmetric, so with p = n // 2, T_p the leading
+p x p block (T_p[i, j] = gamma_|i-j|) and H_p[i, j] = gamma_{n-1-i-j}, its
+spectrum is the union of the spectra of two half-size symmetric blocks:
+
+    T_p + H_p   bordered, for odd n, by the row sqrt(2) * (gamma_p .. gamma_1)
+                and the diagonal entry gamma_0 (the symmetric eigenvectors);
+    T_p - H_p   (the skew-symmetric eigenvectors).
+
+Each block goes through the backward-stable symmetric eigensolver
+(``np.linalg.eigvalsh``), one at a time, so the route holds about a quarter of
+the n x n floats that the dense solve of A held, and never builds A.
 
 ``norm_report`` collects the three norm diagnostics used by the asymptotic
 equivalence argument: the theta-grid bound on the symbol
@@ -42,6 +55,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AsymmetryError, ConvergenceFailure, NotPositiveDefinite
 from .gram import GramSequence, SamplingGrid
@@ -60,16 +74,18 @@ __all__ = [
     "psd_alignment_sup",
 ]
 
-# Rows per block of the symmetry check in ``toeplitz_eigs``: its two
-# temporaries hold 2 * _SYMMETRY_ROWS * n floats, not 2 * n * n.
-_SYMMETRY_ROWS = 256
+# Rows per block of the Toeplitz check in ``toeplitz_eigs``: its two
+# temporaries hold 2 * _CHECK_ROWS * n floats, not 2 * n * n.
+_CHECK_ROWS = 256
 
 
 def _toeplitz_eigs_bytes(n: int) -> int:
-    """Upper bound on the bytes ``toeplitz_eigs`` allocates for an n x n
-    input: the eigensolver's working copy and the symmetry check's two
-    row-block temporaries."""
-    return 8 * (n * n + 2 * min(n, _SYMMETRY_ROWS) * n)
+    """Upper bound on the bytes the centrosymmetric split holds for order n:
+    one half block of (n // 2 + 1)^2 floats, the eigensolver's working copy
+    of it, and a few n-vectors (the lag sequence, the two half spectra and
+    their merge)."""
+    half = n // 2 + 1
+    return 8 * (2 * half * half + 8 * n)
 
 
 @dataclass(frozen=True)
@@ -144,8 +160,43 @@ def circulant_eigs(row, grid: SamplingGrid | None = None) -> SpectrumResult:
     return SpectrumResult(eigenvalues=np.sort(vals), grid=grid, dft_values=vals)
 
 
+def _eigvalsh(block: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(block)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - solver-dependent
+        raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _toeplitz_row_eigs(gamma: np.ndarray, grid: SamplingGrid | None = None) -> SpectrumResult:
+    """Full real spectrum of the symmetric Toeplitz matrix with first row
+    ``gamma`` (a finite float vector), from the two half blocks of the
+    centrosymmetric split (module docstring), built and solved one at a time."""
+    n = gamma.size
+    p = n // 2
+    lags = np.concatenate((gamma[p - 1 : 0 : -1], gamma[:p]))  # lags[p-1+m] = gamma_|m|
+    toeplitz = sliding_window_view(lags, p)[::-1]  # T_p
+    hankel = sliding_window_view(gamma[::-1], p)[:p]  # H_p
+    block = np.empty((n - p, n - p))
+    np.add(toeplitz, hankel, out=block[:p, :p])
+    if n % 2:
+        block[p, :p] = block[:p, p] = math.sqrt(2.0) * gamma[p:0:-1]
+        block[p, p] = gamma[0]
+    symmetric = _eigvalsh(block)
+    del block
+    skew = _eigvalsh(np.subtract(toeplitz, hankel))
+    return SpectrumResult(eigenvalues=np.sort(np.concatenate((symmetric, skew))), grid=grid)
+
+
 def toeplitz_eigs(A: np.ndarray, grid: SamplingGrid | None = None) -> SpectrumResult:
-    """Full real spectrum of a dense symmetric matrix."""
+    """Full real spectrum of a dense symmetric Toeplitz matrix.
+
+    A must equal the symmetric Toeplitz matrix of its first row to within
+    1e-12 * max(1, max|A|), checked in blocks of ``_CHECK_ROWS`` rows; the
+    spectrum is then computed from that first row by the centrosymmetric
+    split (module docstring).  Raises ``ValueError`` on a non-square,
+    non-finite or not symmetric Toeplitz input, and ``ConvergenceFailure``
+    when the eigensolver fails.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -155,15 +206,15 @@ def toeplitz_eigs(A: np.ndarray, grid: SamplingGrid | None = None) -> SpectrumRe
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("matrix entries must be finite")
     tol = 1e-12 * max(1.0, top, -bottom)
-    for lo in range(0, A.shape[0], _SYMMETRY_ROWS):
-        rows = slice(lo, lo + _SYMMETRY_ROWS)
-        if float(np.max(np.abs(A[rows] - A[:, rows].T))) > tol:
-            raise ValueError("matrix is not symmetric")
-    try:
-        eig = np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - solver-dependent
-        raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return SpectrumResult(eigenvalues=eig, grid=grid)
+    row = np.array(A[0])
+    # row i of the Toeplitz matrix of the first row is lags[n-1-i : 2n-1-i]
+    lags = np.concatenate((row[:0:-1], row))
+    toeplitz = sliding_window_view(lags, row.size)[::-1]
+    for lo in range(0, row.size, _CHECK_ROWS):
+        rows = slice(lo, lo + _CHECK_ROWS)
+        if float(np.max(np.abs(A[rows] - toeplitz[rows]))) > tol:
+            raise ValueError("matrix is not symmetric Toeplitz")
+    return _toeplitz_row_eigs(row, grid)
 
 
 def mi_logdet(A: np.ndarray) -> float:

@@ -225,7 +225,8 @@ def test_model_error_lists_every_model_kind():
 @pytest.mark.parametrize(
     "argv",
     [
-        ("sandwich", "--schedule", "100:20000"),
+        # two half blocks of 20001^2 floats; n = 20000 now fits under the cap
+        ("sandwich", "--schedule", "100:40000"),
         ("mc-validate", "--model", "gauss", "--n", "2000", "--paths", "100000"),
         # the embedding would need M ~ 1e10 points per path
         ("mc-validate", "--model", "gauss", "--width", "1e6"),
@@ -258,7 +259,10 @@ def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("sandwich",),
         ("sandwich", "--schedule", "10:200"),
+        # odd n: the symmetric half block is bordered by one row
+        ("sandwich", "--schedule", "25:501,50:1003"),
         ("sandwich", "--schedule", "10:1000", "--degree", "8"),
         ("sandwich", "--schedule", "10:200", "--degree", "1028"),
         ("mc-validate", "--model", "gauss", "--n", "20", "--paths", "200", "--lags", "0"),

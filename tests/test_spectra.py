@@ -1,6 +1,7 @@
-"""Spectral layer: circulant eigenvalues (two routes), dense eigensolve,
-Cholesky log-det, the O(n^2) Levinson/Schur log-dets and displacement traces
-against those dense reference routes, and the norm diagnostics.
+"""Spectral layer: circulant eigenvalues (two routes), the split Toeplitz
+eigensolve, Cholesky log-det, the O(n^2) Levinson/Schur log-dets and
+displacement traces against the dense reference routes, and the norm
+diagnostics.
 
 The norm_report oracle recomputes every quantity from first principles:
 the theta-grid bound by direct exactly-summed cosine series, the Frobenius
@@ -13,6 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegolab import (
     DEFAULT_SCHEDULE,
@@ -34,7 +37,7 @@ from szegolab import (
     toeplitz_matrix,
     toeplitz_traces,
 )
-from szegolab.spectra import _SYMMETRY_ROWS, _direct_dft
+from szegolab.spectra import _CHECK_ROWS, _direct_dft, _toeplitz_row_eigs
 
 MODELS = {
     "ou": SpectralModel.ornstein_uhlenbeck(1.0, 1.0),
@@ -89,14 +92,14 @@ def test_spectrum_result_requires_sorted_finite():
 
 
 # ---------------------------------------------------------------------------
-# dense symmetric eigensolve
+# symmetric Toeplitz eigensolve (centrosymmetric split)
 # ---------------------------------------------------------------------------
-def test_toeplitz_eigs_matches_reference():
-    rng = np.random.default_rng(5)
-    M = rng.normal(size=(30, 30))
-    M = 0.5 * (M + M.T)
-    spec = toeplitz_eigs(M)
-    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(M), rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 31, 257, 258])
+def test_toeplitz_eigs_matches_reference(n):
+    row = np.random.default_rng(n).normal(size=n)
+    A = scipy.linalg.toeplitz(row)
+    spec = toeplitz_eigs(A)
+    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(A), rtol=1e-12, atol=1e-12)
 
 
 def test_toeplitz_eigs_rejects_nonsymmetric_and_nonfinite():
@@ -108,30 +111,68 @@ def test_toeplitz_eigs_rejects_nonsymmetric_and_nonfinite():
         toeplitz_eigs(np.ones((2, 3)))
 
 
-def test_blockwise_symmetry_check_decides_as_the_whole_matrix_check():
+def test_blockwise_toeplitz_check_decides_as_the_whole_matrix_check():
     # The check runs in row blocks; its verdict must be the one-shot
-    # max|A - A^T| > 1e-12 * max(1, max|A|) at every position, in the first
-    # block and the ragged last one, just below and above the tolerance.
+    # max|A - toeplitz(A[0])| > 1e-12 * max(1, max|A|) at every position, in
+    # the first row, the first block and the ragged last one, just below and
+    # above the tolerance, for one-sided and symmetric bumps.
     rng = np.random.default_rng(8)
-    n = _SYMMETRY_ROWS + 45
-    base = rng.normal(size=(n, n))
-    base = base + base.T
+    n = _CHECK_ROWS + 45
+    base = scipy.linalg.toeplitz(rng.normal(size=n))
     tol = 1e-12 * float(np.max(np.abs(base)))
-    for i, j in [(0, n - 1), (n - 1, 3), (_SYMMETRY_ROWS + 1, _SYMMETRY_ROWS)]:
+    for i, j in [(0, n - 1), (n - 1, 3), (_CHECK_ROWS + 1, _CHECK_ROWS), (5, 2)]:
         for bump in (0.5 * tol, 2.0 * tol):
-            A = base.copy()
-            A[i, j] += bump
-            reference = float(np.max(np.abs(A - A.T))) > 1e-12 * max(1.0, float(np.max(np.abs(A))))
-            if reference:
-                with pytest.raises(ValueError, match="not symmetric"):
+            for symmetric in (False, True):
+                A = base.copy()
+                A[i, j] += bump
+                if symmetric:
+                    A[j, i] += bump
+                reference = float(np.max(np.abs(A - scipy.linalg.toeplitz(A[0])))) > (
+                    1e-12 * max(1.0, float(np.max(np.abs(A))))
+                )
+                if reference:
+                    with pytest.raises(ValueError, match="not symmetric Toeplitz"):
+                        toeplitz_eigs(A)
+                else:
                     toeplitz_eigs(A)
-            else:
-                toeplitz_eigs(A)
+    # A symmetric bump off the corners leaves A symmetric, which the old
+    # symmetry check accepted, but not Toeplitz.
+    A = base.copy()
+    A[5, 2] += 2.0 * tol
+    A[2, 5] += 2.0 * tol
+    assert np.array_equal(A, A.T)
+    with pytest.raises(ValueError, match="not symmetric Toeplitz"):
+        toeplitz_eigs(A)
     for bad in (math.nan, -math.inf):
         A = base.copy()
         A[n - 1, n - 1] = bad
         with pytest.raises(ValueError, match="finite"):
             toeplitz_eigs(A)
+
+
+_KINDS = {
+    "ou": SpectralModel.ornstein_uhlenbeck,
+    "gauss": SpectralModel.gaussian_kernel,
+    "tri": SpectralModel.triangular,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_KINDS)),
+    power=st.floats(0.01, 100.0),
+    scale=st.floats(0.05, 20.0),
+    T=st.floats(0.5, 100.0),
+    n=st.integers(1, 400),
+)
+def test_centrosymmetric_and_full_eigensolves_agree(kind, power, scale, T, n):
+    gamma = gamma_sequence(_KINDS[kind](power, scale), SamplingGrid(T=T, n=n)).gamma
+    split = _toeplitz_row_eigs(gamma).eigenvalues
+    full = np.linalg.eigvalsh(scipy.linalg.toeplitz(gamma))
+    assert np.max(np.abs(split - full)) <= 1e-12 * float(np.max(np.abs(full)))
+    split_sum = math.fsum(np.log1p(split).tolist())
+    full_sum = math.fsum(np.log1p(full).tolist())
+    assert split_sum == pytest.approx(full_sum, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
