@@ -21,6 +21,7 @@ from szegolab import (
     DEFAULT_SCHEDULE,
     AsymmetryError,
     ConvergenceSchedule,
+    ModelKind,
     NotPositiveDefinite,
     SamplingGrid,
     SpectralModel,
@@ -120,7 +121,7 @@ def test_blockwise_toeplitz_check_decides_as_the_whole_matrix_check():
     n = _CHECK_ROWS + 45
     base = scipy.linalg.toeplitz(rng.normal(size=n))
     tol = 1e-12 * float(np.max(np.abs(base)))
-    for i, j in [(0, n - 1), (n - 1, 3), (_CHECK_ROWS + 1, _CHECK_ROWS), (5, 2)]:
+    for i, j in [(0, n - 1), (n - 1, 3), (_CHECK_ROWS + 1, _CHECK_ROWS)]:
         for bump in (0.5 * tol, 2.0 * tol):
             for symmetric in (False, True):
                 A = base.copy()
@@ -150,23 +151,16 @@ def test_blockwise_toeplitz_check_decides_as_the_whole_matrix_check():
             toeplitz_eigs(A)
 
 
-_KINDS = {
-    "ou": SpectralModel.ornstein_uhlenbeck,
-    "gauss": SpectralModel.gaussian_kernel,
-    "tri": SpectralModel.triangular,
-}
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(_KINDS)),
+    kind=st.sampled_from(list(ModelKind)),
     power=st.floats(0.01, 100.0),
     scale=st.floats(0.05, 20.0),
     T=st.floats(0.5, 100.0),
     n=st.integers(1, 400),
 )
 def test_centrosymmetric_and_full_eigensolves_agree(kind, power, scale, T, n):
-    gamma = gamma_sequence(_KINDS[kind](power, scale), SamplingGrid(T=T, n=n)).gamma
+    gamma = gamma_sequence(SpectralModel(kind, power, scale), SamplingGrid(T=T, n=n)).gamma
     split = _toeplitz_row_eigs(gamma).eigenvalues
     full = np.linalg.eigvalsh(scipy.linalg.toeplitz(gamma))
     assert np.max(np.abs(split - full)) <= 1e-12 * float(np.max(np.abs(full)))
