@@ -23,9 +23,10 @@ The module also evaluates the spectral functionals
 
     (1/2pi) * integral g(2pi*f(lam)) dlam,   g a monomial x^q or log(1+x),
 
-by adaptive quadrature on [0, Lambda] (evenness halves the domain) with
-per-model analytic tail handling, so the neglected mass stays below a
-requested relative tolerance.
+from the pair alone: (1/2pi) * integral 2pi*f = R(0) = P fixes the first-order
+part exactly, and the rest is an adaptive quadrature on [0, Lambda] (evenness
+halves the domain) with Lambda enlarged until the family's tail bound keeps the
+neglected mass below a requested relative tolerance.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class ModelFamily:
     abs_acf_integral: Callable  # (P, s) -> integral |R| over the line
     correlation_time: Callable  # (s) -> characteristic correlation time
     breakpoints: Callable  # (s) -> points where R is not smooth
-    first_order_tail: Callable  # (P, s, lam0) -> (1/pi) int_{lam0}^inf 2pi*f, exactly
     power_tail_bound: Callable  # (P, s, lam0, q) -> bound on (1/pi) int_{lam0}^inf (2pi*f)^q
     gamma: Callable  # (P, s, h, n) -> Gram coefficients gamma_0..gamma_{n-1} (see gram)
     ar1_step: Callable | None = None  # (s, delta) -> AR(1) coefficient rho of a Markov kernel
@@ -92,37 +92,6 @@ def _gaussian_power_tail(p: float, s: float, lam0: float, q: int) -> float:
     if expo < -700.0:
         return 0.0
     return (c**q) * math.exp(expo) / (q * s * s * lam0) / math.pi
-
-
-def _sine_integral(x: float) -> float:
-    """Si(x) = integral_0^x sin(t)/t dt for x >= 0 (Numerical Recipes, section
-    6.9): the power series below x = 2; above it pi/2 + Im(exp(-ix) * E) with
-    E = exp(ix) * E1(ix) = 1/(1+ix - 1/(3+ix - 4/(5+ix - ...))).
-
-    The continued fraction is evaluated from the bottom at a fixed depth of
-    120 terms, which converges for every x >= 2 (88 terms reach 1 ulp at
-    x = 2).  That stays within 2e-16 relative, where the forward modified
-    Lentz method loses up to 1.2e-15 just above x = 2.
-    """
-    if x < 2.0:
-        # sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
-        term, total, k = x, x, 0
-        while abs(term) > np.finfo(float).eps * abs(total):
-            term *= -x * x * (2 * k + 1) / ((2 * k + 2) * (2 * k + 3) ** 2)
-            total += term
-            k += 1
-        return total
-    depth = 120
-    frac = complex(2 * depth - 1, x)
-    for j in range(depth - 1, 0, -1):
-        frac = complex(2 * j - 1, x) - j * j / frac
-    return math.pi / 2.0 + (complex(math.cos(x), -math.sin(x)) / frac).imag
-
-
-def _triangular_first_order_tail(p: float, s: float, lam0: float) -> float:
-    x0 = lam0 * s / 2.0
-    si = _sine_integral(2.0 * x0)
-    return (2.0 * p / math.pi) * (math.sin(x0) ** 2 / x0 + math.pi / 2.0 - si)
 
 
 def _gamma_exponential(power: float, rate: float, h: float, n: int) -> np.ndarray:
@@ -213,9 +182,6 @@ _FAMILIES = {
         abs_acf_integral=lambda p, s: 2.0 * p / s,
         correlation_time=lambda s: 1.0 / s,
         breakpoints=lambda s: (0.0,),
-        first_order_tail=lambda p, s, lam0: (
-            (2.0 * p / math.pi) * (math.pi / 2.0 - math.atan(lam0 / s))
-        ),
         power_tail_bound=lambda p, s, lam0, q: _algebraic_tail(2.0 * p * s, lam0, q),
         gamma=_gamma_exponential,
         ar1_step=lambda s, delta: math.exp(-s * delta),
@@ -229,9 +195,6 @@ _FAMILIES = {
         abs_acf_integral=lambda p, s: p * s * math.sqrt(_TWO_PI),
         correlation_time=lambda s: s,
         breakpoints=lambda s: (),
-        first_order_tail=lambda p, s, lam0: (
-            p * math.erfc(s * lam0 / math.sqrt(2.0))
-        ),
         power_tail_bound=_gaussian_power_tail,
         gamma=_gamma_squared_exponential,
     ),
@@ -246,7 +209,6 @@ _FAMILIES = {
         abs_acf_integral=lambda p, s: p * s,
         correlation_time=lambda s: s,
         breakpoints=lambda s: (-s, 0.0, s),
-        first_order_tail=_triangular_first_order_tail,
         power_tail_bound=lambda p, s, lam0, q: _algebraic_tail(4.0 * p / s, lam0, q),
         gamma=_gamma_triangular,
     ),
@@ -336,41 +298,47 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
 
     ``g`` is either a positive integer q (the monomial x^q) or the string
     ``"log1p"`` (g(x) = log(1 + x)); for log1p the channel rate is half the
-    returned value.  The integral is evaluated as (1/pi) * quadrature on
-    [0, Lambda] by evenness; for q = 1 the exact analytic tail is added, for
-    log1p the tail is the exact first-order term with a second-order remainder
-    bound, and for q >= 2 Lambda is enlarged until the analytic tail bound is
-    below tolerance.
+    returned value.  Fourier inversion at tau = 0 gives
+    (1/2pi) * integral 2pi*f = R(0) = P, so q = 1 returns P exactly and log1p
+    returns P - (1/pi) * integral_0^inf (x - log(1 + x)), x = 2pi*f(lam).
+    That integral, and the one of x^q for q >= 2, is a quadrature on
+    [0, Lambda] by evenness, with Lambda enlarged until the family's bound on
+    the neglected tail (x^2/2 for log1p) is below tolerance.
 
     Raises NonConvergedQuadrature when the tolerance cannot be certified
     within the enlargement/subdivision budget.
     """
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
+    if isinstance(tol, bool) or not (
+        isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0
+    ):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    log1p = False
-    if isinstance(g, str):
-        if g != "log1p":
-            raise ValueError(f"functional must be 'log1p' or an integer power, got {g!r}")
-        log1p = True
-        q = 1
-    else:
-        q = int(g)
-        if q != g or q < 1:
-            raise ValueError(f"monomial degree must be an integer >= 1, got {g!r}")
-    if model.power == 0.0:
-        return 0.0
+    log1p = isinstance(g, str) and g == "log1p"
+    if not log1p and (not isinstance(g, (int, np.integer)) or isinstance(g, bool) or g < 1):
+        raise ValueError(f"functional must be 'log1p' or an integer power >= 1, got {g!r}")
+    if g == 1 or model.power == 0.0:
+        return model.power
     fam, p, s = model.family, model.power, model.scale
+    q = 2 if log1p else int(g)
+
+    def density(lam: np.ndarray) -> np.ndarray:
+        return _TWO_PI * fam.psd(p, s, lam)
 
     if log1p:
+        def estimand(lam: np.ndarray) -> np.ndarray:
+            return np.log1p(density(lam))
+
         def integrand(lam: np.ndarray) -> np.ndarray:
-            return np.log1p(_TWO_PI * fam.psd(p, s, lam))
+            x = density(lam)
+            return x - np.log1p(x)
     else:
         def integrand(lam: np.ndarray) -> np.ndarray:
-            return (_TWO_PI * fam.psd(p, s, lam)) ** q
+            return density(lam) ** q
+
+        estimand = integrand
 
     char_freq = 1.0 / model.correlation_time()
 
-    def integrate(lam: float, eps_abs: float, eps_rel: float = 0.0) -> tuple[float, float]:
+    def integrate(fun, lam: float, eps_abs: float, eps_rel: float = 0.0) -> tuple[float, float]:
         # Start from panels 2pi * char_freq wide, one period of the oscillation
         # of an f like the triangular sinc^2: a panel that spans many periods
         # can agree with its two halves by aliasing and be accepted unresolved.
@@ -380,22 +348,17 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
                 f"truncation {lam:.3e} needs {panels} panels, over the budget of {_MAX_PANELS}"
             )
         cuts = np.linspace(0.0, lam, panels + 1)
-        return adaptive_gauss_legendre(integrand, cuts, eps_abs, _MAX_PANELS, eps_rel)
+        return adaptive_gauss_legendre(fun, cuts, eps_abs, _MAX_PANELS, eps_rel)
 
     lam0 = 10.0 * char_freq
-    # Crude magnitude estimate used to convert the relative tolerance into an
-    # absolute tail/quadrature budget.
-    scale_est, _ = integrate(lam0, 0.0, 1e-6)
+    # Crude magnitude of the result, from g itself, used to convert the
+    # relative tolerance into an absolute tail/quadrature budget.
+    scale_est, _ = integrate(estimand, lam0, 0.0, 1e-6)
     scale_est = max(abs(scale_est) / math.pi, 1e-300)
 
     def remainder(lam: float) -> float:
-        # Error left after the analytic tail treatment at truncation lam.
-        if log1p:
-            # 0 <= x - log(1+x) <= x^2/2 controls the first-order correction.
-            return 0.5 * fam.power_tail_bound(p, s, lam, 2)
-        if q == 1:
-            return 0.0  # tail added exactly
-        return fam.power_tail_bound(p, s, lam, q)
+        # Bound on the neglected tail; 0 <= x - log(1+x) <= x^2/2.
+        return (0.5 if log1p else 1.0) * fam.power_tail_bound(p, s, lam, q)
 
     budget = 0.5 * tol * scale_est
     enlargements = 0
@@ -409,12 +372,9 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
             )
 
     eps_abs = 0.25 * tol * scale_est * math.pi
-    value, err_est = integrate(lam0, eps_abs)
+    value, err_est = integrate(integrand, lam0, eps_abs)
     if err_est > max(4.0 * eps_abs, tol * scale_est * math.pi):
         raise NonConvergedQuadrature(
             f"quadrature error estimate {err_est:.3e} exceeds budget on [0, {lam0:.3e}]"
         )
-    total = value / math.pi
-    if log1p or q == 1:
-        total += fam.first_order_tail(p, s, lam0)
-    return total
+    return p - value / math.pi if log1p else value / math.pi

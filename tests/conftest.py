@@ -18,9 +18,8 @@ from szegolab import (
     rate_convergence,
     sample_paths,
     sandwich_polynomials,
-    toeplitz_eigs,
-    toeplitz_matrix,
 )
+from szegolab.spectra import _toeplitz_row_eigs
 
 
 @pytest.fixture(scope="session")
@@ -44,11 +43,12 @@ def pair64():
 
 @pytest.fixture(scope="session")
 def schedule_spectra(ou11):
-    """Toeplitz spectra at the default schedule points."""
+    """Toeplitz spectra at the default schedule points, from the first row
+    gamma alone (the route ``toeplitz_eigs`` runs on ``A[0]``)."""
     out = []
     for grid in DEFAULT_SCHEDULE.grids():
         gs = gamma_sequence(ou11, grid)
-        out.append((grid, toeplitz_eigs(toeplitz_matrix(gs), grid)))
+        out.append((grid, _toeplitz_row_eigs(gs.gamma, grid)))
     return tuple(out)
 
 

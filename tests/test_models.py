@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import szegolab.models
 
@@ -22,7 +24,7 @@ from szegolab import (
     SpectralModel,
     spectral_functional,
 )
-from szegolab.models import _erf, _sine_integral
+from szegolab.models import _erf
 from szegolab.quadrature import adaptive_gauss_legendre
 
 SQRT3 = math.sqrt(3.0)
@@ -129,11 +131,9 @@ def test_abs_acf_integral_closed_forms():
 # spectral functionals vs independent closed forms
 # ---------------------------------------------------------------------------
 def test_fourier_consistency_total_mass():
-    # integral f(lam) dlam must recover R(0) = P for every model.
-    tol = 1e-8
+    # integral f(lam) dlam recovers R(0) = P for every model, exactly.
     for model in _all_models():
-        mass = spectral_functional(model, 1, tol=tol)
-        assert abs(mass - model.power) <= 10.0 * tol * model.power
+        assert spectral_functional(model, 1) == model.power
 
 
 def test_ou_monomial_functionals_match_closed_forms():
@@ -154,10 +154,19 @@ def test_ou_log_functional_closed_form():
         assert abs(value - expected) <= tol * expected
 
 
+def _acf_energy(model):
+    # integral R(tau)^2 dtau in closed form: exponential P^2/alpha;
+    # squared-exponential P^2 sigma sqrt(pi); triangular 2 P^2 tau0 / 3.
+    p, s = model.power, model.scale
+    return {
+        ModelKind.ORNSTEIN_UHLENBECK: p * p / s,
+        ModelKind.GAUSSIAN_KERNEL: p * p * s * math.sqrt(math.pi),
+        ModelKind.TRIANGULAR: 2.0 * p * p * s / 3.0,
+    }[model.kind]
+
+
 def test_quadratic_functional_equals_acf_self_convolution():
-    # (1/2pi) integral (2pi f)^2 = integral R(tau)^2 dtau, in closed form:
-    # exponential P^2/alpha; squared-exponential P^2 sigma sqrt(pi);
-    # triangular 2 P^2 tau0 / 3.
+    # (1/2pi) integral (2pi f)^2 = integral R(tau)^2 dtau.
     cases = [
         (SpectralModel.ornstein_uhlenbeck(1.0, 1.0), 1.0),
         (SpectralModel.ornstein_uhlenbeck(2.0, 0.5), 8.0),
@@ -167,14 +176,28 @@ def test_quadratic_functional_equals_acf_self_convolution():
         (SpectralModel.triangular(0.5, 2.0), 1.0 / 3.0),
     ]
     for power, scale in PARAMETERS:
-        cases += [
-            (SpectralModel.ornstein_uhlenbeck(power, scale), power**2 / scale),
-            (SpectralModel.gaussian_kernel(power, scale), power**2 * scale * math.sqrt(math.pi)),
-            (SpectralModel.triangular(power, scale), 2.0 * power**2 * scale / 3.0),
-        ]
+        cases += [(model, _acf_energy(model)) for model in (
+            SpectralModel(kind, power, scale) for kind in ModelKind
+        )]
     tol = 1e-8
     for model, expected in cases:
         assert abs(spectral_functional(model, 2, tol) - expected) <= tol * expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(ModelKind)),
+    power=st.floats(0.01, 100.0),
+    scale=st.floats(0.05, 20.0),
+)
+def test_log_functional_lies_between_its_first_two_orders(kind, power, scale):
+    # x - x^2/2 <= log(1 + x) <= x, integrated with (1/2pi) integral x = P and
+    # (1/2pi) integral x^2 = integral R^2.
+    model = SpectralModel(kind, power, scale)
+    tol = 1e-8
+    value = spectral_functional(model, "log1p", tol)
+    slack = tol * value
+    assert power - 0.5 * _acf_energy(model) - slack <= value <= power + slack
 
 
 def test_zero_power_functionals_vanish():
@@ -199,6 +222,14 @@ def test_functional_argument_validation():
         spectral_functional(ou, 2.5)
     with pytest.raises(ValueError):
         spectral_functional(ou, 2, tol=0.0)
+    # bools are not numbers here, and a degree must be an integer type
+    for g in (True, False, 2.0, np.float64(3.0), np.bool_(True), None):
+        with pytest.raises(ValueError):
+            spectral_functional(ou, g)
+    for tol in (True, False):
+        with pytest.raises(ValueError):
+            spectral_functional(ou, 2, tol=tol)
+    assert spectral_functional(ou, np.int64(2)) == spectral_functional(ou, 2)
 
 
 def test_functional_unreachable_tolerance_raises():
@@ -223,6 +254,9 @@ def test_functional_matches_quad_at_the_same_truncation(kind, power, scale, g, m
 
     monkeypatch.setattr(szegolab.models, "adaptive_gauss_legendre", spy)
     value = spectral_functional(model, g)
+    if g == 1:
+        assert value == power and not truncations
+        return
     lam0 = truncations[-1]
     if g == "log1p":
         def integrand(lam):
@@ -239,16 +273,17 @@ def test_functional_matches_quad_at_the_same_truncation(kind, power, scale, g, m
         for a, b in zip(edges[:-1], edges[1:])
     ]
     reference = math.fsum(pieces) / math.pi
-    if g in ("log1p", 1):
-        reference += model.family.first_order_tail(power, scale, lam0)
+    if g == "log1p":
+        # plus the first-order tail (1/pi) integral_{lam0}^inf 2pi*f in closed form
+        if kind is ModelKind.ORNSTEIN_UHLENBECK:
+            reference += (2.0 * power / math.pi) * (math.pi / 2.0 - math.atan(lam0 / scale))
+        elif kind is ModelKind.GAUSSIAN_KERNEL:
+            reference += power * math.erfc(scale * lam0 / math.sqrt(2.0))
+        else:
+            x0 = lam0 * scale / 2.0
+            si, _ = scipy.special.sici(2.0 * x0)
+            reference += (2.0 * power / math.pi) * (math.sin(x0) ** 2 / x0 + math.pi / 2.0 - si)
     assert abs(value - reference) <= 1e-12 * abs(reference)
-
-
-def test_sine_integral_matches_scipy():
-    x = np.concatenate((np.logspace(-6.0, 6.0, 1201), [np.nextafter(2.0, 0.0), 2.0, 2.001]))
-    ours = np.array([_sine_integral(float(v)) for v in x])
-    reference, _ = scipy.special.sici(x)
-    assert np.all(np.abs(ours - reference) <= 1e-15 * np.abs(reference))
 
 
 def test_vectorised_erf_matches_scipy():
