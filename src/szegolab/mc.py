@@ -19,10 +19,12 @@ refined-grid autocovariance is embedded in a symmetric circulant of size
 M = 2(m - 1), padded by doubling M while the embedding is indefinite, and each
 path is the first m points of C^(1/2) w for M standard normals w, at
 O(M log M) cost and O(M) memory per path.  Paths are drawn in blocks of rows,
-so each working table stays near 2 MiB whatever the path count; only the
-n-column result tables grow with it.  The blocks run on one thread per usable
-CPU (at most one per block), the calling thread included, and each thread
-holds one block's tables at a time.
+so each working table stays near 2 MiB whatever the path count, and the
+empirical covariances and the noise variance read the result tables in
+blocks of rows too; only the two n-column result tables grow with the path
+count.  The blocks run on one thread per usable CPU (at most one per block),
+the calling thread included, and each thread holds one block's tables at a
+time: two on either route.
 
 Randomness: each path draws from its own counter-based substream keyed by
 (seed, path index), and each block writes only its own rows, so the batch is
@@ -107,7 +109,9 @@ class PathBatch:
             table = np.asarray(getattr(self, name), dtype=float)
             if table.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
-            if not np.all(np.isfinite(table)):
+            # NaN propagates through max and min, so these two reductions
+            # check finiteness without a table-sized mask.
+            if not (math.isfinite(float(np.max(table))) and math.isfinite(float(np.min(table)))):
                 raise ValueError(f"{name} must be finite")
             table.flags.writeable = False
             object.__setattr__(self, name, table)
@@ -202,15 +206,24 @@ def _embedding_roots(model: SpectralModel, m: int, delta: float) -> tuple[np.nda
 def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
     """First m points of C^(1/2) w for each row w of ``w``, where C is the
     circulant with eigenvalues ``roots**2``; rows of independent standard
-    normals give rows with covariance C[:m, :m]."""
+    normals give rows with covariance C[:m, :m].
+
+    ``w`` is overwritten by the inverse transform, and the result is a view
+    of it, so a block holds only the normals and their half spectrum."""
     spectrum = np.fft.rfft(w, axis=1)
     spectrum *= roots
-    return np.fft.irfft(spectrum, n=w.shape[1], axis=1)[:, :m]
+    return np.fft.irfft(spectrum, n=w.shape[1], axis=1, out=w)[:, :m]
 
 
 def _block_rows(paths: int, count: int) -> int:
-    """Paths per block when each path draws ``count`` normals."""
+    """Paths per block when each path holds ``count`` values."""
     return min(paths, max(1, _BLOCK_VALUES // count))
+
+
+def _row_blocks(paths: int, rows: int) -> list[slice]:
+    """Slices of ``rows`` rows that cover ``paths`` rows in order; the last
+    one may be shorter."""
+    return [slice(start, start + rows) for start in range(0, paths, rows)]
 
 
 def _usable_cpus() -> int:
@@ -226,8 +239,8 @@ def _workers(paths: int, rows: int) -> int:
     return min(_usable_cpus(), -(-paths // rows))
 
 
-def _run_blocks(fill, starts: range, workers: int) -> None:
-    """Call ``fill(start)`` for every start, split into ``workers`` strided
+def _run_blocks(fill, blocks: list[slice], workers: int) -> None:
+    """Call ``fill(block)`` for every block, split into ``workers`` strided
     shares; the calling thread runs the first share and one new thread runs
     each other share.  Every started thread is joined before this returns
     or raises, and the first exception any share raised is then re-raised; a
@@ -235,11 +248,11 @@ def _run_blocks(fill, starts: range, workers: int) -> None:
     errors: list[BaseException] = []
 
     def share(first: int) -> None:
-        for start in starts[first::workers]:
+        for block in blocks[first::workers]:
             if errors:
                 return
             try:
-                fill(start)
+                fill(block)
             except BaseException as exc:  # re-raised below, after the join
                 errors.append(exc)
                 return
@@ -262,36 +275,46 @@ def _batch_bytes(
     model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, limit: int
 ) -> int:
     """Upper bound on the bytes held while ``sample_paths`` runs, and while
-    ``empirical_gram`` or ``noise_variance_ratio`` reads its batch: the
-    increment and noisy tables and two temporaries of their size, the
-    working tables of width + n values per path that one block holds on each
-    of the sampler's threads, and four vectors of width values for the
-    embedding's eigenvalue search.
+    ``empirical_gram`` and ``noise_variance_ratio`` read its batch: the
+    increment and noisy tables, and the larger of what sampling and what
+    the reductions hold beside them.
 
-    A block holds at most two such tables on the AR(1) route, whose width is
-    m = n * refine + 1: the normals, which the recursion overwrites, and the
-    cell areas.  It holds at most three on the embedding route, whose width
-    is the embedding size the sampler picks, found by the same search: the
-    normals, their half spectrum and its inverse transform.  The search
-    stops at the first size whose bound exceeds ``limit``.  The block size
-    and the thread count are the sampler's own (``_block_rows``,
-    ``_workers``).
+    Sampling holds one block of at most two working tables of width + n
+    values per path on each of the sampler's threads, and four vectors of
+    width values for the embedding's eigenvalue search.  On the AR(1) route
+    the width is m = n * refine + 1 and the tables are the normals, which
+    the recursion overwrites, and the cell areas.  On the embedding route
+    the width is the embedding size the sampler picks, found by the same
+    search, and the tables are the normals, which the inverse transform
+    overwrites, and their half spectrum.  The search stops at the first size
+    whose bound exceeds ``limit``.  The block size and the thread count are
+    the sampler's own (``_block_rows``, ``_workers``).  Each thread also
+    fills one buffer of ``np.getbufsize()`` complex values, which numpy's
+    iterator allocates for a broadcast product such as the spectrum times
+    the eigenvalue roots.
+
+    The reductions run after the sampler's threads have ended and hold one
+    block of n values per path (lag products or noise values) and two
+    vectors of one value per path (the per-path statistic and its centred
+    copy).
     """
     n = grid.n
     m = n * refine + 1
+    reductions = _block_rows(paths, n) * n + 2 * paths
 
-    def bound(width: int, tables: int) -> int:
+    def bound(width: int) -> int:
         rows = _block_rows(paths, width + n)
-        block = _workers(paths, rows) * rows * (width + n)
-        return 8 * (4 * paths * n + tables * block + 4 * width)
+        per_thread = 2 * rows * (width + n) + 2 * np.getbufsize()
+        sampling = _workers(paths, rows) * per_thread + 4 * width
+        return 8 * (2 * paths * n + max(sampling, reductions))
 
     if model.family.ar1_step is not None:
-        return bound(m, 2)
+        return bound(m)
     delta = grid.h / refine
     for size in _embedding_sizes(model, m, delta):
-        if bound(size, 3) > limit or _semidefinite(_embedding_eigs(model, size, delta)):
+        if bound(size) > limit or _semidefinite(_embedding_eigs(model, size, delta)):
             break
-    return bound(size, 3)
+    return bound(size)
 
 
 def sample_paths(
@@ -344,8 +367,7 @@ def sample_paths(
     noisy = np.empty((paths, n))
     rows = _block_rows(paths, count)
 
-    def fill(start: int) -> None:
-        block = slice(start, min(start + rows, paths))
+    def fill(block: slice) -> None:
         z = _path_normals(seed, range(paths)[block], count)
         if roots is None:
             x = _ar1_paths(model, z[:, :m], delta)
@@ -358,7 +380,7 @@ def sample_paths(
         noise *= noise_scale
         np.add(increments[block], noise, out=noisy[block])
 
-    _run_blocks(fill, range(0, paths, rows), _workers(paths, rows))
+    _run_blocks(fill, _row_blocks(paths, rows), _workers(paths, rows))
 
     return PathBatch(
         model=model,
@@ -380,7 +402,9 @@ def empirical_gram(batch: PathBatch, lags) -> tuple[np.ndarray, np.ndarray]:
     gammaTilde_l = (n/T) * mean over paths and valid offsets of
     inc_j * inc_{j+l}; the standard error comes from the variance of the
     per-path statistic, which is the honest sampling unit (offsets within one
-    path are correlated).  Requires at least 100 paths.
+    path are correlated).  The per-path statistic is reduced one block of
+    rows at a time, each row on its own, so only one block of lag products
+    is held.  Requires at least 100 paths.
     """
     if batch.paths < 100:
         raise ValueError(f"empirical covariances need >= 100 paths, got {batch.paths}")
@@ -391,11 +415,15 @@ def empirical_gram(batch: PathBatch, lags) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"lag must be in [0, {n}), got {l}")
     scale = n / batch.grid.T
     inc = batch.increments
+    blocks = _row_blocks(batch.paths, _block_rows(batch.paths, n))
+    per_path = np.empty(batch.paths)
     gamma_tilde = np.empty(len(lags))
     stderr = np.empty(len(lags))
     root_paths = math.sqrt(batch.paths)
     for pos, l in enumerate(lags):
-        per_path = np.mean(inc[:, : n - l] * inc[:, l:], axis=1)
+        for rows in blocks:
+            block = inc[rows]
+            np.mean(block[:, : n - l] * block[:, l:], axis=1, out=per_path[rows])
         gamma_tilde[pos] = scale * float(np.mean(per_path))
         stderr[pos] = scale * float(np.std(per_path, ddof=1)) / root_paths
     return gamma_tilde, stderr
@@ -403,9 +431,30 @@ def empirical_gram(batch: PathBatch, lags) -> tuple[np.ndarray, np.ndarray]:
 
 def noise_variance_ratio(batch: PathBatch) -> float:
     """Sample variance of the added channel noise divided by its nominal
-    per-cell variance h; should sit near 1."""
-    noise = batch.noisy - batch.increments
-    return float(np.var(noise, ddof=1)) / batch.grid.h
+    per-cell variance h; should sit near 1.
+
+    The noise, noisy - increments, is formed one block of rows at a time in
+    two passes, the first for its mean and the second for its centred sum of
+    squares; each pass adds its block sums with ``math.fsum``.  Requires at
+    least two noise values.
+    """
+    size = batch.noisy.size
+    if size < 2:
+        raise ValueError(f"a sample variance needs >= 2 noise values, got {size}")
+    blocks = _row_blocks(batch.paths, _block_rows(batch.paths, batch.grid.n))
+
+    def noise(rows: slice) -> np.ndarray:
+        return batch.noisy[rows] - batch.increments[rows]
+
+    mean = math.fsum(float(np.sum(noise(rows))) for rows in blocks) / size
+
+    def centred_squares(rows: slice) -> float:
+        block = noise(rows)
+        block -= mean
+        block *= block
+        return float(np.sum(block))
+
+    return math.fsum(centred_squares(rows) for rows in blocks) / (size - 1) / batch.grid.h
 
 
 def write_batch(batch: PathBatch, path) -> None:

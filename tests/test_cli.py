@@ -256,6 +256,18 @@ def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
     assert _BYTE_ESTIMATES[config.command](config) < 2**30
 
 
+def _traced_peak(config, capsys) -> int:
+    run(config)  # loads modules and fills caches outside the measurement
+    tracemalloc.start()
+    try:
+        run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    return peak
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -279,15 +291,15 @@ def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
 )
 def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
     config = parse_config(argv)
-    run(config)  # loads modules and fills caches outside the measurement
-    tracemalloc.start()
-    try:
-        run(config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
-    assert peak < _BYTE_ESTIMATES[config.command](config)
+    assert _traced_peak(config, capsys) < _BYTE_ESTIMATES[config.command](config)
+
+
+@pytest.mark.parametrize("argv", [("mc-validate",), ("mc-validate", "--model", "gauss")], ids=" ".join)
+def test_mc_validate_estimate_stays_near_the_traced_peak(argv, capsys):
+    # an estimate far above the peak would refuse runs that fit under the cap
+    config = parse_config(argv)
+    peak = _traced_peak(config, capsys)
+    assert peak < _BYTE_ESTIMATES[config.command](config) <= 1.3 * peak
 
 
 def test_large_gaussian_mc_validate_fits_at_few_paths(capsys):

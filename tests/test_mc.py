@@ -81,9 +81,11 @@ def test_batch_validation(ou11):
         ("seed", 2**64),
         ("increments", np.zeros((2, 5))),
         ("increments", np.full((2, 4), np.nan)),
+        ("increments", np.array([[0.0, 0.0, 0.0, 0.0], [0.0, -np.inf, 0.0, 0.0]])),
         ("noisy", None),
         ("noisy", np.zeros((3, 4))),
         ("noisy", np.full((2, 4), np.inf)),
+        ("noisy", np.array([[0.0, 0.0, np.nan, 0.0], [0.0, 0.0, 0.0, 0.0]])),
     ]:
         with pytest.raises(ValueError):
             PathBatch(**{**ok, key: bad})
@@ -370,6 +372,39 @@ def test_noise_variance_ratio_reads_the_noise_column(ou11):
     batch = PathBatch(model=ou11, grid=grid, refine=4, paths=2, seed=0,
                       increments=increments, noisy=increments + noise, generator="test")
     assert noise_variance_ratio(batch) == float(np.var(noise, ddof=1)) / grid.h
+
+
+@pytest.fixture(scope="module")
+def ragged_batch():
+    # 10 001 paths of n = 100 cells: three full blocks of rows and a shorter last one
+    batch = sample_paths(_KINDS["ou"], SamplingGrid(T=10.0, n=100), paths=10_001, seed=3)
+    rows = mc._block_rows(batch.paths, batch.grid.n)
+    assert batch.paths // rows == 3 and batch.paths % rows > 0
+    return batch
+
+
+def test_streamed_empirical_gram_equals_the_one_shot_formula(ragged_batch):
+    inc, n, lags = ragged_batch.increments, ragged_batch.grid.n, (0, 1, 2, 5, 99)
+    scale = n / ragged_batch.grid.T
+    tilde, se = empirical_gram(ragged_batch, lags)
+    for pos, l in enumerate(lags):
+        per_path = np.mean(inc[:, : n - l] * inc[:, l:], axis=1)
+        assert tilde[pos] == scale * float(np.mean(per_path))
+        assert se[pos] == scale * float(np.std(per_path, ddof=1)) / math.sqrt(ragged_batch.paths)
+
+
+def test_streamed_noise_variance_ratio_matches_the_one_shot_variance(ragged_batch):
+    noise = ragged_batch.noisy - ragged_batch.increments
+    expected = float(np.var(noise, ddof=1)) / ragged_batch.grid.h
+    assert noise_variance_ratio(ragged_batch) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_noise_variance_ratio_needs_two_values(ou11):
+    grid = SamplingGrid(T=1.0, n=1)
+    batch = PathBatch(model=ou11, grid=grid, refine=4, paths=1, seed=0,
+                      increments=np.zeros((1, 1)), noisy=np.ones((1, 1)), generator="test")
+    with pytest.raises(ValueError, match="2 noise values"):
+        noise_variance_ratio(batch)
 
 
 def test_empirical_gram_requires_enough_paths(ou11):
