@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, SzegolabError, UsageError
 from .gram import SamplingGrid, gamma_sequence
-from .mc import _batch_bytes, empirical_gram, noise_variance_ratio, sample_paths, write_batch
+from .mc import _validation_bytes, _validation_estimates
 from .models import _FAMILIES, ModelKind, SpectralModel
 from .spectra import _toeplitz_eigs_bytes, _toeplitz_row_eigs, circulant_eigs
 from .szego import (
@@ -251,10 +251,12 @@ def _sandwich_bytes(config: RunConfig) -> int:
 
 
 def _mc_validate_bytes(config: RunConfig) -> int:
-    """Upper bound on the bytes an mc-validate run holds, as the sampler
-    bounds its batch; the embedding search stops once over the cap."""
+    """Upper bound on the bytes an mc-validate run holds, as the mc module
+    bounds its streamed run; the embedding search stops once over the cap."""
     grid = SamplingGrid(T=config.T, n=config.n)
-    return _batch_bytes(config.model, grid, config.refine, config.paths, _MEMORY_CAP)
+    return _validation_bytes(
+        config.model, grid, config.refine, config.paths, len(config.lags), _MEMORY_CAP
+    )
 
 
 _BYTE_ESTIMATES = {"sandwich": _sandwich_bytes, "mc-validate": _mc_validate_bytes}
@@ -501,11 +503,14 @@ def _run_sandwich(config: RunConfig):
 
 def _run_mc_validate(config: RunConfig):
     grid = SamplingGrid(T=config.T, n=config.n)
-    batch = sample_paths(
-        config.model, grid, refine=config.refine, paths=config.paths, seed=config.seed
-    )
+    try:
+        empirical, se, ratio = _validation_estimates(
+            config.model, grid, config.refine, config.paths, config.seed, config.lags,
+            dump=config.dump_batch,
+        )
+    except OSError as exc:
+        raise UsageError(f"cannot write batch dump {config.dump_batch}: {exc}") from None
     gamma = gamma_sequence(config.model, grid).gamma
-    empirical, se = empirical_gram(batch, config.lags)
     headers = ["lag", "empirical", "analytic", "stdErr", "zScore"]
     rows = []
     violations = []
@@ -518,18 +523,14 @@ def _run_mc_validate(config: RunConfig):
                 f"empirical coefficient at lag {lag} is {abs(z):.3f} standard errors "
                 "from the analytic value (limit 3)"
             )
-    ratio = noise_variance_ratio(batch)
     if not 0.9 <= ratio <= 1.1:
         violations.append(f"channel noise variance ratio {ratio:.8e} outside [0.9, 1.1]")
+    # both sampling routes are exact, so no jitter is ever added (PathBatch.jitter)
     stderr_lines = [
-        f"[mc-validate] paths={batch.paths} refine={batch.refine} seed={batch.seed} "
-        f"varianceRatio={ratio:.8e} jitter={batch.jitter:.8e}"
+        f"[mc-validate] paths={config.paths} refine={config.refine} seed={config.seed} "
+        f"varianceRatio={ratio:.8e} jitter={0.0:.8e}"
     ]
     if config.dump_batch is not None:
-        try:
-            write_batch(batch, config.dump_batch)
-        except OSError as exc:
-            raise UsageError(f"cannot write batch dump {config.dump_batch}: {exc}") from None
         stderr_lines.append(f"[mc-validate] wrote increment dump to {config.dump_batch}")
     return headers, rows, violations, stderr_lines
 

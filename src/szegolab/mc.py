@@ -18,13 +18,20 @@ sampled by circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997): the
 refined-grid autocovariance is embedded in a symmetric circulant of size
 M = 2(m - 1), padded by doubling M while the embedding is indefinite, and each
 path is the first m points of C^(1/2) w for M standard normals w, at
-O(M log M) cost and O(M) memory per path.  Paths are drawn in blocks of rows,
-so each working table stays near 2 MiB whatever the path count, and the
-empirical covariances and the noise variance read the result tables in
-blocks of rows too; only the two n-column result tables grow with the path
-count.  The blocks run on one thread per usable CPU (at most one per block),
-the calling thread included, and each thread holds one block's tables at a
-time: two on either route.
+O(M log M) cost and O(M) memory per path.
+
+Paths are drawn in blocks of rows by one loop (``_sample_blocks``), so each
+working table stays near 2 MiB whatever the path count.  The blocks run on
+one thread per usable CPU (at most one per block), the calling thread
+included, and each thread holds one block's tables at a time: two on either
+route.  The loop hands each block to a sink on the thread that drew it.
+``sample_paths`` copies the blocks into the two n-column result tables of a
+``PathBatch``, the only arrays that grow with the path count there.  The
+command line never builds those tables: its sink reduces each block at once
+to per-path statistics (lag means, noise sums and centred sums of squares)
+with the same per-row reducers that ``empirical_gram`` and
+``noise_variance_ratio`` run over a batch's tables, so both routes give the
+same estimates, and writes the block's increment rows into the dump file.
 
 Randomness: each path draws from its own counter-based substream keyed by
 (seed, path index), and each block writes only its own rows, so the batch is
@@ -67,7 +74,7 @@ _EPS = float(np.finfo(float).eps)
 # eps * log2(M) * sum|c_k|, sum|c_k| = max(lambda) for a nonnegative acf, and
 # log2(M) < 64 for every M that fits in memory.
 _CLIP_RTOL = 64 * _EPS
-# sample_paths draws, transforms and reduces the paths in blocks of rows that
+# The sampler draws, transforms and reduces the paths in blocks of rows that
 # hold about this many float64 values each (2 MiB), so its working tables do
 # not grow with the number of paths and a block's tables stay in cache.
 _BLOCK_VALUES = 2**18
@@ -113,6 +120,8 @@ class PathBatch:
             # check finiteness without a table-sized mask.
             if not (math.isfinite(float(np.max(table))) and math.isfinite(float(np.min(table)))):
                 raise ValueError(f"{name} must be finite")
+            # freeze a view, so the caller's own array stays writeable
+            table = table.view()
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -147,19 +156,21 @@ def _ar1_paths(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndarray:
     ``z`` is (paths, m) and is overwritten with the result, which is returned.
     The innovations are scaled in place, then the recursion runs over the
     columns, one vector operation across all paths per time step, with no
-    transposed copy.  Every value is rounded as in the scalar recursion
-    ``rho * x_prev + innovation``, so a path does not depend on how many other
-    paths share the batch.
+    transposed copy and no more than two column views alive at a time.  Every
+    value is rounded as in the scalar recursion ``rho * x_prev + innovation``,
+    so a path does not depend on how many other paths share the batch.
     """
     power = model.power
     rho = model.family.ar1_step(model.scale, delta)
     z[:, 0] *= math.sqrt(power)
     z[:, 1:] *= math.sqrt(power * (1.0 - rho * rho))
-    columns = list(z.T)
+    columns = iter(z.T)
+    prev = next(columns)
     step = np.empty(z.shape[0])
-    for prev, col in zip(columns, columns[1:]):
+    for col in columns:
         np.multiply(prev, rho, out=step)
         col += step
+        prev = col
     return z
 
 
@@ -215,6 +226,27 @@ def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
     return np.fft.irfft(spectrum, n=w.shape[1], axis=1, out=w)[:, :m]
 
 
+def _cell_increments(x: np.ndarray, n: int, refine: int, delta: float) -> np.ndarray:
+    """Trapezoid integral of each of the n cells of ``refine`` steps of
+    length ``delta`` along each row of ``x`` (n * refine + 1 points).
+
+    The step areas are formed max(1, n // refine) cells at a time in one
+    reused table, so beside the result this holds at most max(n, refine)
+    values per row, where a table of all the step areas would hold
+    n * refine."""
+    rows = x.shape[0]
+    increments = np.empty((rows, n))
+    cells = max(1, n // refine)
+    areas = np.empty((rows, cells * refine))
+    for first in range(0, n, cells):
+        part = x[:, first * refine : (first + cells) * refine + 1]
+        area = areas[:, : part.shape[1] - 1]
+        np.add(part[:, :-1], part[:, 1:], out=area)
+        area *= 0.5 * delta
+        np.sum(area.reshape(rows, -1, refine), axis=2, out=increments[:, first : first + cells])
+    return increments
+
+
 def _block_rows(paths: int, count: int) -> int:
     """Paths per block when each path holds ``count`` values."""
     return min(paths, max(1, _BLOCK_VALUES // count))
@@ -234,7 +266,7 @@ def _usable_cpus() -> int:
 
 
 def _workers(paths: int, rows: int) -> int:
-    """Threads that ``sample_paths`` runs for ``paths`` paths in blocks of
+    """Threads that the sampler runs for ``paths`` paths in blocks of
     ``rows``: one per usable CPU, and no more than there are blocks."""
     return min(_usable_cpus(), -(-paths // rows))
 
@@ -271,50 +303,106 @@ def _run_blocks(fill, blocks: list[slice], workers: int) -> None:
         raise errors[0]
 
 
-def _batch_bytes(
-    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, limit: int
+def _validation_bytes(
+    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, lags: int, limit: int
 ) -> int:
-    """Upper bound on the bytes held while ``sample_paths`` runs, and while
-    ``empirical_gram`` and ``noise_variance_ratio`` read its batch: the
-    increment and noisy tables, and the larger of what sampling and what
-    the reductions hold beside them.
+    """Upper bound on the bytes held while ``_validation_estimates`` runs
+    ``paths`` paths at ``lags`` lags: the sampler blocks on each thread, the
+    per-path vectors, and the embedding's eigenvalue search.
 
-    Sampling holds one block of at most two working tables of width + n
-    values per path on each of the sampler's threads, and four vectors of
-    width values for the embedding's eigenvalue search.  On the AR(1) route
-    the width is m = n * refine + 1 and the tables are the normals, which
-    the recursion overwrites, and the cell areas.  On the embedding route
-    the width is the embedding size the sampler picks, found by the same
-    search, and the tables are the normals, which the inverse transform
-    overwrites, and their half spectrum.  The search stops at the first size
-    whose bound exceeds ``limit``.  The block size and the thread count are
-    the sampler's own (``_block_rows``, ``_workers``).  Each thread also
-    fills one buffer of ``np.getbufsize()`` complex values, which numpy's
-    iterator allocates for a broadcast product such as the spectrum times
-    the eigenvalue roots.
+    Each of the sampler's threads holds one block at a time: its normals,
+    width + n values per path, and beside them at most one second table.
+    On the AR(1) route the width is m = n * refine + 1, the recursion
+    overwrites the normals, and the second table is the block's increments
+    with either the reused table of step areas (``_cell_increments``, at
+    most max(n, refine) values per path) or one reduction temporary (noise
+    values or lag products, n per path).  On the embedding route the width
+    is the embedding size the sampler picks, found by the same search, the
+    inverse transform overwrites the normals, and the second table is the
+    half spectrum, which numpy's FFT lays out with the rows of the normals:
+    width + n + 2 values per path.  Each thread also fills the buffers of
+    numpy's iterator for an operation on strided or mixed-type operands (at
+    most three of ``np.getbufsize()`` float64 values, or one of complex
+    values) and holds the block's array headers and generator state, which
+    are counted as one more such buffer.  The block size and the thread
+    count are the sampler's own (``_block_rows``, ``_workers``).
 
-    The reductions run after the sampler's threads have ended and hold one
-    block of n values per path (lag products or noise values) and two
-    vectors of one value per path (the per-path statistic and its centred
-    copy).
+    Beside the blocks the run holds lags + 2 vectors of one value per path
+    (the lag means, the noise sums and the noise's centred sums of squares)
+    and, on the embedding route, four vectors of width values for the
+    eigenvalue search, which stops at the first size whose bound exceeds
+    ``limit``.
     """
     n = grid.n
     m = n * refine + 1
-    reductions = _block_rows(paths, n) * n + 2 * paths
 
-    def bound(width: int) -> int:
+    def bound(width: int, embedding: bool) -> int:
         rows = _block_rows(paths, width + n)
-        per_thread = 2 * rows * (width + n) + 2 * np.getbufsize()
-        sampling = _workers(paths, rows) * per_thread + 4 * width
-        return 8 * (2 * paths * n + max(sampling, reductions))
+        second = width + n + 2 if embedding else n + max(n, refine)
+        per_thread = rows * (width + n + second) + 4 * np.getbufsize()
+        search = 4 * width if embedding else 0
+        return 8 * (_workers(paths, rows) * per_thread + search + (lags + 2) * paths)
 
     if model.family.ar1_step is not None:
-        return bound(m)
+        return bound(m, False)
     delta = grid.h / refine
     for size in _embedding_sizes(model, m, delta):
-        if bound(size) > limit or _semidefinite(_embedding_eigs(model, size, delta)):
+        if bound(size, True) > limit or _semidefinite(_embedding_eigs(model, size, delta)):
             break
-    return bound(size)
+    return bound(size, True)
+
+
+def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
+    """The sampler's integer arguments, checked."""
+    if not isinstance(refine, (int, np.integer)) or isinstance(refine, bool) or refine < 4:
+        raise ValueError(f"refine must be an integer >= 4, got {refine!r}")
+    if not isinstance(paths, (int, np.integer)) or isinstance(paths, bool) or paths < 1:
+        raise ValueError(f"paths must be an integer >= 1, got {paths!r}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < _SEED_MAX:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(refine), int(paths), int(seed)
+
+
+def _sample_blocks(
+    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, seed: int, sink
+) -> float | None:
+    """Draw ``paths`` paths in blocks of rows and pass each block to
+    ``sink(rows, increments, noisy)`` on the thread that drew it, where
+    ``rows`` is the block's slice of path indices and the two arrays hold its
+    rows of the increment and noisy tables; returns the smallest embedding
+    eigenvalue before clipping (None on the AR(1) route).
+
+    The blocks run on one thread per usable CPU, at most one per block, so
+    ``sink`` is called from several threads at once, each time for other
+    rows.  An exception raised in any block, the sink's included, is
+    re-raised here once every thread has finished.
+    """
+    n = grid.n
+    m = n * refine + 1
+    delta = grid.h / refine
+    if model.family.ar1_step is not None:
+        roots, min_eig, width = None, None, m
+    else:
+        roots, min_eig = _embedding_roots(model, m, delta)
+        width = 2 * (roots.size - 1)
+    count = width + n
+    noise_scale = math.sqrt(grid.h)
+    rows = _block_rows(paths, count)
+
+    def fill(block: slice) -> None:
+        z = _path_normals(seed, range(paths)[block], count)
+        if roots is None:
+            x = _ar1_paths(model, z[:, :m], delta)
+        else:
+            x = _embedded_paths(roots, z[:, :width], m)
+        increments = _cell_increments(x, n, refine, delta)
+        noisy = z[:, width:]
+        noisy *= noise_scale
+        noisy += increments
+        sink(block, increments, noisy)
+
+    _run_blocks(fill, _row_blocks(paths, rows), _workers(paths, rows))
+    return min_eig
 
 
 def sample_paths(
@@ -334,54 +422,23 @@ def sample_paths(
     embedding size (2(m - 1), or a power-of-two multiple of it when padding
     was needed; ``min_embedding_eig`` records its smallest eigenvalue).
     Raises ``FactorizationFailure`` when no embedding within the padding
-    stop is positive semidefinite.  Paths are drawn and reduced in blocks of
-    about ``_BLOCK_VALUES`` values, so the working memory beyond the result
-    tables does not grow with ``paths``.  The blocks run on one thread per
-    usable CPU, at most one per block; each thread holds one block at a time
-    and writes only that block's rows, and an exception raised in any block
-    is re-raised here once every thread has finished.  Deterministic given
-    (seed, arguments): each path consumes its own substream, the path's draws
-    first and the next n draws for its channel noise, so the tables do not
-    depend on the blocking or on the number of threads.
+    stop is positive semidefinite.  Paths are drawn in blocks of about
+    ``_BLOCK_VALUES`` values (``_sample_blocks``), and each block is copied
+    into the two result tables, so the working memory beyond them does not
+    grow with ``paths``.  Deterministic given (seed, arguments): each path
+    consumes its own substream, the path's draws first and the next n draws
+    for its channel noise, so the tables do not depend on the blocking or on
+    the number of threads.
     """
-    if not isinstance(refine, (int, np.integer)) or isinstance(refine, bool) or refine < 4:
-        raise ValueError(f"refine must be an integer >= 4, got {refine!r}")
-    if not isinstance(paths, (int, np.integer)) or isinstance(paths, bool) or paths < 1:
-        raise ValueError(f"paths must be an integer >= 1, got {paths!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < _SEED_MAX:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    refine, paths, seed = int(refine), int(paths), int(seed)
+    refine, paths, seed = _sampling_args(refine, paths, seed)
+    increments = np.empty((paths, grid.n))
+    noisy = np.empty((paths, grid.n))
 
-    n = grid.n
-    m = n * refine + 1
-    delta = grid.h / refine
-    if model.family.ar1_step is not None:
-        roots, min_eig, width = None, None, m
-    else:
-        roots, min_eig = _embedding_roots(model, m, delta)
-        width = 2 * (roots.size - 1)
-    count = width + n
-    noise_scale = math.sqrt(grid.h)
+    def store(rows: slice, increments_block: np.ndarray, noisy_block: np.ndarray) -> None:
+        increments[rows] = increments_block
+        noisy[rows] = noisy_block
 
-    increments = np.empty((paths, n))
-    noisy = np.empty((paths, n))
-    rows = _block_rows(paths, count)
-
-    def fill(block: slice) -> None:
-        z = _path_normals(seed, range(paths)[block], count)
-        if roots is None:
-            x = _ar1_paths(model, z[:, :m], delta)
-        else:
-            x = _embedded_paths(roots, z[:, :width], m)
-        cell = x[:, :-1] + x[:, 1:]
-        cell *= 0.5 * delta
-        np.sum(cell.reshape(-1, n, refine), axis=2, out=increments[block])
-        noise = z[:, width:]
-        noise *= noise_scale
-        np.add(increments[block], noise, out=noisy[block])
-
-    _run_blocks(fill, _row_blocks(paths, rows), _workers(paths, rows))
-
+    min_eig = _sample_blocks(model, grid, refine, paths, seed, store)
     return PathBatch(
         model=model,
         grid=grid,
@@ -395,6 +452,65 @@ def sample_paths(
     )
 
 
+# Per-path reducers, shared by the table route (empirical_gram,
+# noise_variance_ratio) and the streamed route (_validation_estimates): each
+# reduces one block of rows into its columns of a per-path vector, every row
+# on its own, so the estimates do not depend on how the rows are blocked.
+def _gram_lags(paths: int, n: int, lags) -> list[int]:
+    """The requested lags as integers, checked against the path count and n."""
+    if paths < 100:
+        raise ValueError(f"empirical covariances need >= 100 paths, got {paths}")
+    lags = [int(l) for l in lags]
+    for l in lags:
+        if not 0 <= l < n:
+            raise ValueError(f"lag must be in [0, {n}), got {l}")
+    return lags
+
+
+def _lag_means(increments: np.ndarray, lags: list[int], out: np.ndarray) -> None:
+    """Row ``pos`` of ``out`` gets each path's mean of inc_j * inc_{j+l} over
+    its valid offsets, for l = lags[pos]."""
+    n = increments.shape[1]
+    for row, l in zip(out, lags):
+        np.mean(increments[:, : n - l] * increments[:, l:], axis=1, out=row)
+
+
+def _noise_moments(
+    increments: np.ndarray, noisy: np.ndarray, shift: float, out: np.ndarray
+) -> None:
+    """Each path's sum of noise - shift (``out[0]``) and its sum of squares
+    about that path's mean (``out[1]``), where the noise is noisy -
+    increments."""
+    noise = noisy - increments
+    noise -= shift
+    np.sum(noise, axis=1, out=out[0])
+    noise -= (out[0] / noise.shape[1])[:, None]
+    noise *= noise
+    np.sum(noise, axis=1, out=out[1])
+
+
+def _gram_estimates(lag_means: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate and standard error at each lag from its per-path means."""
+    root_paths = math.sqrt(lag_means.shape[1])
+    gamma_tilde = np.array([scale * float(np.mean(row)) for row in lag_means])
+    stderr = np.array([scale * float(np.std(row, ddof=1)) / root_paths for row in lag_means])
+    return gamma_tilde, stderr
+
+
+def _pooled_variance(moments: np.ndarray, n: int) -> float:
+    """Sample variance of all noise values from each path's sum and centred
+    sum of squares of n values (Chan, Golub & LeVeque 1983): the paths'
+    centred sums of squares plus n times the squared deviations of their
+    means from the overall mean, each sum added with ``math.fsum``."""
+    sums, squares = moments
+    size = sums.size * n
+    if size < 2:
+        raise ValueError(f"a sample variance needs >= 2 noise values, got {size}")
+    deviation = sums / n - math.fsum(sums) / size
+    deviation *= deviation
+    return (math.fsum(squares) + n * math.fsum(deviation)) / (size - 1)
+
+
 def empirical_gram(batch: PathBatch, lags) -> tuple[np.ndarray, np.ndarray]:
     """Empirical normalized covariances at the given lags and their standard
     errors.
@@ -402,59 +518,80 @@ def empirical_gram(batch: PathBatch, lags) -> tuple[np.ndarray, np.ndarray]:
     gammaTilde_l = (n/T) * mean over paths and valid offsets of
     inc_j * inc_{j+l}; the standard error comes from the variance of the
     per-path statistic, which is the honest sampling unit (offsets within one
-    path are correlated).  The per-path statistic is reduced one block of
+    path are correlated).  The per-path statistics are reduced one block of
     rows at a time, each row on its own, so only one block of lag products
     is held.  Requires at least 100 paths.
     """
-    if batch.paths < 100:
-        raise ValueError(f"empirical covariances need >= 100 paths, got {batch.paths}")
     n = batch.grid.n
-    lags = [int(l) for l in lags]
-    for l in lags:
-        if not 0 <= l < n:
-            raise ValueError(f"lag must be in [0, {n}), got {l}")
-    scale = n / batch.grid.T
-    inc = batch.increments
-    blocks = _row_blocks(batch.paths, _block_rows(batch.paths, n))
-    per_path = np.empty(batch.paths)
-    gamma_tilde = np.empty(len(lags))
-    stderr = np.empty(len(lags))
-    root_paths = math.sqrt(batch.paths)
-    for pos, l in enumerate(lags):
-        for rows in blocks:
-            block = inc[rows]
-            np.mean(block[:, : n - l] * block[:, l:], axis=1, out=per_path[rows])
-        gamma_tilde[pos] = scale * float(np.mean(per_path))
-        stderr[pos] = scale * float(np.std(per_path, ddof=1)) / root_paths
-    return gamma_tilde, stderr
+    lags = _gram_lags(batch.paths, n, lags)
+    lag_means = np.empty((len(lags), batch.paths))
+    for rows in _row_blocks(batch.paths, _block_rows(batch.paths, n)):
+        _lag_means(batch.increments[rows], lags, lag_means[:, rows])
+    return _gram_estimates(lag_means, n / batch.grid.T)
 
 
 def noise_variance_ratio(batch: PathBatch) -> float:
     """Sample variance of the added channel noise divided by its nominal
     per-cell variance h; should sit near 1.
 
-    The noise, noisy - increments, is formed one block of rows at a time in
-    two passes, the first for its mean and the second for its centred sum of
-    squares; each pass adds its block sums with ``math.fsum``.  Requires at
-    least two noise values.
+    The noise, noisy - increments, is formed one block of rows at a time
+    and reduced to each path's sum and centred sum of squares, which are
+    pooled as in ``_pooled_variance``.  The noise is first shifted by its
+    first value, so a large common offset does not swamp the path sums.
+    Requires at least two noise values.
     """
-    size = batch.noisy.size
-    if size < 2:
-        raise ValueError(f"a sample variance needs >= 2 noise values, got {size}")
-    blocks = _row_blocks(batch.paths, _block_rows(batch.paths, batch.grid.n))
+    n = batch.grid.n
+    shift = float(batch.noisy[0, 0] - batch.increments[0, 0])
+    moments = np.empty((2, batch.paths))
+    for rows in _row_blocks(batch.paths, _block_rows(batch.paths, n)):
+        _noise_moments(batch.increments[rows], batch.noisy[rows], shift, moments[:, rows])
+    return _pooled_variance(moments, n) / batch.grid.h
 
-    def noise(rows: slice) -> np.ndarray:
-        return batch.noisy[rows] - batch.increments[rows]
 
-    mean = math.fsum(float(np.sum(noise(rows))) for rows in blocks) / size
+def _validation_estimates(
+    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, seed: int, lags, dump=None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``empirical_gram`` and ``noise_variance_ratio`` of the batch that
+    ``sample_paths`` would draw with these arguments, computed without its
+    tables: each block is reduced by the same per-path reducers on the
+    thread that drew it, so only the sampler's blocks and lags + 2 per-path
+    vectors are held.  The channel noise is centred by construction, so it
+    is not shifted.
 
-    def centred_squares(rows: slice) -> float:
-        block = noise(rows)
-        block -= mean
-        block *= block
-        return float(np.sum(block))
+    With ``dump``, the file ``write_batch`` would write is written to that
+    path, each block's increment rows at their offset in it; the file is
+    opened before any path is drawn, and removed again if the run fails.
+    """
+    refine, paths, seed = _sampling_args(refine, paths, seed)
+    n = grid.n
+    lags = _gram_lags(paths, n, lags)
+    lag_means = np.empty((len(lags), paths))
+    moments = np.empty((2, paths))
+    fh = None
+    lock = threading.Lock()
 
-    return math.fsum(centred_squares(rows) for rows in blocks) / (size - 1) / batch.grid.h
+    def reduce(rows: slice, increments: np.ndarray, noisy: np.ndarray) -> None:
+        _lag_means(increments, lags, lag_means[:, rows])
+        _noise_moments(increments, noisy, 0.0, moments[:, rows])
+        if fh is not None:
+            data = np.ascontiguousarray(increments, dtype="<f8").data
+            with lock:
+                fh.seek(_HEADER.size + rows.start * n * 8)
+                fh.write(data)
+
+    if dump is None:
+        _sample_blocks(model, grid, refine, paths, seed, reduce)
+    else:
+        fh = open(dump, "wb")
+        try:
+            with fh:
+                fh.write(_HEADER.pack(BATCH_MAGIC, BATCH_VERSION, paths, n, refine, seed))
+                _sample_blocks(model, grid, refine, paths, seed, reduce)
+        except BaseException:
+            os.remove(dump)
+            raise
+    gamma_tilde, stderr = _gram_estimates(lag_means, n / grid.T)
+    return gamma_tilde, stderr, _pooled_variance(moments, n) / grid.h
 
 
 def write_batch(batch: PathBatch, path) -> None:

@@ -12,7 +12,16 @@ import tracemalloc
 
 import pytest
 
-from szegolab import DEFAULT_SCHEDULE, ModelKind, UsageError
+from szegolab import (
+    DEFAULT_SCHEDULE,
+    ModelKind,
+    SamplingGrid,
+    SpectralModel,
+    UsageError,
+    mc,
+    sample_paths,
+    write_batch,
+)
 from szegolab.cli import (
     _BYTE_ESTIMATES,
     _COMMANDS,
@@ -227,7 +236,9 @@ def test_model_error_lists_every_model_kind():
     [
         # two half blocks of 20001^2 floats; n = 20000 now fits under the cap
         ("sandwich", "--schedule", "100:40000"),
-        ("mc-validate", "--model", "gauss", "--n", "2000", "--paths", "100000"),
+        # no paths x n table is held, but the lags + 2 = 6 per-path vectors
+        # alone take 6 * 8 * 5e7 bytes = 2.2 GiB
+        ("mc-validate", "--paths", "50000000"),
         # the embedding would need M ~ 1e10 points per path
         ("mc-validate", "--model", "gauss", "--width", "1e6"),
     ],
@@ -302,6 +313,17 @@ def test_mc_validate_estimate_stays_near_the_traced_peak(argv, capsys):
     assert peak < _BYTE_ESTIMATES[config.command](config) <= 1.3 * peak
 
 
+def test_mc_validate_memory_does_not_grow_with_the_path_count(capsys, monkeypatch):
+    # only the lags + 2 = 3 per-path vectors grow with the path count; one
+    # sampler thread, so the peak does not depend on how the threads' blocks
+    # overlap in time
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+    argv = ("mc-validate", "--n", "100", "--lags", "0", "--paths")
+    small = _traced_peak(parse_config((*argv, "4000")), capsys)
+    large = _traced_peak(parse_config((*argv, "16000")), capsys)
+    assert large - small <= 3 * 8 * 12_000 + 1_000_000
+
+
 def test_large_gaussian_mc_validate_fits_at_few_paths(capsys):
     # the circulant embedding holds O(m) floats per block of paths, where a
     # dense covariance factor held O(m^2): n = 2000 (m = 16001) fits
@@ -357,6 +379,16 @@ def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_unwritable_dump_path_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the dump path was checked")
+
+    monkeypatch.setattr(mc, "_sample_blocks", no_sampling)
+    argv = ["mc-validate", "--dump-batch", str(tmp_path / "missing" / "x.bin")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write batch dump ")
 
 
 def test_dump_gram_reports_wrapped_coefficients(tmp_path):
@@ -544,6 +576,12 @@ def test_mc_validate_dump_and_reproducibility(tmp_path):
     meta, table = read_batch(dump_a)
     assert meta == {"version": 1, "paths": 150, "n": 100, "refine": 8, "seed": 9}
     assert table.shape == (150, 100)
+
+    # the streamed dump is the file write_batch writes for the same batch
+    model = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
+    write_batch(sample_paths(model, SamplingGrid(T=10.0, n=100), paths=150, seed=9),
+                tmp_path / "table.szgl")
+    assert dump_a.read_bytes() == (tmp_path / "table.szgl").read_bytes()
 
 
 SCIPY_MODULES = (

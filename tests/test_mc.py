@@ -18,6 +18,8 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegolab import (
     FactorizationFailure,
@@ -112,6 +114,19 @@ def test_batch_arrays_read_only(ou11):
         batch.increments[0, 0] = 1.0
     with pytest.raises(ValueError):
         batch.noisy[0, 0] = 1.0
+
+
+def test_batch_freezes_a_view_not_the_callers_tables(ou11):
+    increments, noisy = np.zeros((2, 4)), np.ones((2, 4))
+    batch = PathBatch(model=ou11, grid=SamplingGrid(T=1.0, n=4), refine=4, paths=2, seed=0,
+                      increments=increments, noisy=noisy, generator="test")
+    assert increments.flags.writeable and noisy.flags.writeable
+    increments[0, 0] = 2.0  # still the caller's to write
+    assert not batch.increments.flags.writeable and not batch.noisy.flags.writeable
+    with pytest.raises(ValueError):
+        batch.increments[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        batch.noisy[0, 1] = 1.0
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -269,6 +284,18 @@ def test_ar1_paths_match_scalar_recursion_bitwise():
     assert np.array_equal(x, expected)
 
 
+@pytest.mark.parametrize("n, refine", [(100, 8), (7, 5), (3, 16), (1, 4), (13, 6), (40, 4)])
+def test_cell_increments_equal_the_one_table_trapezoid(n, refine):
+    # the areas are formed a few cells at a time, but every increment must
+    # be the sum the table of all step areas gives, bit for bit
+    delta = 0.01
+    x = np.random.default_rng(n).standard_normal((9, n * refine + 1))
+    cell = x[:, :-1] + x[:, 1:]
+    cell *= 0.5 * delta
+    expected = np.sum(cell.reshape(-1, n, refine), axis=2)
+    assert np.array_equal(mc._cell_increments(x, n, refine, delta), expected)
+
+
 # ---------------------------------------------------------------------------
 # sampler correctness on the refined grid
 # ---------------------------------------------------------------------------
@@ -399,6 +426,33 @@ def test_streamed_noise_variance_ratio_matches_the_one_shot_variance(ragged_batc
     assert noise_variance_ratio(ragged_batch) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 8)).filter(lambda s: s[0] * s[1] >= 2),
+    T=st.sampled_from([0.01, 1.0, 10.0, 1000.0]),
+    offset=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+    data=st.data(),
+)
+def test_noise_variance_ratio_matches_the_sample_variance(ou11, shape, T, offset, data):
+    # the noise is (z + offset) * sqrt(h); two anchor values keep its spread
+    # at least 2 sqrt(h), so the reference variance itself is accurate
+    paths, n = shape
+    grid = SamplingGrid(T=T, n=n)
+
+    def table(bound):
+        values = st.floats(-bound, bound)
+        return np.array(data.draw(st.lists(values, min_size=paths * n, max_size=paths * n)))
+
+    z = table(4.0)
+    z[:2] = (-1.0, 1.0)
+    noise = (z + offset).reshape(paths, n) * math.sqrt(grid.h)
+    increments = table(10.0).reshape(paths, n)
+    batch = PathBatch(model=ou11, grid=grid, refine=4, paths=paths, seed=0,
+                      increments=increments, noisy=increments + noise, generator="test")
+    expected = float(np.var(batch.noisy - batch.increments, ddof=1)) / grid.h
+    assert noise_variance_ratio(batch) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_noise_variance_ratio_needs_two_values(ou11):
     grid = SamplingGrid(T=1.0, n=1)
     batch = PathBatch(model=ou11, grid=grid, refine=4, paths=1, seed=0,
@@ -429,6 +483,75 @@ def test_empirical_gram_returns_each_requested_lag(ou11):
     picked, picked_se = empirical_gram(batch, lags=(3, 1))
     assert np.array_equal(picked, tilde[[3, 1]])
     assert np.array_equal(picked_se, se[[3, 1]])
+
+
+# ---------------------------------------------------------------------------
+# the streamed route of mc-validate against the table route
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "kind, T, n",
+    [("ou", 10.0, 100), ("gauss", 10.0, 100), ("tri", 10.0, 100), ("gauss", 1.0, 20)],
+    ids=["ou", "gauss", "tri", "gauss-padded"],
+)
+def test_streamed_estimates_equal_the_table_route(kind, T, n, workers, tmp_path, monkeypatch):
+    # 1001 paths leave a shorter last block of rows on every route
+    model, grid, paths, seed, lags = _KINDS[kind], SamplingGrid(T=T, n=n), 1001, 7, (0, 1, 2, 5)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+    batch = sample_paths(model, grid, refine=8, paths=paths, seed=seed)
+    m = n * 8 + 1
+    width = m if model.family.ar1_step else 2 * (_embedding_roots(model, m, grid.h / 8)[0].size - 1)
+    assert paths % mc._block_rows(paths, width + n) > 0
+    tilde, se = empirical_gram(batch, lags)
+    ratio = noise_variance_ratio(batch)
+    write_batch(batch, tmp_path / "table.szgl")
+
+    dump = tmp_path / "streamed.szgl"
+    s_tilde, s_se, s_ratio = mc._validation_estimates(model, grid, 8, paths, seed, lags, dump=dump)
+    assert np.array_equal(s_tilde, tilde) and np.array_equal(s_se, se)
+    assert s_ratio == pytest.approx(ratio, rel=1e-15, abs=0.0)
+    assert dump.read_bytes() == (tmp_path / "table.szgl").read_bytes()
+
+
+def test_streamed_blocks_on_more_threads_than_cpus_land_in_their_rows(tmp_path, monkeypatch):
+    # one path per 200-value block on three workers, interleaved often: a
+    # block reduced into the wrong columns or written at the wrong offset
+    # would change the estimates or the dump
+    model, grid, paths, seed = _KINDS["gauss"], SamplingGrid(T=4.0, n=10), 101, 3
+    batch = sample_paths(model, grid, refine=4, paths=paths, seed=seed)
+    write_batch(batch, tmp_path / "table.szgl")
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    dump = tmp_path / "streamed.szgl"
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        tilde, se, ratio = mc._validation_estimates(model, grid, 4, paths, seed, (0, 3), dump=dump)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    expected = empirical_gram(batch, (0, 3))
+    assert np.array_equal(tilde, expected[0]) and np.array_equal(se, expected[1])
+    assert ratio == pytest.approx(noise_variance_ratio(batch), rel=1e-15, abs=0.0)
+    assert dump.read_bytes() == (tmp_path / "table.szgl").read_bytes()
+
+
+def test_streamed_run_that_fails_part_way_leaves_no_dump(tmp_path, monkeypatch):
+    calls, moments = itertools.count(), mc._noise_moments
+
+    def failing_third_block(*args):
+        if next(calls) == 2:
+            raise RuntimeError("block failed")
+        moments(*args)
+
+    monkeypatch.setattr(mc, "_noise_moments", failing_third_block)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    dump = tmp_path / "partial.szgl"
+    with pytest.raises(RuntimeError, match="block failed"):
+        mc._validation_estimates(_KINDS["ou"], SamplingGrid(T=10.0, n=100), 8, 2000, 1, (0,),
+                                 dump=dump)
+    assert not dump.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
