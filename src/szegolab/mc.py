@@ -12,9 +12,13 @@ the analytic gamma_l coefficients within Monte-Carlo error — an end-to-end
 check that catches sign and normalization mistakes the analytic code paths
 could reproduce consistently on both sides.
 
-Sampling is exact on the refined grid.  A family with an AR(1) step (the
-exponential covariance) runs that one-step recursion.  Every other family is
-sampled by circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997): the
+Sampling is exact in law for the trapezoid rule on the refined grid.  A
+family with an AR(1) step (the exponential covariance) is Markov, so each
+cell's end value and trapezoid increment are drawn together from two normals
+by the exact cell transition (``_cell_transition``; Gillespie 1996), which
+reproduces the refined AR(1) path reduced by the trapezoid rule at a cost
+that does not grow with ``refine``.  Every other family is sampled by
+circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997): the
 refined-grid autocovariance is embedded in a symmetric circulant of size
 M = 2(m - 1), padded by doubling M while the embedding is indefinite, and each
 path is the first m points of C^(1/2) w for M standard normals w, at
@@ -33,10 +37,13 @@ with the same per-row reducers that ``empirical_gram`` and
 ``noise_variance_ratio`` run over a batch's tables, so both routes give the
 same estimates, and writes the block's increment rows into the dump file.
 
-Randomness: each path draws from its own counter-based substream keyed by
-(seed, path index), and each block writes only its own rows, so the batch is
-bit-identical for any blocking and any number of threads, and a fixed seed
-reproduces it exactly, on any platform.
+Randomness: each block of R rows draws all its normals by one call from its
+own counter-based stream, ``Philox`` keyed by (seed, block index) (Salmon et
+al. 2011), and writes only its own rows.  R depends only on the number of
+draws per path, so each path's draws depend only on (seed, path index, draws
+per path): the batch is bit-identical for any number of threads, a larger
+batch starts with a smaller one, and a fixed seed reproduces it exactly, on
+any platform.
 """
 
 from __future__ import annotations
@@ -65,7 +72,10 @@ __all__ = [
 ]
 
 BATCH_MAGIC = b"SZGL"
-BATCH_VERSION = 1
+BATCH_VERSION = 2
+# Every version so far lays the file out the same way; version 1 names the
+# sampler before the cell transition and the per-block streams.
+_READABLE_VERSIONS = (1, 2)
 _HEADER = struct.Struct("<4sIQIIQ")  # magic, version, N, n, refine, seed — 32 bytes
 _SEED_MAX = 2**64
 _EPS = float(np.finfo(float).eps)
@@ -76,7 +86,8 @@ _EPS = float(np.finfo(float).eps)
 _CLIP_RTOL = 64 * _EPS
 # The sampler draws, transforms and reduces the paths in blocks of rows that
 # hold about this many float64 values each (2 MiB), so its working tables do
-# not grow with the number of paths and a block's tables stay in cache.
+# not grow with the number of paths and a block's tables stay in cache.  Each
+# block draws from its own stream, so changing this value changes the batch.
 _BLOCK_VALUES = 2**18
 
 
@@ -86,11 +97,12 @@ class PathBatch:
 
     ``increments`` is the N x n table of integrated-input approximations;
     ``noisy`` adds the per-cell channel noise.  ``generator`` records the
-    random source and library version behind the seed.  ``jitter`` is always
-    0.0: both sampling routes are exact, so no diagonal regularization is
-    added to the covariance.  ``min_embedding_eig`` is the smallest
-    eigenvalue of the circulant embedding before rounding negatives are
-    clipped to zero (None on the AR(1) route).
+    random source, its keying by (seed, row block), the batch version and
+    the library version behind the seed.  ``jitter`` is always 0.0: both
+    sampling routes are exact, so no diagonal regularization is added to the
+    covariance.  ``min_embedding_eig`` is the smallest eigenvalue of the
+    circulant embedding before rounding negatives are clipped to zero (None
+    on the cell-transition route).
     """
 
     model: SpectralModel
@@ -126,52 +138,87 @@ class PathBatch:
             object.__setattr__(self, name, table)
 
 
-def _path_normals(seed: int, rows: range, count: int) -> np.ndarray:
-    """len(rows) x count standard normals; the row for path i comes from the
-    counter-based substream keyed by (seed, i), independent of generation
-    order.
+def _block_normals(seed: int, block: int, rows: int, count: int) -> np.ndarray:
+    """rows x count standard normals for row block ``block``, drawn by one
+    call from the counter-based stream keyed by (seed, block)."""
+    bits = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
+    return np.random.Generator(bits).standard_normal((rows, count))
 
-    One Philox generator serves every row: its state is reset to key
-    (seed, i), counter 0 and an empty buffer, exactly the state a fresh
-    ``Philox(key=[seed, i])`` starts in, which costs less than building one.
+
+def _cell_transition(model: SpectralModel, h: float, refine: int) -> tuple[float, ...]:
+    """Exact one-cell transition of a Markov kernel (the exponential
+    covariance) reduced by the trapezoid rule: (start, decay, drift, l11,
+    l21, l22), where a path starts at x_0 = start z_0, start = sqrt(P).
+
+    On the refined grid of ``refine`` = r steps of length delta = h / r the
+    kernel is the AR(1) recursion x_k = rho x_{k-1} + s e_k, with rho the
+    family record's AR(1) step and s^2 = P (1 - rho^2).  Given the cell's
+    start value x_0, its end value and trapezoid increment are
+
+        x_r = rho^r x_0 + s sum_i a_i e_i,             a_i = rho^(r-i)
+        inc = delta c_0 x_0 + s delta sum_i b_i e_i,  b_i = sum_(k>=i) w_k rho^(k-i)
+
+    with c_0 = sum_k w_k rho^k and trapezoid weights w_0 = w_r = 1/2, w_k = 1
+    otherwise (Gillespie 1996 gives the unreduced pair).  The two sums are
+    drawn from two normals (u, v) by the Cholesky factor of their covariance
+    s^2 [[a.a, delta a.b], [delta a.b, delta^2 b.b]]:
+
+        x_r = decay x_0 + l11 u,    inc = drift x_0 + l21 u + l22 v.
+
+    Raises ``FactorizationFailure`` when the Schur complement is not
+    positive.
     """
-    out = np.empty((len(rows), count))
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
-    for row, i in zip(out, rows):
-        key[1] = i
-        bits.state = state
-        gen.standard_normal(out=row)
-    return out
-
-
-def _ar1_paths(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndarray:
-    """Exact stationary sampling of a Markov kernel (the exponential
-    covariance): the restriction to any uniform grid is the AR(1) recursion
-    x_j = rho x_{j-1} + sqrt(P (1 - rho^2)) z_j with rho = exp(-alpha delta),
-    the family record's AR(1) step, started from x_0 = sqrt(P) z_0.
-
-    ``z`` is (paths, m) and is overwritten with the result, which is returned.
-    The innovations are scaled in place, then the recursion runs over the
-    columns, one vector operation across all paths per time step, with no
-    transposed copy and no more than two column views alive at a time.  Every
-    value is rounded as in the scalar recursion ``rho * x_prev + innovation``,
-    so a path does not depend on how many other paths share the batch.
-    """
-    power = model.power
+    delta = h / refine
     rho = model.family.ar1_step(model.scale, delta)
-    z[:, 0] *= math.sqrt(power)
-    z[:, 1:] *= math.sqrt(power * (1.0 - rho * rho))
-    columns = iter(z.T)
+    s = math.sqrt(model.power * (1.0 - rho * rho))
+    powers = rho ** np.arange(refine + 1.0)
+    # a and b indexed by e = r - i, the steps left in the cell after e_i
+    a = powers[:refine]
+    b = np.concatenate(([0.0], np.cumsum(powers[: refine - 1]))) + 0.5 * a
+    c0 = math.fsum(powers) - 0.5 * (1.0 + float(powers[-1]))
+    aa, ab, bb = float(a @ a), float(a @ b), float(b @ b)
+    schur = bb - ab * ab / aa
+    if not schur > 0.0:
+        raise FactorizationFailure(
+            f"cell transition covariance is not positive definite (refine={refine}, "
+            f"rho={rho!r}, Schur complement {schur:g})"
+        )
+    root = math.sqrt(aa)
+    l11, l21, l22 = s * root, s * delta * ab / root, s * delta * math.sqrt(schur)
+    return math.sqrt(model.power), float(powers[-1]), delta * c0, l11, l21, l22
+
+
+def _transition_increments(transition: tuple[float, ...], z: np.ndarray) -> np.ndarray:
+    """Trapezoid increments of paths drawn by the exact cell transition.
+
+    ``z`` is (paths, 2n + 1) and is overwritten: column 0 starts each path at
+    x_0 = start z_0, and columns 2j + 1 and 2j + 2 hold the v and u of
+    cell j.  The increments are formed for all cells at once from the pairs;
+    then the even columns run through the recursion x_(j+1) = decay x_j +
+    l11 u_j in place, one vector step across all paths per cell, and the
+    drift terms of the cell-start values x_0, ..., x_(n-1) are added.  Every
+    value is rounded the same way whatever the number of rows, so a path
+    does not depend on how many other paths share the block.
+    """
+    start, decay, drift, l11, l21, l22 = transition
+    chain, v = z[:, ::2], z[:, 1::2]  # x_0, u_0, ..., u_(n-1); v_0, ..., v_(n-1)
+    u = chain[:, 1:]
+    increments = np.multiply(u, l21)
+    v *= l22
+    increments += v
+    u *= l11
+    chain[:, 0] *= start
+    columns = iter(chain.T)
     prev = next(columns)
     step = np.empty(z.shape[0])
     for col in columns:
-        np.multiply(prev, rho, out=step)
+        np.multiply(prev, decay, out=step)
         col += step
         prev = col
-    return z
+    starts = chain[:, :-1]
+    starts *= drift
+    increments += starts
+    return increments
 
 
 def _embedding_sizes(model: SpectralModel, m: int, delta: float):
@@ -198,15 +245,31 @@ def _semidefinite(lam: np.ndarray) -> bool:
     return float(lam.min()) >= -_CLIP_RTOL * float(lam.max())
 
 
+def _roots(lam: np.ndarray) -> tuple[np.ndarray, float]:
+    """Square roots of the eigenvalues with rounding negatives clipped to
+    zero, and the smallest eigenvalue before clipping."""
+    return np.sqrt(np.maximum(lam, 0.0)), float(lam.min())
+
+
+# The definite embedding that ``_validation_bytes`` found, keyed by (model,
+# family record, m, delta), for the sampler that runs next to take instead of
+# searching again: at most one entry, removed when taken.
+_found_embedding: dict = {}
+
+
 def _embedding_roots(model: SpectralModel, m: int, delta: float) -> tuple[np.ndarray, float]:
     """Square roots of the eigenvalues (rfft order) of the smallest circulant
     embedding of the acf on m refined-grid points that is positive
     semidefinite up to rounding, and its smallest eigenvalue before the
-    rounding negatives were clipped to zero."""
+    rounding negatives were clipped to zero.  Takes the embedding that
+    ``_validation_bytes`` found for the same arguments, if it is there."""
+    found = _found_embedding.pop((model, model.family, m, delta), None)
+    if found is not None:
+        return found
     for size in _embedding_sizes(model, m, delta):
         lam = _embedding_eigs(model, size, delta)
         if _semidefinite(lam):
-            return np.sqrt(np.maximum(lam, 0.0)), float(lam.min())
+            return _roots(lam)
     raise FactorizationFailure(
         f"circulant embedding of the covariance on the refined grid (m={m}, "
         f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue "
@@ -255,7 +318,7 @@ def _block_rows(paths: int, count: int) -> int:
 def _row_blocks(paths: int, rows: int) -> list[slice]:
     """Slices of ``rows`` rows that cover ``paths`` rows in order; the last
     one may be shorter."""
-    return [slice(start, start + rows) for start in range(0, paths, rows)]
+    return [slice(start, min(start + rows, paths)) for start in range(0, paths, rows)]
 
 
 def _usable_cpus() -> int:
@@ -312,42 +375,48 @@ def _validation_bytes(
 
     Each of the sampler's threads holds one block at a time: its normals,
     width + n values per path, and beside them at most one second table.
-    On the AR(1) route the width is m = n * refine + 1, the recursion
-    overwrites the normals, and the second table is the block's increments
-    with either the reused table of step areas (``_cell_increments``, at
-    most max(n, refine) values per path) or one reduction temporary (noise
-    values or lag products, n per path).  On the embedding route the width
-    is the embedding size the sampler picks, found by the same search, the
-    inverse transform overwrites the normals, and the second table is the
-    half spectrum, which numpy's FFT lays out with the rows of the normals:
-    width + n + 2 values per path.  Each thread also fills the buffers of
-    numpy's iterator for an operation on strided or mixed-type operands (at
-    most three of ``np.getbufsize()`` float64 values, or one of complex
-    values) and holds the block's array headers and generator state, which
-    are counted as one more such buffer.  The block size and the thread
-    count are the sampler's own (``_block_rows``, ``_workers``).
+    On the cell-transition route the width is 2n + 1, whatever ``refine``,
+    the recursion overwrites the normals, and the second table is the
+    block's increments with either the step vector or one reduction
+    temporary (noise values or lag products, n per path).  On the embedding
+    route the width is the embedding size the sampler picks, found by the
+    same search, the inverse transform overwrites the normals, and the
+    second table is the half spectrum, which numpy's FFT lays out with the
+    rows of the normals: width + n + 2 values per path.  Each thread also
+    fills the buffers of numpy's iterator for an operation on strided or
+    mixed-type operands (at most three of ``np.getbufsize()`` float64
+    values, or one of complex values) and holds the block's array headers
+    and generator state, which are counted as one more such buffer.  The
+    block size and the thread count are the sampler's own (``_block_rows``,
+    ``_workers``).
 
     Beside the blocks the run holds lags + 2 vectors of one value per path
     (the lag means, the noise sums and the noise's centred sums of squares)
     and, on the embedding route, four vectors of width values for the
     eigenvalue search, which stops at the first size whose bound exceeds
-    ``limit``.
+    ``limit``, before its FFT.  The definite embedding it finds is kept for
+    the sampler (``_embedding_roots``), so a run searches once.
     """
     n = grid.n
     m = n * refine + 1
 
     def bound(width: int, embedding: bool) -> int:
         rows = _block_rows(paths, width + n)
-        second = width + n + 2 if embedding else n + max(n, refine)
+        second = width + n + 2 if embedding else 2 * n + 1
         per_thread = rows * (width + n + second) + 4 * np.getbufsize()
         search = 4 * width if embedding else 0
         return 8 * (_workers(paths, rows) * per_thread + search + (lags + 2) * paths)
 
     if model.family.ar1_step is not None:
-        return bound(m, False)
+        return bound(2 * n + 1, False)
     delta = grid.h / refine
     for size in _embedding_sizes(model, m, delta):
-        if bound(size, True) > limit or _semidefinite(_embedding_eigs(model, size, delta)):
+        if bound(size, True) > limit:
+            break
+        lam = _embedding_eigs(model, size, delta)
+        if _semidefinite(lam):
+            _found_embedding.clear()
+            _found_embedding[model, model.family, m, delta] = _roots(lam)
             break
     return bound(size, True)
 
@@ -370,7 +439,12 @@ def _sample_blocks(
     ``sink(rows, increments, noisy)`` on the thread that drew it, where
     ``rows`` is the block's slice of path indices and the two arrays hold its
     rows of the increment and noisy tables; returns the smallest embedding
-    eigenvalue before clipping (None on the AR(1) route).
+    eigenvalue before clipping (None on the cell-transition route).
+
+    Block b holds the paths [b R, (b + 1) R), R = max(1, _BLOCK_VALUES //
+    count) for count normals per path, and draws them by one call from the
+    stream keyed by (seed, b).  R depends on count alone, so each path's
+    draws depend only on (seed, path index, count).
 
     The blocks run on one thread per usable CPU, at most one per block, so
     ``sink`` is called from several threads at once, each time for other
@@ -381,7 +455,8 @@ def _sample_blocks(
     m = n * refine + 1
     delta = grid.h / refine
     if model.family.ar1_step is not None:
-        roots, min_eig, width = None, None, m
+        transition = _cell_transition(model, grid.h, refine)
+        roots, min_eig, width = None, None, 2 * n + 1
     else:
         roots, min_eig = _embedding_roots(model, m, delta)
         width = 2 * (roots.size - 1)
@@ -390,12 +465,12 @@ def _sample_blocks(
     rows = _block_rows(paths, count)
 
     def fill(block: slice) -> None:
-        z = _path_normals(seed, range(paths)[block], count)
+        z = _block_normals(seed, block.start // rows, block.stop - block.start, count)
         if roots is None:
-            x = _ar1_paths(model, z[:, :m], delta)
+            increments = _transition_increments(transition, z[:, :width])
         else:
             x = _embedded_paths(roots, z[:, :width], m)
-        increments = _cell_increments(x, n, refine, delta)
+            increments = _cell_increments(x, n, refine, delta)
         noisy = z[:, width:]
         noisy *= noise_scale
         noisy += increments
@@ -415,20 +490,23 @@ def sample_paths(
     """Simulate ``paths`` independent stationary inputs and reduce them to
     per-cell trapezoid increments and their noisy channel observations.
 
-    Both routes are exact on the refined grid of m = n*refine + 1 points.
-    A model whose family record has an AR(1) step (the exponential
-    covariance) runs that one-step autoregression on m draws per path.
-    Other models use circulant embedding: M draws per path, where M is the
-    embedding size (2(m - 1), or a power-of-two multiple of it when padding
-    was needed; ``min_embedding_eig`` records its smallest eigenvalue).
-    Raises ``FactorizationFailure`` when no embedding within the padding
-    stop is positive semidefinite.  Paths are drawn in blocks of about
+    Both routes are exact in law for the trapezoid rule on the refined grid
+    of m = n*refine + 1 points.  A model whose family record has an AR(1)
+    step (the exponential covariance) draws each cell's end value and
+    increment at once by the exact cell transition (``_cell_transition``):
+    2n + 1 draws per path, whatever ``refine``.  Other models use circulant
+    embedding: M draws per path, where M is the embedding size (2(m - 1), or
+    a power-of-two multiple of it when padding was needed;
+    ``min_embedding_eig`` records its smallest eigenvalue).  Raises
+    ``FactorizationFailure`` when no embedding within the padding stop is
+    positive semidefinite.  Paths are drawn in blocks of about
     ``_BLOCK_VALUES`` values (``_sample_blocks``), and each block is copied
     into the two result tables, so the working memory beyond them does not
-    grow with ``paths``.  Deterministic given (seed, arguments): each path
-    consumes its own substream, the path's draws first and the next n draws
-    for its channel noise, so the tables do not depend on the blocking or on
-    the number of threads.
+    grow with ``paths``.  Deterministic given (seed, arguments): each path's
+    row of its block's draws holds the path's draws first and the next n
+    draws for its channel noise, and depends only on (seed, path index,
+    draws per path), so the tables do not depend on the number of threads,
+    and a larger batch starts with a smaller one.
     """
     refine, paths, seed = _sampling_args(refine, paths, seed)
     increments = np.empty((paths, grid.n))
@@ -447,7 +525,8 @@ def sample_paths(
         seed=seed,
         increments=increments,
         noisy=noisy,
-        generator=f"numpy.random.Philox (numpy {np.__version__})",
+        generator=f"numpy.random.Philox keyed (seed, row block), batch v{BATCH_VERSION} "
+        f"(numpy {np.__version__})",
         min_embedding_eig=min_eig,
     )
 
@@ -611,7 +690,7 @@ def write_batch(batch: PathBatch, path) -> None:
 def read_batch(path) -> tuple[dict, np.ndarray]:
     """Read a dump written by ``write_batch``; returns (header fields, table).
 
-    The file size is checked against the header before the table is
+    Versions 1 and 2 share the layout and are both read.  The file size is checked against the header before the table is
     allocated, and the payload is read straight into it; it is converted only
     on a big-endian host."""
     with open(path, "rb") as fh:
@@ -621,7 +700,7 @@ def read_batch(path) -> tuple[dict, np.ndarray]:
         magic, version, paths, n, refine, seed = _HEADER.unpack(raw)
         if magic != BATCH_MAGIC:
             raise ValueError(f"bad magic {magic!r}; not an increment dump")
-        if version != BATCH_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise ValueError(f"unsupported dump version {version}")
         expected = paths * n * 8
         size = os.fstat(fh.fileno()).st_size - _HEADER.size

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from szegolab import (
@@ -18,6 +19,8 @@ from szegolab import (
     SamplingGrid,
     SpectralModel,
     UsageError,
+    cli,
+    gamma_sequence,
     mc,
     sample_paths,
     write_batch,
@@ -324,6 +327,23 @@ def test_mc_validate_memory_does_not_grow_with_the_path_count(capsys, monkeypatc
     assert large - small <= 3 * 8 * 12_000 + 1_000_000
 
 
+def test_padded_mc_validate_searches_each_embedding_size_once(capsys, monkeypatch):
+    # the memory guard's eigenvalue search is the sampler's: the embedding of
+    # this short horizon is indefinite until M grows 8-fold, so four sizes
+    sizes, eigs = [], mc._embedding_eigs
+
+    def recording(model, size, delta):
+        sizes.append(size)
+        return eigs(model, size, delta)
+
+    monkeypatch.setattr(mc, "_embedding_eigs", recording)
+    argv = ["mc-validate", "--model", "gauss", "--T", "1", "--n", "20", "--paths", "200",
+            "--lags", "0"]
+    assert main(argv) == 0
+    assert sizes == [320, 640, 1280, 2560]
+    assert mc._found_embedding == {}
+
+
 def test_large_gaussian_mc_validate_fits_at_few_paths(capsys):
     # the circulant embedding holds O(m) floats per block of paths, where a
     # dense covariance factor held O(m^2): n = 2000 (m = 16001) fits
@@ -549,13 +569,21 @@ def test_module_entry_reruns_are_byte_identical():
     assert first.stdout.splitlines()[0] == RATE_HEADER
 
 
-def test_mc_validate_flags_a_three_sigma_excursion():
-    # seed chosen so one empirical covariance lands just past three standard
-    # errors: the run must report the violation and exit 1
-    result = run_cli("mc-validate", "--paths", "100", "--seed", "29")
-    assert result.returncode == 1
-    assert "invariant violated" in result.stderr
-    assert "standard errors" in result.stderr
+def test_mc_validate_flags_a_three_sigma_excursion(capsys, monkeypatch):
+    # one empirical covariance 3.1 standard errors from the analytic value:
+    # the run must report the violation and exit 1
+    def estimates(model, grid, refine, paths, seed, lags, dump=None):
+        empirical = gamma_sequence(model, grid).gamma[list(lags)]
+        stderr = np.full(len(lags), 0.01)
+        empirical[1] += 3.1 * stderr[1]
+        return empirical, stderr, 1.0
+
+    monkeypatch.setattr(cli, "_validation_estimates", estimates)
+    assert main(["mc-validate", "--n", "20", "--paths", "100", "--lags", "0,1"]) == 1
+    err = capsys.readouterr().err
+    assert "invariant violated" in err
+    assert "standard errors" in err
+    assert "lag 1 is 3.100 standard errors" in err
 
 
 def test_mc_validate_dump_and_reproducibility(tmp_path):
@@ -574,7 +602,7 @@ def test_mc_validate_dump_and_reproducibility(tmp_path):
     from szegolab import read_batch
 
     meta, table = read_batch(dump_a)
-    assert meta == {"version": 1, "paths": 150, "n": 100, "refine": 8, "seed": 9}
+    assert meta == {"version": mc.BATCH_VERSION, "paths": 150, "n": 100, "refine": 8, "seed": 9}
     assert table.shape == (150, 100)
 
     # the streamed dump is the file write_batch writes for the same batch

@@ -1,11 +1,12 @@
 """Monte-Carlo layer: counter-based reproducibility, sampler correctness
-(the circulant embedding against the dense Toeplitz covariance), trapezoid
-accuracy order, agreement with the analytic covariances, and the binary
-increment dump.
+(the exact cell transition and the circulant embedding against the dense
+covariance of the refined grid), trapezoid accuracy order, agreement with the
+analytic covariances, and the binary increment dump.
 
 Statistical assertions run at fixed seeds, so every "within k standard errors"
-check is deterministic in practice; the nested-refinement shift oracle (seed
-11) was frozen from an independent run of the same construction.
+check is deterministic in practice.  The refined-grid AR(1) recursion that
+the exponential model's sampler once ran lives here as the slow reference
+(``_ar1_reference``).
 """
 
 import dataclasses
@@ -39,10 +40,9 @@ from szegolab.mc import (
     BATCH_MAGIC,
     BATCH_VERSION,
     _HEADER,
-    _ar1_paths,
+    _block_normals,
     _embedded_paths,
     _embedding_roots,
-    _path_normals,
 )
 
 _KINDS = {
@@ -57,6 +57,28 @@ def _trapezoid_weights(h: float, refine: int) -> np.ndarray:
     w = np.full(refine + 1, delta)
     w[0] = w[-1] = 0.5 * delta
     return w
+
+
+def _ar1_reference(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndarray:
+    """Stationary exponential-model paths on a grid of step delta from the
+    (paths, m) normals ``z``, by the AR(1) recursion x_j = rho x_(j-1) +
+    sqrt(P (1 - rho^2)) z_j started from x_0 = sqrt(P) z_0, one time step at
+    a time: the slow reference for the sampler's cell transition."""
+    rho = model.family.ar1_step(model.scale, delta)
+    x = np.empty_like(z)
+    x[:, 0] = math.sqrt(model.power) * z[:, 0]
+    scale = math.sqrt(model.power * (1.0 - rho * rho))
+    for j in range(1, z.shape[1]):
+        x[:, j] = rho * x[:, j - 1] + scale * z[:, j]
+    return x
+
+
+def _width(model: SpectralModel, grid: SamplingGrid, refine: int) -> int:
+    """Draws per path ahead of the channel noise: 2n + 1 on the
+    cell-transition route, the embedding size on the other."""
+    if model.family.ar1_step is not None:
+        return 2 * grid.n + 1
+    return 2 * (_embedding_roots(model, grid.n * refine + 1, grid.h / refine)[0].size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,37 +185,44 @@ def test_each_path_has_its_own_substream(kind):
 
 @pytest.mark.parametrize("kind", _KINDS)
 def test_channel_noise_follows_the_path_draws(kind):
-    # each substream holds the path's draws first and its n noise draws
-    # after them, so the noise never shifts the draws behind the increments
+    # each path's row of draws holds the path's draws first and its n noise
+    # draws after them, so the noise never shifts the draws behind the
+    # increments
     model, grid, refine = _KINDS[kind], SamplingGrid(T=2.0, n=10), 4
     batch = sample_paths(model, grid, refine=refine, paths=5, seed=77)
-    m = grid.n * refine + 1
-    if model.family.ar1_step is None:
-        width = 2 * (_embedding_roots(model, m, grid.h / refine)[0].size - 1)
-    else:
-        width = m
-    z = _path_normals(77, range(5), width + grid.n)
+    width = _width(model, grid, refine)
+    z = _block_normals(77, 0, 5, width + grid.n)
     assert np.array_equal(batch.noisy, batch.increments + math.sqrt(grid.h) * z[:, width:])
 
 
+@pytest.mark.parametrize("seed", [21, 2**64 - 1])
 @pytest.mark.parametrize("kind", _KINDS)
-def test_blocking_does_not_change_the_batch(kind, monkeypatch):
-    # blocks of a few paths must reproduce the one-block batch bit for bit
-    grid = SamplingGrid(T=2.0, n=10)
-    args = dict(refine=4, paths=7, seed=21)
-    whole = sample_paths(_KINDS[kind], grid, **args)
+def test_each_row_block_draws_from_the_stream_keyed_by_its_index(kind, seed, monkeypatch):
+    # with 200-value blocks, block b holds the rows [b R, (b + 1) R), R =
+    # max(1, 200 // count), and draws them by one standard_normal((rows,
+    # count)) call of a fresh Philox keyed by (seed, b); the last block is cut
+    # at the path count
+    model, grid, refine, paths = _KINDS[kind], SamplingGrid(T=2.0, n=10), 4, 14
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)
-    blocked = sample_paths(_KINDS[kind], grid, **args)
-    for name in ("increments", "noisy"):
-        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+    batch = sample_paths(model, grid, refine=refine, paths=paths, seed=seed)
+    width = _width(model, grid, refine)
+    count = width + grid.n
+    rows = max(1, 200 // count)
+    for block, start in enumerate(range(0, paths, rows)):
+        stop = min(start + rows, paths)
+        bits = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
+        z = np.random.Generator(bits).standard_normal((stop - start, count))
+        noise = math.sqrt(grid.h) * z[:, width:]
+        assert np.array_equal(batch.noisy[start:stop], batch.increments[start:stop] + noise)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
-@pytest.mark.parametrize("block_values, paths", [(200, 12), (mc._BLOCK_VALUES, 1500)])
+@pytest.mark.parametrize("block_values, paths", [(200, 12), (mc._BLOCK_VALUES, 5000)])
 def test_worker_count_does_not_change_the_batch(kind, block_values, paths, monkeypatch):
     # one path per 200-value block, and at least three blocks of many paths
-    # at the default; three workers can outnumber the CPUs, and a short
-    # switch interval interleaves them often
+    # at the default (the exponential model's 3n + 1 = 121 draws per path
+    # put 2166 paths in a block); three workers can outnumber the CPUs, and
+    # a short switch interval interleaves them often
     grid, args = SamplingGrid(T=4.0, n=40), dict(refine=8, paths=paths, seed=5)
     monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
     run_blocks, seen = mc._run_blocks, []
@@ -235,17 +264,6 @@ def test_a_failing_block_is_raised_once_every_thread_has_ended(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_reset_generator_matches_fresh_generators_bitwise():
-    # one generator reset to key (seed, i) must draw what a fresh one draws
-    for seed in (0, 42, 2**64 - 1):
-        fresh = np.stack([
-            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-            .standard_normal(37)
-            for i in range(6)
-        ])
-        assert np.array_equal(_path_normals(seed, range(6), 37), fresh)
-
-
 def test_generator_metadata_names_counter_based_source(ou11):
     batch = sample_paths(ou11, SamplingGrid(T=1.0, n=4), paths=2, seed=0)
     assert "Philox" in batch.generator
@@ -260,28 +278,30 @@ def test_exponential_sampler_stream_is_pinned(ou11):
         for name in ("increments", "noisy")
     }
     assert digest == {
-        "increments": "cd17d4d4e62763b4f9b0498a3afda23dedf6a7934b5019af5e6dd9fd86ad7c74",
-        "noisy": "f3058cf0b5879356c5310c75f808698a2e9a9a1e0406682297ee3f499b32947d",
+        "increments": "ed11828fd86807e63f7fcea25a42249f4dcd24aab1e89e0ea89bd839fdbaa22b",
+        "noisy": "8177e259121d877ff5aa0c0ee16931e3bde8fa135a2d35d9dc73e2775c6b2a55",
     }
-    assert BATCH_VERSION == 1
+    assert BATCH_VERSION == 2
+    assert batch.generator.startswith("numpy.random.Philox keyed (seed, row block), batch v2 ")
 
 
-def test_ar1_paths_match_scalar_recursion_bitwise():
-    model = SpectralModel.ornstein_uhlenbeck(2.5, 0.7)
-    delta = 0.03
-    z = np.random.default_rng(0).standard_normal((5, 40))
-    rho = math.exp(-model.scale * delta)
-    scale = math.sqrt(model.power * (1.0 - rho * rho))
-    expected = np.empty_like(z)
+def test_cell_transition_matches_the_scalar_recursion_bitwise():
+    # each row is stepped on its own, in the order of the scalar recursion
+    model, n = SpectralModel.ornstein_uhlenbeck(2.5, 0.7), 20
+    transition = mc._cell_transition(model, 0.24, 8)
+    start, decay, drift, l11, l21, l22 = transition
+    assert start == math.sqrt(model.power)
+    z = np.random.default_rng(0).standard_normal((5, 2 * n + 1))
+    expected = np.empty((5, n))
     for i, row in enumerate(z.tolist()):
-        x = math.sqrt(model.power) * row[0]
-        expected[i, 0] = x
-        for j in range(1, len(row)):
-            x = rho * x + scale * row[j]
-            expected[i, j] = x
-    x = _ar1_paths(model, z, delta)
-    assert x.shape == z.shape and x.flags.c_contiguous
-    assert np.array_equal(x, expected)
+        x = start * row[0]
+        for j in range(n):
+            v, u = row[2 * j + 1], row[2 * j + 2]
+            expected[i, j] = (l21 * u + l22 * v) + drift * x
+            x = l11 * u + decay * x
+    increments = mc._transition_increments(transition, z)
+    assert increments.flags.c_contiguous
+    assert np.array_equal(increments, expected)
 
 
 @pytest.mark.parametrize("n, refine", [(100, 8), (7, 5), (3, 16), (1, 4), (13, 6), (40, 4)])
@@ -299,19 +319,12 @@ def test_cell_increments_equal_the_one_table_trapezoid(n, refine):
 # ---------------------------------------------------------------------------
 # sampler correctness on the refined grid
 # ---------------------------------------------------------------------------
-def _ar1_refined_values(model, grid, refine, paths, seed):
-    """The refined-grid values ``sample_paths`` reduces for a model with an
-    AR(1) step: each path's substream holds m + n normals, m = n * refine + 1,
-    and the first m run through the recursion."""
-    m = grid.n * refine + 1
-    z = _path_normals(seed, range(paths), m + grid.n)
-    return _ar1_paths(model, z[:, :m], grid.h / refine)
-
-
 def test_exponential_model_one_step_regression(ou11):
+    # the reference recursion recovers its AR(1) step and the stationary variance
     grid = SamplingGrid(T=4.0, n=20)
-    x = _ar1_refined_values(ou11, grid, refine=8, paths=200, seed=5)
     delta = grid.h / 8
+    z = np.random.default_rng(5).standard_normal((200, grid.n * 8 + 1))
+    x = _ar1_reference(ou11, z, delta)
     rho_hat = float(np.sum(x[:, 1:] * x[:, :-1]) / np.sum(x[:, :-1] ** 2))
     assert rho_hat == pytest.approx(math.exp(-delta), abs=5e-3)
     assert float(np.var(x)) == pytest.approx(ou11.power, abs=5e-2)
@@ -350,24 +363,31 @@ def test_trapezoid_variance_error_is_second_order(ou11):
 
 
 def test_nested_refinement_shift(ou11):
-    # Subsample the batch's refined-grid paths, rebuilt by the sampler's own
-    # helpers, at coarser trapezoid resolutions:
-    # the induced shift in the lag-0 estimate is negative (coarser rules
-    # undershoot here) and shrinks as the resolution rises.
-    grid = SamplingGrid(T=10.0, n=50)
-    batch = sample_paths(ou11, grid, refine=16, paths=2000, seed=11)
-    values = _ar1_refined_values(ou11, grid, refine=16, paths=2000, seed=11)
+    # Subsample refined-grid paths of the reference recursion at coarser
+    # trapezoid resolutions: the induced shift in the lag-0 estimate is
+    # negative (coarser rules undershoot here) and shrinks as the resolution
+    # rises.  At full resolution the reference agrees with the sampler's
+    # batch, whose cell transition draws the same law.
+    grid, refine, paths = SamplingGrid(T=10.0, n=50), 16, 2000
+    batch = sample_paths(ou11, grid, refine=refine, paths=paths, seed=11)
+    z = np.random.default_rng(11).standard_normal((paths, grid.n * refine + 1))
+    values = _ar1_reference(ou11, z, grid.h / refine)
     scale = grid.n / grid.T
 
-    def gamma0_at(stride: int) -> float:
+    def per_path_gamma0(stride: int) -> np.ndarray:
         x = values[:, ::stride]
-        delta = grid.h / (batch.refine // stride)
+        delta = grid.h / (refine // stride)
         cells = 0.5 * delta * (x[:, :-1] + x[:, 1:])
-        inc = cells.reshape(batch.paths, grid.n, -1).sum(axis=2)
-        return scale * float(np.mean(inc * inc))
+        inc = cells.reshape(paths, grid.n, -1).sum(axis=2)
+        return scale * np.mean(inc * inc, axis=1)
+
+    def gamma0_at(stride: int) -> float:
+        return float(np.mean(per_path_gamma0(stride)))
 
     reference = gamma0_at(1)
-    assert reference == pytest.approx(scale * float(np.mean(batch.increments**2)), rel=1e-15)
+    (sampled,), (sampled_se,) = empirical_gram(batch, (0,))
+    reference_se = float(np.std(per_path_gamma0(1), ddof=1)) / math.sqrt(paths)
+    assert abs(sampled - reference) <= 4.0 * math.hypot(sampled_se, reference_se)
     d8 = gamma0_at(2) - reference
     d4 = gamma0_at(4) - reference
     assert d4 < 0.0 and d8 < 0.0
@@ -499,9 +519,7 @@ def test_streamed_estimates_equal_the_table_route(kind, T, n, workers, tmp_path,
     model, grid, paths, seed, lags = _KINDS[kind], SamplingGrid(T=T, n=n), 1001, 7, (0, 1, 2, 5)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
     batch = sample_paths(model, grid, refine=8, paths=paths, seed=seed)
-    m = n * 8 + 1
-    width = m if model.family.ar1_step else 2 * (_embedding_roots(model, m, grid.h / 8)[0].size - 1)
-    assert paths % mc._block_rows(paths, width + n) > 0
+    assert paths % mc._block_rows(paths, _width(model, grid, 8) + n) > 0
     tilde, se = empirical_gram(batch, lags)
     ratio = noise_variance_ratio(batch)
     write_batch(batch, tmp_path / "table.szgl")
@@ -518,9 +536,9 @@ def test_streamed_blocks_on_more_threads_than_cpus_land_in_their_rows(tmp_path, 
     # block reduced into the wrong columns or written at the wrong offset
     # would change the estimates or the dump
     model, grid, paths, seed = _KINDS["gauss"], SamplingGrid(T=4.0, n=10), 101, 3
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)  # the blocking keys the streams
     batch = sample_paths(model, grid, refine=4, paths=paths, seed=seed)
     write_batch(batch, tmp_path / "table.szgl")
-    monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     dump = tmp_path / "streamed.szgl"
     before, interval = threading.active_count(), sys.getswitchinterval()
@@ -583,6 +601,50 @@ def test_embedding_reproduces_the_dense_covariance(model, T, padding):
     assert np.max(np.abs(x.T @ x - dense)) <= 1e-12 * model.power
 
 
+def _route_tables(model, grid, refine, monkeypatch):
+    """Push the identity through the sampler: with one path per draw and
+    the identity as the block's normals, row k of each table is the column
+    of the route's linear map for draw k, so a table's Gram matrix is the
+    covariance the route gives it."""
+    count = _width(model, grid, refine) + grid.n
+    monkeypatch.setattr(mc, "_block_normals", lambda seed, block, rows, count: np.eye(rows, count))
+    batch = sample_paths(model, grid, refine=refine, paths=count, seed=0)
+    return batch.increments, batch.noisy
+
+
+def _trapezoid_covariance(model, grid, refine):
+    """B' Sigma B: Sigma the covariance of the m = n refine + 1 refined-grid
+    values, B the n columns of trapezoid weights."""
+    n, m, delta = grid.n, grid.n * refine + 1, grid.h / refine
+    sigma = scipy.linalg.toeplitz(model.acf(delta * np.arange(m)))
+    weights, w = np.zeros((m, n)), _trapezoid_weights(grid.h, refine)
+    for j in range(n):
+        weights[j * refine : (j + 1) * refine + 1, j] = w
+    return weights.T @ sigma @ weights
+
+
+@pytest.mark.parametrize("power", [1.3, 0.0])
+@pytest.mark.parametrize("alpha_delta", [1e-8, 0.05, 40.0], ids=["rho-near-1", "rho-mid", "rho-near-0"])
+@pytest.mark.parametrize("refine", [4, 8, 64])
+def test_cell_transition_reproduces_the_trapezoid_covariance(refine, alpha_delta, power, monkeypatch):
+    # the increments must have the covariance B' Sigma B of the refined AR(1)
+    # path reduced by the trapezoid rule, and the noisy values that plus h I;
+    # at power 0 the bound is 0, so the increments must be exactly zero
+    model, n = SpectralModel.ornstein_uhlenbeck(power, 0.7), 10
+    grid = SamplingGrid(T=n * refine * alpha_delta / model.scale, n=n)
+    increments, noisy = _route_tables(model, grid, refine, monkeypatch)
+    expected = _trapezoid_covariance(model, grid, refine)
+    for table, want in ((increments, expected), (noisy, expected + grid.h * np.eye(n))):
+        assert np.max(np.abs(table.T @ table - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_validation_bytes_of_the_cell_route_do_not_grow_with_refine():
+    model, grid = _KINDS["ou"], SamplingGrid(T=10.0, n=100)
+    sizes = {refine: mc._validation_bytes(model, grid, refine, 10_000, 4, 2**31)
+             for refine in (4, 8, 64, 4096)}
+    assert len(set(sizes.values())) == 1
+
+
 def test_indefinite_kernel_fails_at_the_padding_stop(monkeypatch):
     # A box-shaped autocovariance is not positive definite: its spectrum is
     # a sinc, which changes sign.  This one is a box of radius 0.5 on a
@@ -615,6 +677,21 @@ def test_read_batch_rejects_bad_magic(tmp_path):
     path.write_bytes(_HEADER.pack(b"NOPE", BATCH_VERSION, 1, 1, 4, 0) + b"\x00" * 8)
     with pytest.raises(ValueError, match="magic"):
         read_batch(path)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_read_batch_reads_the_versions_that_share_the_layout(version, tmp_path):
+    # versions 1 and 2 differ only in the sampler behind the table
+    path = tmp_path / "batch.szgl"
+    table = np.arange(6.0).reshape(2, 3)
+    path.write_bytes(_HEADER.pack(BATCH_MAGIC, version, 2, 3, 8, 5) + table.astype("<f8").tobytes())
+    if version == 3:
+        with pytest.raises(ValueError, match="unsupported dump version 3"):
+            read_batch(path)
+        return
+    header, read = read_batch(path)
+    assert header == {"version": version, "paths": 2, "n": 3, "refine": 8, "seed": 5}
+    assert np.array_equal(read, table)
 
 
 def test_read_batch_rejects_bad_version(tmp_path):
