@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -234,29 +234,36 @@ class RunConfig:
     paths: int | None = None
     lags: tuple[int, ...] | None = None
     dump_batch: str | None = None
+    # the definite circulant embedding that mc-validate's memory estimate
+    # found, handed to the sampler so that a run searches for it once
+    embedding: tuple[np.ndarray, float] | None = field(default=None, repr=False, compare=False)
 
 
 # A run whose estimated working set exceeds this is refused before it allocates.
 _MEMORY_CAP = 2 * 2**30
 
 
-def _sandwich_bytes(config: RunConfig) -> int:
+# Each estimate returns the upper bound on a run's bytes and the RunConfig
+# fields it found on the way, which the run then reuses.
+def _sandwich_bytes(config: RunConfig) -> tuple[int, dict]:
     """Upper bound on the bytes a sandwich run holds: what the split
     eigensolve holds at the schedule's largest n (two half blocks, no n x n
     matrix), and what building the degree-d pair holds: one block of
     Bernstein basis rows and a few grids of floats, more than evaluating it
     at the eigenvalues adds."""
     n = max(n for _, n in config.schedule.points)
-    return _toeplitz_eigs_bytes(n) + _pair_bytes(config.degree)
+    return _toeplitz_eigs_bytes(n) + _pair_bytes(config.degree), {}
 
 
-def _mc_validate_bytes(config: RunConfig) -> int:
+def _mc_validate_bytes(config: RunConfig) -> tuple[int, dict]:
     """Upper bound on the bytes an mc-validate run holds, as the mc module
-    bounds its streamed run; the embedding search stops once over the cap."""
+    bounds its streamed run; the embedding search stops once over the cap,
+    and the definite embedding it finds goes to the run."""
     grid = SamplingGrid(T=config.T, n=config.n)
-    return _validation_bytes(
+    estimate, embedding = _validation_bytes(
         config.model, grid, config.refine, config.paths, len(config.lags), _MEMORY_CAP
     )
+    return estimate, {"embedding": embedding}
 
 
 _BYTE_ESTIMATES = {"sandwich": _sandwich_bytes, "mc-validate": _mc_validate_bytes}
@@ -371,15 +378,16 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(_domain_cap_message(cap))
 
     values["fmt"] = values.pop("format")
-    names = {field.name for field in fields(RunConfig)}
+    names = {spec.name for spec in fields(RunConfig)}
     config = RunConfig(command=command, **{k: v for k, v in values.items() if k in names})
     if command in _BYTE_ESTIMATES:
-        estimate = _BYTE_ESTIMATES[command](config)
+        estimate, found = _BYTE_ESTIMATES[command](config)
         if estimate > _MEMORY_CAP:
             raise UsageError(
                 f"{command} needs an estimated {estimate / 2**30:.1f} GiB of memory, "
                 f"over the cap of {_MEMORY_CAP // 2**30} GiB; reduce the problem size"
             )
+        config = replace(config, **found)
     return config
 
 
@@ -506,7 +514,7 @@ def _run_mc_validate(config: RunConfig):
     try:
         empirical, se, ratio = _validation_estimates(
             config.model, grid, config.refine, config.paths, config.seed, config.lags,
-            dump=config.dump_batch,
+            dump=config.dump_batch, embedding=config.embedding,
         )
     except OSError as exc:
         raise UsageError(f"cannot write batch dump {config.dump_batch}: {exc}") from None

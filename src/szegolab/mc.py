@@ -165,18 +165,31 @@ def _cell_transition(model: SpectralModel, h: float, refine: int) -> tuple[float
 
         x_r = decay x_0 + l11 u,    inc = drift x_0 + l21 u + l22 v.
 
-    Raises ``FactorizationFailure`` when the Schur complement is not
-    positive.
+    The powers rho^0, ..., rho^r are formed ``_BLOCK_VALUES`` at a time, so
+    the transition holds at most four tables of that many values whatever
+    ``refine``.  Raises ``FactorizationFailure`` when the Schur complement is
+    not positive.
     """
     delta = h / refine
     rho = model.family.ar1_step(model.scale, delta)
     s = math.sqrt(model.power * (1.0 - rho * rho))
-    powers = rho ** np.arange(refine + 1.0)
-    # a and b indexed by e = r - i, the steps left in the cell after e_i
-    a = powers[:refine]
-    b = np.concatenate(([0.0], np.cumsum(powers[: refine - 1]))) + 0.5 * a
-    c0 = math.fsum(powers) - 0.5 * (1.0 + float(powers[-1]))
-    aa, ab, bb = float(a @ a), float(a @ b), float(b @ b)
+    # a and b indexed by e = r - i, the steps left in the cell after e_i:
+    # a_e = rho^e and b_e = rho^0 + ... + rho^(e-1) + rho^e / 2, whose
+    # running sum ``prefix`` carries from one chunk of powers to the next
+    aa = ab = bb = prefix = 0.0
+    totals = []
+    for start in range(0, refine + 1, _BLOCK_VALUES):
+        powers = rho ** np.arange(start, min(start + _BLOCK_VALUES, refine + 1), dtype=float)
+        totals.append(math.fsum(powers))
+        a = powers[: refine - start]
+        if a.size == 0:
+            break
+        b = np.cumsum(np.concatenate(([prefix], a[:-1])))
+        prefix = float(b[-1] + a[-1])
+        b += 0.5 * a
+        aa, ab, bb = aa + float(a @ a), ab + float(a @ b), bb + float(b @ b)
+    decay = float(powers[-1])
+    c0 = math.fsum(totals) - 0.5 * (1.0 + decay)
     schur = bb - ab * ab / aa
     if not schur > 0.0:
         raise FactorizationFailure(
@@ -185,7 +198,7 @@ def _cell_transition(model: SpectralModel, h: float, refine: int) -> tuple[float
         )
     root = math.sqrt(aa)
     l11, l21, l22 = s * root, s * delta * ab / root, s * delta * math.sqrt(schur)
-    return math.sqrt(model.power), float(powers[-1]), delta * c0, l11, l21, l22
+    return math.sqrt(model.power), decay, delta * c0, l11, l21, l22
 
 
 def _transition_increments(transition: tuple[float, ...], z: np.ndarray) -> np.ndarray:
@@ -251,21 +264,11 @@ def _roots(lam: np.ndarray) -> tuple[np.ndarray, float]:
     return np.sqrt(np.maximum(lam, 0.0)), float(lam.min())
 
 
-# The definite embedding that ``_validation_bytes`` found, keyed by (model,
-# family record, m, delta), for the sampler that runs next to take instead of
-# searching again: at most one entry, removed when taken.
-_found_embedding: dict = {}
-
-
 def _embedding_roots(model: SpectralModel, m: int, delta: float) -> tuple[np.ndarray, float]:
     """Square roots of the eigenvalues (rfft order) of the smallest circulant
     embedding of the acf on m refined-grid points that is positive
     semidefinite up to rounding, and its smallest eigenvalue before the
-    rounding negatives were clipped to zero.  Takes the embedding that
-    ``_validation_bytes`` found for the same arguments, if it is there."""
-    found = _found_embedding.pop((model, model.family, m, delta), None)
-    if found is not None:
-        return found
+    rounding negatives were clipped to zero."""
     for size in _embedding_sizes(model, m, delta):
         lam = _embedding_eigs(model, size, delta)
         if _semidefinite(lam):
@@ -368,10 +371,11 @@ def _run_blocks(fill, blocks: list[slice], workers: int) -> None:
 
 def _validation_bytes(
     model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, lags: int, limit: int
-) -> int:
+) -> tuple[int, tuple[np.ndarray, float] | None]:
     """Upper bound on the bytes held while ``_validation_estimates`` runs
     ``paths`` paths at ``lags`` lags: the sampler blocks on each thread, the
-    per-path vectors, and the embedding's eigenvalue search.
+    per-path vectors, and the cell transition or the embedding's eigenvalue
+    search.
 
     Each of the sampler's threads holds one block at a time: its normals,
     width + n values per path, and beside them at most one second table.
@@ -391,11 +395,17 @@ def _validation_bytes(
     ``_workers``).
 
     Beside the blocks the run holds lags + 2 vectors of one value per path
-    (the lag means, the noise sums and the noise's centred sums of squares)
-    and, on the embedding route, four vectors of width values for the
-    eigenvalue search, which stops at the first size whose bound exceeds
-    ``limit``, before its FFT.  The definite embedding it finds is kept for
-    the sampler (``_embedding_roots``), so a run searches once.
+    (the lag means, the noise sums and the noise's centred sums of squares),
+    and before the blocks, on the cell-transition route, four tables of
+    min(refine + 1, ``_BLOCK_VALUES``) values for the transition's sums
+    (``_cell_transition``) or, on the embedding route, four vectors of width
+    values for the eigenvalue search, which stops at the first size whose
+    bound exceeds ``limit``, before its FFT.  Both are counted beside the
+    blocks.
+
+    Returns the bound and the definite embedding the search found, as
+    ``_embedding_roots`` returns it, for the sampler to take (None on the
+    cell-transition route, or when the search stopped at the limit).
     """
     n = grid.n
     m = n * refine + 1
@@ -404,21 +414,19 @@ def _validation_bytes(
         rows = _block_rows(paths, width + n)
         second = width + n + 2 if embedding else 2 * n + 1
         per_thread = rows * (width + n + second) + 4 * np.getbufsize()
-        search = 4 * width if embedding else 0
-        return 8 * (_workers(paths, rows) * per_thread + search + (lags + 2) * paths)
+        setup = 4 * width if embedding else 4 * min(refine + 1, _BLOCK_VALUES)
+        return 8 * (_workers(paths, rows) * per_thread + setup + (lags + 2) * paths)
 
     if model.family.ar1_step is not None:
-        return bound(2 * n + 1, False)
+        return bound(2 * n + 1, False), None
     delta = grid.h / refine
     for size in _embedding_sizes(model, m, delta):
         if bound(size, True) > limit:
             break
         lam = _embedding_eigs(model, size, delta)
         if _semidefinite(lam):
-            _found_embedding.clear()
-            _found_embedding[model, model.family, m, delta] = _roots(lam)
-            break
-    return bound(size, True)
+            return bound(size, True), _roots(lam)
+    return bound(size, True), None
 
 
 def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
@@ -433,13 +441,17 @@ def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
 
 
 def _sample_blocks(
-    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, seed: int, sink
+    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, seed: int, sink,
+    embedding: tuple[np.ndarray, float] | None = None,
 ) -> float | None:
     """Draw ``paths`` paths in blocks of rows and pass each block to
     ``sink(rows, increments, noisy)`` on the thread that drew it, where
     ``rows`` is the block's slice of path indices and the two arrays hold its
     rows of the increment and noisy tables; returns the smallest embedding
-    eigenvalue before clipping (None on the cell-transition route).
+    eigenvalue before clipping (None on the cell-transition route).  On the
+    embedding route ``embedding`` may hand in what ``_embedding_roots``
+    returns for these arguments, as ``_validation_bytes`` found it, so the
+    search is not run again.
 
     Block b holds the paths [b R, (b + 1) R), R = max(1, _BLOCK_VALUES //
     count) for count normals per path, and draws them by one call from the
@@ -458,7 +470,9 @@ def _sample_blocks(
         transition = _cell_transition(model, grid.h, refine)
         roots, min_eig, width = None, None, 2 * n + 1
     else:
-        roots, min_eig = _embedding_roots(model, m, delta)
+        if embedding is None:
+            embedding = _embedding_roots(model, m, delta)
+        roots, min_eig = embedding
         width = 2 * (roots.size - 1)
     count = width + n
     noise_scale = math.sqrt(grid.h)
@@ -628,7 +642,8 @@ def noise_variance_ratio(batch: PathBatch) -> float:
 
 
 def _validation_estimates(
-    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, seed: int, lags, dump=None
+    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, seed: int, lags, dump=None,
+    embedding: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """``empirical_gram`` and ``noise_variance_ratio`` of the batch that
     ``sample_paths`` would draw with these arguments, computed without its
@@ -640,6 +655,7 @@ def _validation_estimates(
     With ``dump``, the file ``write_batch`` would write is written to that
     path, each block's increment rows at their offset in it; the file is
     opened before any path is drawn, and removed again if the run fails.
+    ``embedding`` is handed to the sampler (``_sample_blocks``).
     """
     refine, paths, seed = _sampling_args(refine, paths, seed)
     n = grid.n
@@ -659,13 +675,13 @@ def _validation_estimates(
                 fh.write(data)
 
     if dump is None:
-        _sample_blocks(model, grid, refine, paths, seed, reduce)
+        _sample_blocks(model, grid, refine, paths, seed, reduce, embedding)
     else:
         fh = open(dump, "wb")
         try:
             with fh:
                 fh.write(_HEADER.pack(BATCH_MAGIC, BATCH_VERSION, paths, n, refine, seed))
-                _sample_blocks(model, grid, refine, paths, seed, reduce)
+                _sample_blocks(model, grid, refine, paths, seed, reduce, embedding)
         except BaseException:
             os.remove(dump)
             raise
@@ -690,9 +706,10 @@ def write_batch(batch: PathBatch, path) -> None:
 def read_batch(path) -> tuple[dict, np.ndarray]:
     """Read a dump written by ``write_batch``; returns (header fields, table).
 
-    Versions 1 and 2 share the layout and are both read.  The file size is checked against the header before the table is
-    allocated, and the payload is read straight into it; it is converted only
-    on a big-endian host."""
+    Versions 1 and 2 share the layout and are both read.  The file size is
+    checked against the header before the table is allocated, and the
+    payload is read straight into it; it is converted only on a big-endian
+    host."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:

@@ -638,11 +638,24 @@ def test_cell_transition_reproduces_the_trapezoid_covariance(refine, alpha_delta
         assert np.max(np.abs(table.T @ table - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_validation_bytes_of_the_cell_route_do_not_grow_with_refine():
+def test_validation_bytes_of_the_cell_route_stop_growing_with_refine():
+    # only the transition's chunk of powers grows with refine, up to four
+    # tables of _BLOCK_VALUES values, so a huge refine is not refused
     model, grid = _KINDS["ou"], SamplingGrid(T=10.0, n=100)
     sizes = {refine: mc._validation_bytes(model, grid, refine, 10_000, 4, 2**31)
-             for refine in (4, 8, 64, 4096)}
-    assert len(set(sizes.values())) == 1
+             for refine in (4, 2**18, 2**20, 10**8)}
+    assert {embedding for _, embedding in sizes.values()} == {None}
+    assert sizes[2**18] == sizes[2**20] == sizes[10**8]
+    assert sizes[10**8][0] - sizes[4][0] < 4 * 8 * mc._BLOCK_VALUES
+
+
+def test_chunked_cell_transition_matches_one_chunk(monkeypatch):
+    # more than one chunk of powers changes only the rounding of the sums
+    model, h = SpectralModel.ornstein_uhlenbeck(1.2, 0.8), 0.3
+    whole = mc._cell_transition(model, h, 65)
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 7)
+    chunked = mc._cell_transition(model, h, 65)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0)
 
 
 def test_indefinite_kernel_fails_at_the_padding_stop(monkeypatch):
