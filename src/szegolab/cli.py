@@ -234,8 +234,8 @@ class RunConfig:
     paths: int | None = None
     lags: tuple[int, ...] | None = None
     dump_batch: str | None = None
-    # the definite circulant embedding that mc-validate's memory estimate
-    # found, handed to the sampler so that a run searches for it once
+    # the folded spectrum of the circulant embedding that mc-validate's memory
+    # estimate found, handed to the sampler so that a run searches for it once
     embedding: tuple[np.ndarray, float] | None = field(default=None, repr=False, compare=False)
 
 

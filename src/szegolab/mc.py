@@ -18,11 +18,12 @@ cell's end value and trapezoid increment are drawn together from two normals
 by the exact cell transition (``_cell_transition``; Gillespie 1996), which
 reproduces the refined AR(1) path reduced by the trapezoid rule at a cost
 that does not grow with ``refine``.  Every other family is sampled by
-circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997): the
-refined-grid autocovariance is embedded in a symmetric circulant of size
-M = 2(m - 1), padded by doubling M while the embedding is indefinite, and each
-path is the first m points of C^(1/2) w for M standard normals w, at
-O(M log M) cost and O(M) memory per path.
+circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997) one lattice
+up: the refined-grid autocovariance is embedded in a symmetric circulant of
+size M = 2(m - 1), doubled while indefinite, whose spectrum is folded onto
+the M/refine cells (``_folded_roots``); each path's increments are the first
+n values of C_y^(1/2) w for M/refine standard normals w, at O((M/refine)
+log M) cost and O(M/refine) memory per path.
 
 Paths are drawn in blocks of rows by one loop (``_sample_blocks``), so each
 working table stays near 2 MiB whatever the path count.  The blocks run on
@@ -72,10 +73,10 @@ __all__ = [
 ]
 
 BATCH_MAGIC = b"SZGL"
-BATCH_VERSION = 2
-# Every version so far lays the file out the same way; version 1 names the
-# sampler before the cell transition and the per-block streams.
-_READABLE_VERSIONS = (1, 2)
+BATCH_VERSION = 3
+# Every version so far lays the file out the same way; versions 1 and 2 name
+# the samplers before the cell transition and before the folded embedding.
+_READABLE_VERSIONS = (1, 2, 3)
 _HEADER = struct.Struct("<4sIQIIQ")  # magic, version, N, n, refine, seed — 32 bytes
 _SEED_MAX = 2**64
 _EPS = float(np.finfo(float).eps)
@@ -101,8 +102,8 @@ class PathBatch:
     the library version behind the seed.  ``jitter`` is always 0.0: both
     sampling routes are exact, so no diagonal regularization is added to the
     covariance.  ``min_embedding_eig`` is the smallest eigenvalue of the
-    circulant embedding before rounding negatives are clipped to zero (None
-    on the cell-transition route).
+    refined-grid circulant embedding before clipping and folding (None on
+    the cell-transition route).
     """
 
     model: SpectralModel
@@ -258,21 +259,14 @@ def _semidefinite(lam: np.ndarray) -> bool:
     return float(lam.min()) >= -_CLIP_RTOL * float(lam.max())
 
 
-def _roots(lam: np.ndarray) -> tuple[np.ndarray, float]:
-    """Square roots of the eigenvalues with rounding negatives clipped to
-    zero, and the smallest eigenvalue before clipping."""
-    return np.sqrt(np.maximum(lam, 0.0)), float(lam.min())
-
-
-def _embedding_roots(model: SpectralModel, m: int, delta: float) -> tuple[np.ndarray, float]:
-    """Square roots of the eigenvalues (rfft order) of the smallest circulant
-    embedding of the acf on m refined-grid points that is positive
-    semidefinite up to rounding, and its smallest eigenvalue before the
-    rounding negatives were clipped to zero."""
+def _embedding_spectrum(model: SpectralModel, m: int, delta: float) -> np.ndarray:
+    """Eigenvalues (rfft order) of the smallest circulant embedding of the
+    acf on m refined-grid points that is positive semidefinite up to
+    rounding."""
     for size in _embedding_sizes(model, m, delta):
         lam = _embedding_eigs(model, size, delta)
         if _semidefinite(lam):
-            return _roots(lam)
+            return lam
     raise FactorizationFailure(
         f"circulant embedding of the covariance on the refined grid (m={m}, "
         f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue "
@@ -280,8 +274,30 @@ def _embedding_roots(model: SpectralModel, m: int, delta: float) -> tuple[np.nda
     )
 
 
+def _folded_roots(lam: np.ndarray, refine: int, delta: float) -> tuple[np.ndarray, float]:
+    """Square roots of the eigenvalues (rfft order) of the circulant of the
+    embedded process's cell increments, and min(lam) before clipping.
+
+    The process embedded in M points with eigenvalues lam (clipped at zero)
+    filtered by g = delta (1/2, 1, ..., 1, 1/2) (r + 1 taps, r = ``refine``)
+    and taken at every r-th point gives the increments of its M/r cells,
+    circulant with eigenvalues lam_y[k] = (1/r) sum_(q<r) |G[k + qM/r]|^2
+    lam[k + qM/r] >= 0, G the length-M DFT of g.  The first n increments
+    touch only the first m points, whose covariance is the refined Toeplitz
+    Sigma, so they have exactly the trapezoid covariance B' Sigma B."""
+    size = 2 * (lam.size - 1)
+    cell = np.full(refine + 1, delta)
+    cell[0] = cell[-1] = 0.5 * delta
+    weighted = np.abs(np.fft.rfft(cell, n=size))
+    weighted *= weighted
+    weighted *= np.maximum(lam, 0.0)
+    full = np.concatenate((weighted, weighted[-2:0:-1]))
+    folded = full.reshape(refine, -1).mean(axis=0)[: size // (2 * refine) + 1]
+    return np.sqrt(folded), float(lam.min())
+
+
 def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
-    """First m points of C^(1/2) w for each row w of ``w``, where C is the
+    """First m values of C^(1/2) w for each row w of ``w``, where C is the
     circulant with eigenvalues ``roots**2``; rows of independent standard
     normals give rows with covariance C[:m, :m].
 
@@ -290,27 +306,6 @@ def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
     spectrum = np.fft.rfft(w, axis=1)
     spectrum *= roots
     return np.fft.irfft(spectrum, n=w.shape[1], axis=1, out=w)[:, :m]
-
-
-def _cell_increments(x: np.ndarray, n: int, refine: int, delta: float) -> np.ndarray:
-    """Trapezoid integral of each of the n cells of ``refine`` steps of
-    length ``delta`` along each row of ``x`` (n * refine + 1 points).
-
-    The step areas are formed max(1, n // refine) cells at a time in one
-    reused table, so beside the result this holds at most max(n, refine)
-    values per row, where a table of all the step areas would hold
-    n * refine."""
-    rows = x.shape[0]
-    increments = np.empty((rows, n))
-    cells = max(1, n // refine)
-    areas = np.empty((rows, cells * refine))
-    for first in range(0, n, cells):
-        part = x[:, first * refine : (first + cells) * refine + 1]
-        area = areas[:, : part.shape[1] - 1]
-        np.add(part[:, :-1], part[:, 1:], out=area)
-        area *= 0.5 * delta
-        np.sum(area.reshape(rows, -1, refine), axis=2, out=increments[:, first : first + cells])
-    return increments
 
 
 def _block_rows(paths: int, count: int) -> int:
@@ -383,11 +378,11 @@ def _validation_bytes(
     the recursion overwrites the normals, and the second table is the
     block's increments with either the step vector or one reduction
     temporary (noise values or lag products, n per path).  On the embedding
-    route the width is the embedding size the sampler picks, found by the
-    same search, the inverse transform overwrites the normals, and the
-    second table is the half spectrum, which numpy's FFT lays out with the
-    rows of the normals: width + n + 2 values per path.  Each thread also
-    fills the buffers of numpy's iterator for an operation on strided or
+    route the width is M/refine for the embedding size M the sampler picks,
+    found by the same search, the inverse transform overwrites the normals,
+    and the second table is the half spectrum, width + 2 values per path,
+    which also covers the reduction temporaries (width >= 2n).  Each thread
+    also fills the buffers of numpy's iterator for an operation on strided or
     mixed-type operands (at most three of ``np.getbufsize()`` float64
     values, or one of complex values) and holds the block's array headers
     and generator state, which are counted as one more such buffer.  The
@@ -398,35 +393,34 @@ def _validation_bytes(
     (the lag means, the noise sums and the noise's centred sums of squares),
     and before the blocks, on the cell-transition route, four tables of
     min(refine + 1, ``_BLOCK_VALUES``) values for the transition's sums
-    (``_cell_transition``) or, on the embedding route, four vectors of width
+    (``_cell_transition``) or, on the embedding route, four vectors of M
     values for the eigenvalue search, which stops at the first size whose
-    bound exceeds ``limit``, before its FFT.  Both are counted beside the
-    blocks.
+    bound exceeds ``limit``, before its FFT, and two more for the fold's
+    full spectrum and filter response.  Both are counted beside the blocks.
 
-    Returns the bound and the definite embedding the search found, as
-    ``_embedding_roots`` returns it, for the sampler to take (None on the
+    Returns the bound and what ``_folded_roots`` returns for the definite
+    embedding the search found, for the sampler to take (None on the
     cell-transition route, or when the search stopped at the limit).
     """
     n = grid.n
     m = n * refine + 1
 
-    def bound(width: int, embedding: bool) -> int:
+    def bound(width: int, second: int, setup: int) -> int:
         rows = _block_rows(paths, width + n)
-        second = width + n + 2 if embedding else 2 * n + 1
         per_thread = rows * (width + n + second) + 4 * np.getbufsize()
-        setup = 4 * width if embedding else 4 * min(refine + 1, _BLOCK_VALUES)
         return 8 * (_workers(paths, rows) * per_thread + setup + (lags + 2) * paths)
 
     if model.family.ar1_step is not None:
-        return bound(2 * n + 1, False), None
+        return bound(2 * n + 1, 2 * n + 1, 4 * min(refine + 1, _BLOCK_VALUES)), None
     delta = grid.h / refine
     for size in _embedding_sizes(model, m, delta):
-        if bound(size, True) > limit:
+        estimate = bound(size // refine, size // refine + 2, 6 * size)
+        if estimate > limit:
             break
         lam = _embedding_eigs(model, size, delta)
         if _semidefinite(lam):
-            return bound(size, True), _roots(lam)
-    return bound(size, True), None
+            return estimate, _folded_roots(lam, refine, delta)
+    return estimate, None
 
 
 def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
@@ -449,7 +443,7 @@ def _sample_blocks(
     ``rows`` is the block's slice of path indices and the two arrays hold its
     rows of the increment and noisy tables; returns the smallest embedding
     eigenvalue before clipping (None on the cell-transition route).  On the
-    embedding route ``embedding`` may hand in what ``_embedding_roots``
+    embedding route ``embedding`` may hand in what ``_folded_roots``
     returns for these arguments, as ``_validation_bytes`` found it, so the
     search is not run again.
 
@@ -464,14 +458,14 @@ def _sample_blocks(
     re-raised here once every thread has finished.
     """
     n = grid.n
-    m = n * refine + 1
-    delta = grid.h / refine
     if model.family.ar1_step is not None:
         transition = _cell_transition(model, grid.h, refine)
         roots, min_eig, width = None, None, 2 * n + 1
     else:
         if embedding is None:
-            embedding = _embedding_roots(model, m, delta)
+            delta = grid.h / refine
+            lam = _embedding_spectrum(model, n * refine + 1, delta)
+            embedding = _folded_roots(lam, refine, delta)
         roots, min_eig = embedding
         width = 2 * (roots.size - 1)
     count = width + n
@@ -483,8 +477,7 @@ def _sample_blocks(
         if roots is None:
             increments = _transition_increments(transition, z[:, :width])
         else:
-            x = _embedded_paths(roots, z[:, :width], m)
-            increments = _cell_increments(x, n, refine, delta)
+            increments = _embedded_paths(roots, z[:, :width], n)
         noisy = z[:, width:]
         noisy *= noise_scale
         noisy += increments
@@ -509,9 +502,10 @@ def sample_paths(
     step (the exponential covariance) draws each cell's end value and
     increment at once by the exact cell transition (``_cell_transition``):
     2n + 1 draws per path, whatever ``refine``.  Other models use circulant
-    embedding: M draws per path, where M is the embedding size (2(m - 1), or
-    a power-of-two multiple of it when padding was needed;
-    ``min_embedding_eig`` records its smallest eigenvalue).  Raises
+    embedding of the refined grid, of size M (2(m - 1), or a power-of-two
+    multiple of it when padding was needed; ``min_embedding_eig`` records
+    its smallest eigenvalue), folded onto the cells (``_folded_roots``), so
+    each path's n increments come from M/refine draws.  Raises
     ``FactorizationFailure`` when no embedding within the padding stop is
     positive semidefinite.  Paths are drawn in blocks of about
     ``_BLOCK_VALUES`` values (``_sample_blocks``), and each block is copied

@@ -101,7 +101,7 @@ GOLDEN = {
     "equivalence --model gauss --power 1.5 --width 1.3 --schedule 5:50,10:100": "427b32b08d7c058035a283c89846c9787e9aedff5eb9ca2729a3e427fd8034bb",  # exit 0
     "sandwich --model gauss --schedule 5:50,10:100": "68a7e48d183cac89b94a0a15c67da1b1bc0665596dfb442332b4c79ad157eb89",  # exit 0
     "sandwich --model gauss --schedule 5:51,10:103": "14252f019b25aa7d6ac5e85a7d182bb1985990a44997bff3e7d7bac857f79611",  # exit 0
-    "mc-validate --model gauss --n 20 --paths 200 --lags 0,1": "82c19989bbb0cf2c9f9739e7befee4600890c0d60bccac509098c5e5ce1767c0",  # exit 0
+    "mc-validate --model gauss --n 20 --paths 200 --lags 0,1": "70051b47b7bcac37aad2bf0ac05d4c611a141ba87b54e62087a62ddc3a40bafc",  # exit 0
     "dump-gram --model gauss --n 16": "f19565baa695f71b949a103505ed5b6a2891c8d1860cce72e4418ccc6010d54f",  # exit 0
     "dump-spectrum --model gauss --n 16": "53adcae05a3279458264b3d0d85cf77bc06cc5d3a4f397e9d60c57418f794874",  # exit 0
     "rate --model gauss --width -1": "32e696df8e594dc4c18046e5fdbb4ddfc1735dd3ee7dd97ec328520ce8b04ebd",  # exit 2
@@ -109,7 +109,7 @@ GOLDEN = {
     "equivalence --model tri --power 1.5 --support 0.9 --schedule 5:50,10:100": "05e3e9b512b62e8f2043e23228db3d85b592bd5c71414e42e818fae4ae56638a",  # exit 0
     "sandwich --model tri --schedule 5:50,10:100": "c09977ef0020cd69f92f813fcce2691bee52b455ca4d2631c35c21558117ae6c",  # exit 0
     "sandwich --model tri --schedule 5:51,10:103": "b35c80f07d1a8fb8587f6b5215e49e90f643ac145a2ae2ede807f8a735ea90fe",  # exit 0
-    "mc-validate --model tri --n 20 --paths 200 --lags 0,1": "7c79089b991bcafdf1a292531c639285439a4c0f968cac023eb7378503ae7d48",  # exit 0
+    "mc-validate --model tri --n 20 --paths 200 --lags 0,1": "20a06b781f72429abc30e5f455494ce49d8adebbfbf62916a74391e2903c82e1",  # exit 0
     "dump-gram --model tri --n 16": "cf458e5d41f6f408da83d4883394f926df279a49e183ec7a7bd6931974e7080a",  # exit 0
     "dump-spectrum --model tri --n 16": "2ed525f26b28698c5bbd74510af8f3d83de88bda84b8b0143364fa4883c2ceea",  # exit 0
     "rate --model tri --support -1": "0abfc6ecf975a35db66de5d843d5659ee48809883b46b107eb014c7a289eeeab",  # exit 2

@@ -42,7 +42,7 @@ from szegolab.mc import (
     _HEADER,
     _block_normals,
     _embedded_paths,
-    _embedding_roots,
+    _embedding_spectrum,
 )
 
 _KINDS = {
@@ -75,10 +75,11 @@ def _ar1_reference(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndar
 
 def _width(model: SpectralModel, grid: SamplingGrid, refine: int) -> int:
     """Draws per path ahead of the channel noise: 2n + 1 on the
-    cell-transition route, the embedding size on the other."""
+    cell-transition route, M/refine for the embedding size M on the other."""
     if model.family.ar1_step is not None:
         return 2 * grid.n + 1
-    return 2 * (_embedding_roots(model, grid.n * refine + 1, grid.h / refine)[0].size - 1)
+    lam = _embedding_spectrum(model, grid.n * refine + 1, grid.h / refine)
+    return 2 * (lam.size - 1) // refine
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +282,23 @@ def test_exponential_sampler_stream_is_pinned(ou11):
         "increments": "ed11828fd86807e63f7fcea25a42249f4dcd24aab1e89e0ea89bd839fdbaa22b",
         "noisy": "8177e259121d877ff5aa0c0ee16931e3bde8fa135a2d35d9dc73e2775c6b2a55",
     }
-    assert BATCH_VERSION == 2
-    assert batch.generator.startswith("numpy.random.Philox keyed (seed, row block), batch v2 ")
+    assert BATCH_VERSION == 3
+    assert batch.generator.startswith("numpy.random.Philox keyed (seed, row block), batch v3 ")
+
+
+def test_embedding_sampler_stream_is_pinned():
+    # Frozen digests of a Gaussian-kernel batch, drawn by the folded
+    # circulant embedding: a change in the last bit of any sample must come
+    # with a new BATCH_VERSION and generator tag.
+    batch = sample_paths(_KINDS["gauss"], SamplingGrid(T=10, n=100), refine=8, paths=64, seed=42)
+    digest = {
+        name: hashlib.sha256(getattr(batch, name).tobytes()).hexdigest()
+        for name in ("increments", "noisy")
+    }
+    assert digest == {
+        "increments": "da909c457f877be362d060a7bb6849b55ff873dce20403faa50f08a3f3c98048",
+        "noisy": "627d1281dd959bf36f2292e5d587ae88c31bb433028af684841d9deb539abd01",
+    }
 
 
 def test_cell_transition_matches_the_scalar_recursion_bitwise():
@@ -302,18 +318,6 @@ def test_cell_transition_matches_the_scalar_recursion_bitwise():
     increments = mc._transition_increments(transition, z)
     assert increments.flags.c_contiguous
     assert np.array_equal(increments, expected)
-
-
-@pytest.mark.parametrize("n, refine", [(100, 8), (7, 5), (3, 16), (1, 4), (13, 6), (40, 4)])
-def test_cell_increments_equal_the_one_table_trapezoid(n, refine):
-    # the areas are formed a few cells at a time, but every increment must
-    # be the sum the table of all step areas gives, bit for bit
-    delta = 0.01
-    x = np.random.default_rng(n).standard_normal((9, n * refine + 1))
-    cell = x[:, :-1] + x[:, 1:]
-    cell *= 0.5 * delta
-    expected = np.sum(cell.reshape(-1, n, refine), axis=2)
-    assert np.array_equal(mc._cell_increments(x, n, refine, delta), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +597,10 @@ def test_embedding_reproduces_the_dense_covariance(model, T, padding):
     # Toeplitz covariance of the refined grid.
     n, refine = 20, 4
     m, delta = n * refine + 1, T / (n * refine)
-    roots, _ = _embedding_roots(model, m, delta)
-    size = 2 * (roots.size - 1)
+    lam = _embedding_spectrum(model, m, delta)
+    size = 2 * (lam.size - 1)
     assert size == 2 * (m - 1) * padding
-    x = _embedded_paths(roots, np.eye(size), m)
+    x = _embedded_paths(np.sqrt(np.maximum(lam, 0.0)), np.eye(size), m)
     dense = scipy.linalg.toeplitz(model.acf(delta * np.arange(m)))
     assert np.max(np.abs(x.T @ x - dense)) <= 1e-12 * model.power
 
@@ -632,6 +636,36 @@ def test_cell_transition_reproduces_the_trapezoid_covariance(refine, alpha_delta
     # at power 0 the bound is 0, so the increments must be exactly zero
     model, n = SpectralModel.ornstein_uhlenbeck(power, 0.7), 10
     grid = SamplingGrid(T=n * refine * alpha_delta / model.scale, n=n)
+    increments, noisy = _route_tables(model, grid, refine, monkeypatch)
+    expected = _trapezoid_covariance(model, grid, refine)
+    for table, want in ((increments, expected), (noisy, expected + grid.h * np.eye(n))):
+        assert np.max(np.abs(table.T @ table - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "model, T, n, refine, padding",
+    [
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 10.0, 20, 4, 1),
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 4.0, 20, 5, 2),
+        (SpectralModel.gaussian_kernel(1.0, 1.0), 1.0, 20, 8, 8),
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 1.0, 1, 4, 8),
+        (SpectralModel.triangular(1.1, 0.7), 4.0, 10, 64, 1),
+        (SpectralModel.triangular(1.0, 2.0), 1.0, 20, 5, 1),
+        (SpectralModel.triangular(1.0, 1e6), 4.0, 10, 4, 1),
+        (SpectralModel.triangular(1.0, 0.7), 2.0, 1, 8, 1),
+    ],
+    ids=["gauss", "gauss-padded-2", "gauss-padded-8", "gauss-n1", "tri-refine-64", "tri-wide",
+         "tri-support-1e6", "tri-n1"],
+)
+def test_folded_embedding_reproduces_the_trapezoid_covariance(model, T, n, refine, padding,
+                                                               monkeypatch):
+    # the refined spectrum folded onto the cells must give the increments the
+    # covariance B' Sigma B of the refined path reduced by the trapezoid
+    # rule, padded embeddings and a refine that is not a power of two
+    # included, and the noisy values that plus h I
+    grid = SamplingGrid(T=T, n=n)
+    m = n * refine + 1
+    assert 2 * (_embedding_spectrum(model, m, grid.h / refine).size - 1) == 2 * (m - 1) * padding
     increments, noisy = _route_tables(model, grid, refine, monkeypatch)
     expected = _trapezoid_covariance(model, grid, refine)
     for table, want in ((increments, expected), (noisy, expected + grid.h * np.eye(n))):
@@ -692,14 +726,14 @@ def test_read_batch_rejects_bad_magic(tmp_path):
         read_batch(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_read_batch_reads_the_versions_that_share_the_layout(version, tmp_path):
-    # versions 1 and 2 differ only in the sampler behind the table
+    # versions 1 to 3 differ only in the sampler behind the table
     path = tmp_path / "batch.szgl"
     table = np.arange(6.0).reshape(2, 3)
     path.write_bytes(_HEADER.pack(BATCH_MAGIC, version, 2, 3, 8, 5) + table.astype("<f8").tobytes())
-    if version == 3:
-        with pytest.raises(ValueError, match="unsupported dump version 3"):
+    if version == 4:
+        with pytest.raises(ValueError, match="unsupported dump version 4"):
             read_batch(path)
         return
     header, read = read_batch(path)
