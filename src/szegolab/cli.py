@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, SzegolabError, UsageError
 from .gram import SamplingGrid, gamma_sequence
-from .mc import _validation_bytes, _validation_estimates
+from .mc import _Route, _route, _validation_bytes, _validation_estimates
 from .models import _FAMILIES, ModelKind, SpectralModel
 from .spectra import _toeplitz_eigs_bytes, _toeplitz_row_eigs, circulant_eigs
 from .szego import (
@@ -234,9 +234,9 @@ class RunConfig:
     paths: int | None = None
     lags: tuple[int, ...] | None = None
     dump_batch: str | None = None
-    # the folded spectrum of the circulant embedding that mc-validate's memory
-    # estimate found, handed to the sampler so that a run searches for it once
-    embedding: tuple[np.ndarray, float] | None = field(default=None, repr=False, compare=False)
+    # the sampler route that mc-validate's memory estimate built, handed to the
+    # run so that a run builds it once
+    route: _Route | None = field(default=None, repr=False, compare=False)
 
 
 # A run whose estimated working set exceeds this is refused before it allocates.
@@ -257,13 +257,15 @@ def _sandwich_bytes(config: RunConfig) -> tuple[int, dict]:
 
 def _mc_validate_bytes(config: RunConfig) -> tuple[int, dict]:
     """Upper bound on the bytes an mc-validate run holds, as the mc module
-    bounds its streamed run; the embedding search stops once over the cap,
-    and the definite embedding it finds goes to the run."""
+    bounds its streamed run on the sampler's route; the route is built only
+    while its shape fits under the cap, and the run takes it."""
+
+    def estimate(route: _Route) -> int:
+        return _validation_bytes(route, config.n, config.paths, len(config.lags))
+
     grid = SamplingGrid(T=config.T, n=config.n)
-    estimate, embedding = _validation_bytes(
-        config.model, grid, config.refine, config.paths, len(config.lags), _MEMORY_CAP
-    )
-    return estimate, {"embedding": embedding}
+    route = _route(config.model, grid, config.refine, lambda r: estimate(r) <= _MEMORY_CAP)
+    return estimate(route), {"route": route}
 
 
 _BYTE_ESTIMATES = {"sandwich": _sandwich_bytes, "mc-validate": _mc_validate_bytes}
@@ -332,7 +334,9 @@ def parse_config(argv) -> RunConfig:
     default.  Unknown config-file keys — including keys that do not apply to
     the chosen subcommand — are rejected.  The model is built first, then each
     row's checks run in row order, then the checks that span options, and last
-    the estimate of the run's memory against ``_MEMORY_CAP``.
+    the estimate of the run's memory against ``_MEMORY_CAP``; for mc-validate
+    the estimate builds the sampler's route, so a route that cannot be built
+    (indefinite at the padding stop) raises ``FactorizationFailure`` here.
     """
     args = _build_parser().parse_args(list(argv))
     command = args.command
@@ -514,7 +518,7 @@ def _run_mc_validate(config: RunConfig):
     try:
         empirical, se, ratio = _validation_estimates(
             config.model, grid, config.refine, config.paths, config.seed, config.lags,
-            dump=config.dump_batch, embedding=config.embedding,
+            dump=config.dump_batch, route=config.route,
         )
     except OSError as exc:
         raise UsageError(f"cannot write batch dump {config.dump_batch}: {exc}") from None

@@ -23,7 +23,9 @@ up: the refined-grid autocovariance is embedded in a symmetric circulant of
 size M = 2(m - 1), doubled while indefinite, whose spectrum is folded onto
 the M/refine cells (``_folded_roots``); each path's increments are the first
 n values of C_y^(1/2) w for M/refine standard normals w, at O((M/refine)
-log M) cost and O(M/refine) memory per path.
+log M) cost and O(M/refine) memory per path.  ``_route`` alone chooses the
+route, runs the embedding's eigenvalue search and sets the route's memory
+shape, which the sampler and the memory bound (``_validation_bytes``) read.
 
 Paths are drawn in blocks of rows by one loop (``_sample_blocks``), so each
 working table stays near 2 MiB whatever the path count.  The blocks run on
@@ -53,7 +55,8 @@ import math
 import os
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -118,12 +121,7 @@ class PathBatch:
     min_embedding_eig: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.refine, (int, np.integer)) or self.refine < 4:
-            raise ValueError(f"refine must be an integer >= 4, got {self.refine!r}")
-        if not isinstance(self.paths, (int, np.integer)) or self.paths < 1:
-            raise ValueError(f"paths must be an integer >= 1, got {self.paths!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _SEED_MAX:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        _sampling_args(self.refine, self.paths, self.seed)
         shape = (self.paths, self.grid.n)
         for name in ("increments", "noisy"):
             table = np.asarray(getattr(self, name), dtype=float)
@@ -146,14 +144,14 @@ def _block_normals(seed: int, block: int, rows: int, count: int) -> np.ndarray:
     return np.random.Generator(bits).standard_normal((rows, count))
 
 
-def _cell_transition(model: SpectralModel, h: float, refine: int) -> tuple[float, ...]:
-    """Exact one-cell transition of a Markov kernel (the exponential
-    covariance) reduced by the trapezoid rule: (start, decay, drift, l11,
-    l21, l22), where a path starts at x_0 = start z_0, start = sqrt(P).
+def _cell_transition(power: float, rho: float, delta: float, refine: int) -> tuple[float, ...]:
+    """Exact one-cell transition of a Markov kernel of power P (the
+    exponential covariance) reduced by the trapezoid rule: (start, decay,
+    drift, l11, l21, l22), where a path starts at x_0 = start z_0.
 
-    On the refined grid of ``refine`` = r steps of length delta = h / r the
-    kernel is the AR(1) recursion x_k = rho x_{k-1} + s e_k, with rho the
-    family record's AR(1) step and s^2 = P (1 - rho^2).  Given the cell's
+    On the refined grid of ``refine`` = r steps of length delta the kernel
+    is the AR(1) recursion x_k = rho x_{k-1} + s e_k, with rho the family
+    record's AR(1) step over delta and s^2 = P (1 - rho^2).  Given the cell's
     start value x_0, its end value and trapezoid increment are
 
         x_r = rho^r x_0 + s sum_i a_i e_i,             a_i = rho^(r-i)
@@ -171,9 +169,7 @@ def _cell_transition(model: SpectralModel, h: float, refine: int) -> tuple[float
     ``refine``.  Raises ``FactorizationFailure`` when the Schur complement is
     not positive.
     """
-    delta = h / refine
-    rho = model.family.ar1_step(model.scale, delta)
-    s = math.sqrt(model.power * (1.0 - rho * rho))
+    s = math.sqrt(power * (1.0 - rho * rho))
     # a and b indexed by e = r - i, the steps left in the cell after e_i:
     # a_e = rho^e and b_e = rho^0 + ... + rho^(e-1) + rho^e / 2, whose
     # running sum ``prefix`` carries from one chunk of powers to the next
@@ -199,7 +195,7 @@ def _cell_transition(model: SpectralModel, h: float, refine: int) -> tuple[float
         )
     root = math.sqrt(aa)
     l11, l21, l22 = s * root, s * delta * ab / root, s * delta * math.sqrt(schur)
-    return math.sqrt(model.power), decay, delta * c0, l11, l21, l22
+    return math.sqrt(power), decay, delta * c0, l11, l21, l22
 
 
 def _transition_increments(transition: tuple[float, ...], z: np.ndarray) -> np.ndarray:
@@ -259,24 +255,9 @@ def _semidefinite(lam: np.ndarray) -> bool:
     return float(lam.min()) >= -_CLIP_RTOL * float(lam.max())
 
 
-def _embedding_spectrum(model: SpectralModel, m: int, delta: float) -> np.ndarray:
-    """Eigenvalues (rfft order) of the smallest circulant embedding of the
-    acf on m refined-grid points that is positive semidefinite up to
-    rounding."""
-    for size in _embedding_sizes(model, m, delta):
-        lam = _embedding_eigs(model, size, delta)
-        if _semidefinite(lam):
-            return lam
-    raise FactorizationFailure(
-        f"circulant embedding of the covariance on the refined grid (m={m}, "
-        f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue "
-        f"{float(lam.min()):g}), where the covariance has decayed below rounding"
-    )
-
-
-def _folded_roots(lam: np.ndarray, refine: int, delta: float) -> tuple[np.ndarray, float]:
+def _folded_roots(lam: np.ndarray, refine: int, delta: float) -> np.ndarray:
     """Square roots of the eigenvalues (rfft order) of the circulant of the
-    embedded process's cell increments, and min(lam) before clipping.
+    embedded process's cell increments.
 
     The process embedded in M points with eigenvalues lam (clipped at zero)
     filtered by g = delta (1/2, 1, ..., 1, 1/2) (r + 1 taps, r = ``refine``)
@@ -293,7 +274,7 @@ def _folded_roots(lam: np.ndarray, refine: int, delta: float) -> tuple[np.ndarra
     weighted *= np.maximum(lam, 0.0)
     full = np.concatenate((weighted, weighted[-2:0:-1]))
     folded = full.reshape(refine, -1).mean(axis=0)[: size // (2 * refine) + 1]
-    return np.sqrt(folded), float(lam.min())
+    return np.sqrt(folded)
 
 
 def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
@@ -306,6 +287,69 @@ def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
     spectrum = np.fft.rfft(w, axis=1)
     spectrum *= roots
     return np.fft.irfft(spectrum, n=w.shape[1], axis=1, out=w)[:, :m]
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How a batch's paths are drawn, and the memory drawing them holds:
+    ``width`` normals per path ahead of its n channel-noise normals, which
+    ``draw`` maps (and may overwrite) to the block's n-column increments;
+    one table of ``second`` values per row beside each block; ``setup``
+    values while the route is built.  ``min_eig`` is the smallest embedding
+    eigenvalue before clipping (None on the cell-transition route).  An
+    unbuilt route (``_route`` with ``fits``) has no ``draw``."""
+
+    width: int
+    second: int
+    setup: int
+    draw: Callable[[np.ndarray], np.ndarray] | None = None
+    min_eig: float | None = None
+
+
+def _route(model: SpectralModel, grid: SamplingGrid, refine: int, fits=None) -> _Route:
+    """The built route for paths of ``model`` on ``grid`` refined ``refine``
+    times; the one place that chooses it.
+
+    A family with an AR(1) step takes the exact cell transition: 2n + 1
+    draws per path, whatever ``refine``; the recursion overwrites them, and
+    the second table is the block's increments with the step vector or one
+    reduction temporary (noise values or lag products, n per path); the
+    setup is the transition's four tables of min(refine + 1,
+    ``_BLOCK_VALUES``) values.  Any other family takes the smallest
+    circulant embedding of size M that is semidefinite up to rounding,
+    folded onto the cells: M/refine draws per path, overwritten by the
+    inverse transform; the second table is the half spectrum, width + 2
+    values per path, which covers the reduction temporaries (width >= 2n);
+    the setup is the search's four vectors of M values and the fold's two.
+
+    ``fits`` sees each candidate's shape before the transition is built or
+    the embedding's FFT runs, and the first shape it refuses is returned
+    unbuilt.  Raises ``FactorizationFailure`` when no embedding within the
+    padding stop is positive semidefinite.
+    """
+    n, delta = grid.n, grid.h / refine
+    if model.family.ar1_step is not None:
+        shape = _Route(2 * n + 1, 2 * n + 1, 4 * min(refine + 1, _BLOCK_VALUES))
+        if fits is not None and not fits(shape):
+            return shape
+        rho = model.family.ar1_step(model.scale, delta)
+        transition = _cell_transition(model.power, rho, delta, refine)
+        return replace(shape, draw=lambda z: _transition_increments(transition, z))
+    m = n * refine + 1
+    for size in _embedding_sizes(model, m, delta):
+        shape = _Route(size // refine, size // refine + 2, 6 * size)
+        if fits is not None and not fits(shape):
+            return shape
+        lam = _embedding_eigs(model, size, delta)
+        if _semidefinite(lam):
+            roots = _folded_roots(lam, refine, delta)
+            return replace(shape, draw=lambda z: _embedded_paths(roots, z, n),
+                           min_eig=float(lam.min()))
+    raise FactorizationFailure(
+        f"circulant embedding of the covariance on the refined grid (m={m}, "
+        f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue "
+        f"{float(lam.min()):g}), where the covariance has decayed below rounding"
+    )
 
 
 def _block_rows(paths: int, count: int) -> int:
@@ -364,63 +408,26 @@ def _run_blocks(fill, blocks: list[slice], workers: int) -> None:
         raise errors[0]
 
 
-def _validation_bytes(
-    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, lags: int, limit: int
-) -> tuple[int, tuple[np.ndarray, float] | None]:
+def _validation_bytes(route: _Route, n: int, paths: int, lags: int) -> int:
     """Upper bound on the bytes held while ``_validation_estimates`` runs
-    ``paths`` paths at ``lags`` lags: the sampler blocks on each thread, the
-    per-path vectors, and the cell transition or the embedding's eigenvalue
-    search.
+    ``paths`` paths of n cells at ``lags`` lags on ``route``: the sampler
+    blocks on each thread, the per-path vectors, and the route's setup.
 
     Each of the sampler's threads holds one block at a time: its normals,
-    width + n values per path, and beside them at most one second table.
-    On the cell-transition route the width is 2n + 1, whatever ``refine``,
-    the recursion overwrites the normals, and the second table is the
-    block's increments with either the step vector or one reduction
-    temporary (noise values or lag products, n per path).  On the embedding
-    route the width is M/refine for the embedding size M the sampler picks,
-    found by the same search, the inverse transform overwrites the normals,
-    and the second table is the half spectrum, width + 2 values per path,
-    which also covers the reduction temporaries (width >= 2n).  Each thread
-    also fills the buffers of numpy's iterator for an operation on strided or
-    mixed-type operands (at most three of ``np.getbufsize()`` float64
-    values, or one of complex values) and holds the block's array headers
-    and generator state, which are counted as one more such buffer.  The
-    block size and the thread count are the sampler's own (``_block_rows``,
-    ``_workers``).
-
-    Beside the blocks the run holds lags + 2 vectors of one value per path
-    (the lag means, the noise sums and the noise's centred sums of squares),
-    and before the blocks, on the cell-transition route, four tables of
-    min(refine + 1, ``_BLOCK_VALUES``) values for the transition's sums
-    (``_cell_transition``) or, on the embedding route, four vectors of M
-    values for the eigenvalue search, which stops at the first size whose
-    bound exceeds ``limit``, before its FFT, and two more for the fold's
-    full spectrum and filter response.  Both are counted beside the blocks.
-
-    Returns the bound and what ``_folded_roots`` returns for the definite
-    embedding the search found, for the sampler to take (None on the
-    cell-transition route, or when the search stopped at the limit).
+    width + n values per path, and beside them the route's second table.
+    Each thread also fills the buffers of numpy's iterator for an operation
+    on strided or mixed-type operands (at most three of ``np.getbufsize()``
+    float64 values, or one of complex values) and holds the block's array
+    headers and generator state, which are counted as one more such buffer.
+    The block size and the thread count are the sampler's own
+    (``_block_rows``, ``_workers``).  Beside the blocks the run holds lags +
+    2 vectors of one value per path (the lag means, the noise sums and the
+    noise's centred sums of squares), and the route's setup values are
+    counted beside them too.
     """
-    n = grid.n
-    m = n * refine + 1
-
-    def bound(width: int, second: int, setup: int) -> int:
-        rows = _block_rows(paths, width + n)
-        per_thread = rows * (width + n + second) + 4 * np.getbufsize()
-        return 8 * (_workers(paths, rows) * per_thread + setup + (lags + 2) * paths)
-
-    if model.family.ar1_step is not None:
-        return bound(2 * n + 1, 2 * n + 1, 4 * min(refine + 1, _BLOCK_VALUES)), None
-    delta = grid.h / refine
-    for size in _embedding_sizes(model, m, delta):
-        estimate = bound(size // refine, size // refine + 2, 6 * size)
-        if estimate > limit:
-            break
-        lam = _embedding_eigs(model, size, delta)
-        if _semidefinite(lam):
-            return estimate, _folded_roots(lam, refine, delta)
-    return estimate, None
+    rows = _block_rows(paths, route.width + n)
+    per_thread = rows * (route.width + n + route.second) + 4 * np.getbufsize()
+    return 8 * (_workers(paths, rows) * per_thread + route.setup + (lags + 2) * paths)
 
 
 def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
@@ -434,18 +441,11 @@ def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
     return int(refine), int(paths), int(seed)
 
 
-def _sample_blocks(
-    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, seed: int, sink,
-    embedding: tuple[np.ndarray, float] | None = None,
-) -> float | None:
-    """Draw ``paths`` paths in blocks of rows and pass each block to
-    ``sink(rows, increments, noisy)`` on the thread that drew it, where
-    ``rows`` is the block's slice of path indices and the two arrays hold its
-    rows of the increment and noisy tables; returns the smallest embedding
-    eigenvalue before clipping (None on the cell-transition route).  On the
-    embedding route ``embedding`` may hand in what ``_folded_roots``
-    returns for these arguments, as ``_validation_bytes`` found it, so the
-    search is not run again.
+def _sample_blocks(route: _Route, grid: SamplingGrid, paths: int, seed: int, sink) -> None:
+    """Draw ``paths`` paths on ``route`` in blocks of rows and pass each
+    block to ``sink(rows, increments, noisy)`` on the thread that drew it,
+    where ``rows`` is the block's slice of path indices and the two arrays
+    hold its rows of the increment and noisy tables.
 
     Block b holds the paths [b R, (b + 1) R), R = max(1, _BLOCK_VALUES //
     count) for count normals per path, and draws them by one call from the
@@ -457,34 +457,20 @@ def _sample_blocks(
     rows.  An exception raised in any block, the sink's included, is
     re-raised here once every thread has finished.
     """
-    n = grid.n
-    if model.family.ar1_step is not None:
-        transition = _cell_transition(model, grid.h, refine)
-        roots, min_eig, width = None, None, 2 * n + 1
-    else:
-        if embedding is None:
-            delta = grid.h / refine
-            lam = _embedding_spectrum(model, n * refine + 1, delta)
-            embedding = _folded_roots(lam, refine, delta)
-        roots, min_eig = embedding
-        width = 2 * (roots.size - 1)
-    count = width + n
+    width = route.width
+    count = width + grid.n
     noise_scale = math.sqrt(grid.h)
     rows = _block_rows(paths, count)
 
     def fill(block: slice) -> None:
         z = _block_normals(seed, block.start // rows, block.stop - block.start, count)
-        if roots is None:
-            increments = _transition_increments(transition, z[:, :width])
-        else:
-            increments = _embedded_paths(roots, z[:, :width], n)
+        increments = route.draw(z[:, :width])
         noisy = z[:, width:]
         noisy *= noise_scale
         noisy += increments
         sink(block, increments, noisy)
 
     _run_blocks(fill, _row_blocks(paths, rows), _workers(paths, rows))
-    return min_eig
 
 
 def sample_paths(
@@ -517,6 +503,7 @@ def sample_paths(
     and a larger batch starts with a smaller one.
     """
     refine, paths, seed = _sampling_args(refine, paths, seed)
+    route = _route(model, grid, refine)
     increments = np.empty((paths, grid.n))
     noisy = np.empty((paths, grid.n))
 
@@ -524,7 +511,7 @@ def sample_paths(
         increments[rows] = increments_block
         noisy[rows] = noisy_block
 
-    min_eig = _sample_blocks(model, grid, refine, paths, seed, store)
+    _sample_blocks(route, grid, paths, seed, store)
     return PathBatch(
         model=model,
         grid=grid,
@@ -535,7 +522,7 @@ def sample_paths(
         noisy=noisy,
         generator=f"numpy.random.Philox keyed (seed, row block), batch v{BATCH_VERSION} "
         f"(numpy {np.__version__})",
-        min_embedding_eig=min_eig,
+        min_embedding_eig=route.min_eig,
     )
 
 
@@ -637,7 +624,7 @@ def noise_variance_ratio(batch: PathBatch) -> float:
 
 def _validation_estimates(
     model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, seed: int, lags, dump=None,
-    embedding: tuple[np.ndarray, float] | None = None,
+    route: _Route | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """``empirical_gram`` and ``noise_variance_ratio`` of the batch that
     ``sample_paths`` would draw with these arguments, computed without its
@@ -649,11 +636,14 @@ def _validation_estimates(
     With ``dump``, the file ``write_batch`` would write is written to that
     path, each block's increment rows at their offset in it; the file is
     opened before any path is drawn, and removed again if the run fails.
-    ``embedding`` is handed to the sampler (``_sample_blocks``).
+    ``route`` is the one ``_route`` builds for these arguments, built here
+    when not given.
     """
     refine, paths, seed = _sampling_args(refine, paths, seed)
     n = grid.n
     lags = _gram_lags(paths, n, lags)
+    if route is None:
+        route = _route(model, grid, refine)
     lag_means = np.empty((len(lags), paths))
     moments = np.empty((2, paths))
     fh = None
@@ -669,13 +659,13 @@ def _validation_estimates(
                 fh.write(data)
 
     if dump is None:
-        _sample_blocks(model, grid, refine, paths, seed, reduce, embedding)
+        _sample_blocks(route, grid, paths, seed, reduce)
     else:
         fh = open(dump, "wb")
         try:
             with fh:
                 fh.write(_HEADER.pack(BATCH_MAGIC, BATCH_VERSION, paths, n, refine, seed))
-                _sample_blocks(model, grid, refine, paths, seed, reduce, embedding)
+                _sample_blocks(route, grid, paths, seed, reduce)
         except BaseException:
             os.remove(dump)
             raise
@@ -700,7 +690,7 @@ def write_batch(batch: PathBatch, path) -> None:
 def read_batch(path) -> tuple[dict, np.ndarray]:
     """Read a dump written by ``write_batch``; returns (header fields, table).
 
-    Versions 1 and 2 share the layout and are both read.  The file size is
+    Versions 1 to 3 share the layout and are all read.  The file size is
     checked against the header before the table is allocated, and the
     payload is read straight into it; it is converted only on a big-endian
     host."""

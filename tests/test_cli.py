@@ -5,6 +5,7 @@ Cheap paths run in-process through ``szegolab.cli.main``; reproducibility and
 import budgets run the real module entry point in subprocesses.
 """
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -310,6 +311,30 @@ def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
     assert _traced_peak(config, capsys) < _BYTE_ESTIMATES[config.command](config)[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the cell transition sums its 2^19 + 1 powers of rho in chunks
+        ("mc-validate", "--n", "4", "--paths", "100", "--refine", "524288", "--lags", "0"),
+        # the eigenvalue search tries four sizes, up to M = 2560
+        ("mc-validate", "--model", "gauss", "--T", "1", "--n", "20", "--paths", "200",
+         "--lags", "0"),
+    ],
+    ids=" ".join,
+)
+def test_memory_estimate_bounds_the_traced_route_build(argv):
+    # the guard builds the sampler's route inside parse_config, so the
+    # route's setup is held there and not in the traced run
+    parse_config(argv)  # loads modules and fills caches outside the measurement
+    tracemalloc.start()
+    try:
+        config = parse_config(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _BYTE_ESTIMATES[config.command](config)[0]
+
+
 @pytest.mark.parametrize("argv", [("mc-validate",), ("mc-validate", "--model", "gauss")], ids=" ".join)
 def test_mc_validate_estimate_stays_near_the_traced_peak(argv, capsys):
     # an estimate far above the peak would refuse runs that fit under the cap
@@ -329,20 +354,51 @@ def test_mc_validate_memory_does_not_grow_with_the_path_count(capsys, monkeypatc
     assert large - small <= 3 * 8 * 12_000 + 1_000_000
 
 
-def test_padded_mc_validate_searches_each_embedding_size_once(capsys, monkeypatch):
-    # the memory guard's eigenvalue search is the sampler's: the embedding of
-    # this short horizon is indefinite until M grows 8-fold, so four sizes
-    sizes, eigs = [], mc._embedding_eigs
+@pytest.mark.parametrize(
+    "argv, boxes, code, sizes, transitions",
+    [
+        # the embedding of this short horizon is indefinite until M grows
+        # 8-fold, so four sizes
+        (("--model", "gauss", "--T", "1", "--n", "20", "--paths", "200", "--lags", "0"),
+         False, 0, [320, 640, 1280, 2560], 0),
+        # the box-shaped acf of the mc tests' padding-stop case is indefinite
+        # at every size up to the stop M = 128, which the guard reports
+        (("--model", "gauss", "--width", "3", "--T", "1", "--n", "4", "--refine", "4",
+          "--paths", "100", "--lags", "0"), True, 3, [32, 64, 128], 0),
+        # the exponential model's route builds one cell transition
+        (("--n", "20", "--paths", "200", "--lags", "0"), False, 0, [], 1),
+    ],
+    ids=["gauss-padded", "indefinite-at-the-padding-stop", "ou"],
+)
+def test_padded_mc_validate_searches_each_embedding_size_once(argv, boxes, code, sizes,
+                                                              transitions, capsys, monkeypatch):
+    # the memory guard builds the sampler's route, and the run takes it: each
+    # embedding size is searched once, and a cell transition built once
+    searched, built = [], []
+    eigs, transition = mc._embedding_eigs, mc._cell_transition
 
-    def recording(model, size, delta):
-        sizes.append(size)
+    def recording_eigs(model, size, delta):
+        searched.append(size)
         return eigs(model, size, delta)
 
-    monkeypatch.setattr(mc, "_embedding_eigs", recording)
-    argv = ["mc-validate", "--model", "gauss", "--T", "1", "--n", "20", "--paths", "200",
-            "--lags", "0"]
-    assert main(argv) == 0
-    assert sizes == [320, 640, 1280, 2560]
+    def recording_transition(*args):
+        built.append(args)
+        return transition(*args)
+
+    monkeypatch.setattr(mc, "_embedding_eigs", recording_eigs)
+    monkeypatch.setattr(mc, "_cell_transition", recording_transition)
+    if boxes:
+        # a box of radius 0.5 on a lower box of radius s: its spectrum is a
+        # sinc, which changes sign
+        family = _FAMILIES[ModelKind.GAUSSIAN_KERNEL]
+        boxed = dataclasses.replace(family, acf=lambda p, s, t: p * ((t < 0.5) + 0.1 * (t < s)))
+        monkeypatch.setitem(_FAMILIES, ModelKind.GAUSSIAN_KERNEL, boxed)
+    assert main(["mc-validate", *argv]) == code
+    assert searched == sizes and len(built) == transitions
+    if code == 3:
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "indefinite at size 128" in err
 
 
 def test_large_gaussian_mc_validate_fits_at_few_paths(capsys):
@@ -573,7 +629,7 @@ def test_module_entry_reruns_are_byte_identical():
 def test_mc_validate_flags_a_three_sigma_excursion(capsys, monkeypatch):
     # one empirical covariance 3.1 standard errors from the analytic value:
     # the run must report the violation and exit 1
-    def estimates(model, grid, refine, paths, seed, lags, dump=None, embedding=None):
+    def estimates(model, grid, refine, paths, seed, lags, dump=None, route=None):
         empirical = gamma_sequence(model, grid).gamma[list(lags)]
         stderr = np.full(len(lags), 0.01)
         empirical[1] += 3.1 * stderr[1]

@@ -42,7 +42,6 @@ from szegolab.mc import (
     _HEADER,
     _block_normals,
     _embedded_paths,
-    _embedding_spectrum,
 )
 
 _KINDS = {
@@ -76,10 +75,26 @@ def _ar1_reference(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndar
 def _width(model: SpectralModel, grid: SamplingGrid, refine: int) -> int:
     """Draws per path ahead of the channel noise: 2n + 1 on the
     cell-transition route, M/refine for the embedding size M on the other."""
-    if model.family.ar1_step is not None:
-        return 2 * grid.n + 1
-    lam = _embedding_spectrum(model, grid.n * refine + 1, grid.h / refine)
-    return 2 * (lam.size - 1) // refine
+    return mc._route(model, grid, refine).width
+
+
+def _embedding_spectrum(model: SpectralModel, m: int, delta: float) -> np.ndarray:
+    """Eigenvalues (rfft order) of the first circulant embedding of the acf
+    on m refined-grid points, in the sampler's order of sizes, that is
+    positive semidefinite up to rounding."""
+    for size in mc._embedding_sizes(model, m, delta):
+        lam = mc._embedding_eigs(model, size, delta)
+        if mc._semidefinite(lam):
+            return lam
+    raise AssertionError("no semidefinite embedding within the padding stop")
+
+
+def _cell_transition(model: SpectralModel, h: float, refine: int) -> tuple[float, ...]:
+    """The exact cell transition of ``model`` for cells of length h refined
+    ``refine`` times."""
+    delta = h / refine
+    rho = model.family.ar1_step(model.scale, delta)
+    return mc._cell_transition(model.power, rho, delta, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +319,7 @@ def test_embedding_sampler_stream_is_pinned():
 def test_cell_transition_matches_the_scalar_recursion_bitwise():
     # each row is stepped on its own, in the order of the scalar recursion
     model, n = SpectralModel.ornstein_uhlenbeck(2.5, 0.7), 20
-    transition = mc._cell_transition(model, 0.24, 8)
+    transition = _cell_transition(model, 0.24, 8)
     start, decay, drift, l11, l21, l22 = transition
     assert start == math.sqrt(model.power)
     z = np.random.default_rng(0).standard_normal((5, 2 * n + 1))
@@ -676,19 +691,22 @@ def test_validation_bytes_of_the_cell_route_stop_growing_with_refine():
     # only the transition's chunk of powers grows with refine, up to four
     # tables of _BLOCK_VALUES values, so a huge refine is not refused
     model, grid = _KINDS["ou"], SamplingGrid(T=10.0, n=100)
-    sizes = {refine: mc._validation_bytes(model, grid, refine, 10_000, 4, 2**31)
-             for refine in (4, 2**18, 2**20, 10**8)}
-    assert {embedding for _, embedding in sizes.values()} == {None}
+    # the routes are sized unbuilt, so no 10^8-step transition runs
+    routes = {refine: mc._route(model, grid, refine, fits=lambda route: False)
+              for refine in (4, 2**18, 2**20, 10**8)}
+    assert {route.draw for route in routes.values()} == {None}
+    sizes = {refine: mc._validation_bytes(route, grid.n, 10_000, 4)
+             for refine, route in routes.items()}
     assert sizes[2**18] == sizes[2**20] == sizes[10**8]
-    assert sizes[10**8][0] - sizes[4][0] < 4 * 8 * mc._BLOCK_VALUES
+    assert sizes[10**8] - sizes[4] < 4 * 8 * mc._BLOCK_VALUES
 
 
 def test_chunked_cell_transition_matches_one_chunk(monkeypatch):
     # more than one chunk of powers changes only the rounding of the sums
     model, h = SpectralModel.ornstein_uhlenbeck(1.2, 0.8), 0.3
-    whole = mc._cell_transition(model, h, 65)
+    whole = _cell_transition(model, h, 65)
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 7)
-    chunked = mc._cell_transition(model, h, 65)
+    chunked = _cell_transition(model, h, 65)
     np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0)
 
 
