@@ -537,7 +537,7 @@ def _run_mc_validate(config: RunConfig):
             )
     if not 0.9 <= ratio <= 1.1:
         violations.append(f"channel noise variance ratio {ratio:.8e} outside [0.9, 1.1]")
-    # both sampling routes are exact, so no jitter is ever added (PathBatch.jitter)
+    # the sampler is exact, so no jitter is ever added (PathBatch.jitter)
     stderr_lines = [
         f"[mc-validate] paths={config.paths} refine={config.refine} seed={config.seed} "
         f"varianceRatio={ratio:.8e} jitter={0.0:.8e}"

@@ -12,33 +12,30 @@ the analytic gamma_l coefficients within Monte-Carlo error — an end-to-end
 check that catches sign and normalization mistakes the analytic code paths
 could reproduce consistently on both sides.
 
-Sampling is exact in law for the trapezoid rule on the refined grid.  A
-family with an AR(1) step (the exponential covariance) is Markov, so each
-cell's end value and trapezoid increment are drawn together from two normals
-by the exact cell transition (``_cell_transition``; Gillespie 1996), which
-reproduces the refined AR(1) path reduced by the trapezoid rule at a cost
-that does not grow with ``refine``.  Every other family is sampled by
+Sampling is exact in law for the trapezoid rule on the refined grid, by
 circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997) one lattice
 up: the refined-grid autocovariance is embedded in a symmetric circulant of
 size M = 2(m - 1), doubled while indefinite, whose spectrum is folded onto
 the M/refine cells (``_folded_roots``); each path's increments are the first
 n values of C_y^(1/2) w for M/refine standard normals w, at O((M/refine)
-log M) cost and O(M/refine) memory per path.  ``_route`` alone chooses the
-route, runs the embedding's eigenvalue search and sets the route's memory
+log M) cost and O(M/refine) memory per path.  A convex decreasing acf (the
+exponential model's) gives a semidefinite embedding at the smallest size.
+``_route`` alone runs the embedding's eigenvalue search and sets the memory
 shape, which the sampler and the memory bound (``_validation_bytes``) read.
 
 Paths are drawn in blocks of rows by one loop (``_sample_blocks``), so each
 working table stays near 2 MiB whatever the path count.  The blocks run on
 one thread per usable CPU (at most one per block), the calling thread
-included, and each thread holds one block's tables at a time: two on either
-route.  The loop hands each block to a sink on the thread that drew it.
-``sample_paths`` copies the blocks into the two n-column result tables of a
-``PathBatch``, the only arrays that grow with the path count there.  The
-command line never builds those tables: its sink reduces each block at once
-to per-path statistics (lag means, noise sums and centred sums of squares)
-with the same per-row reducers that ``empirical_gram`` and
-``noise_variance_ratio`` run over a batch's tables, so both routes give the
-same estimates, and writes the block's increment rows into the dump file.
+included, and each thread holds one block's tables at a time: its normals
+and their half spectrum.  The loop hands each block to a sink on the thread
+that drew it.  ``sample_paths`` copies the blocks into the two n-column
+result tables of a ``PathBatch``, the only arrays that grow with the path
+count there.  The command line never builds those tables: its sink reduces
+each block at once to per-path statistics (lag means, noise sums and
+centred sums of squares) with the same per-row reducers that
+``empirical_gram`` and ``noise_variance_ratio`` run over a batch's tables,
+so the estimates are the same either way, and writes the block's increment
+rows into the dump file.
 
 Randomness: each block of R rows draws all its normals by one call from its
 own counter-based stream, ``Philox`` keyed by (seed, block index) (Salmon et
@@ -55,8 +52,7 @@ import math
 import os
 import struct
 import threading
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,10 +72,10 @@ __all__ = [
 ]
 
 BATCH_MAGIC = b"SZGL"
-BATCH_VERSION = 3
-# Every version so far lays the file out the same way; versions 1 and 2 name
-# the samplers before the cell transition and before the folded embedding.
-_READABLE_VERSIONS = (1, 2, 3)
+BATCH_VERSION = 4
+# Every version so far lays the file out the same way; versions 1 to 3 name
+# earlier samplers of the exponential model (2 and 3 also of the others).
+_READABLE_VERSIONS = (1, 2, 3, 4)
 _HEADER = struct.Struct("<4sIQIIQ")  # magic, version, N, n, refine, seed — 32 bytes
 _SEED_MAX = 2**64
 _EPS = float(np.finfo(float).eps)
@@ -102,11 +98,11 @@ class PathBatch:
     ``increments`` is the N x n table of integrated-input approximations;
     ``noisy`` adds the per-cell channel noise.  ``generator`` records the
     random source, its keying by (seed, row block), the batch version and
-    the library version behind the seed.  ``jitter`` is always 0.0: both
-    sampling routes are exact, so no diagonal regularization is added to the
+    the library version behind the seed.  ``jitter`` is always 0.0: the
+    sampler is exact, so no diagonal regularization is added to the
     covariance.  ``min_embedding_eig`` is the smallest eigenvalue of the
-    refined-grid circulant embedding before clipping and folding (None on
-    the cell-transition route).
+    refined-grid circulant embedding before clipping and folding, which
+    ``sample_paths`` always records.
     """
 
     model: SpectralModel
@@ -142,93 +138,6 @@ def _block_normals(seed: int, block: int, rows: int, count: int) -> np.ndarray:
     call from the counter-based stream keyed by (seed, block)."""
     bits = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
     return np.random.Generator(bits).standard_normal((rows, count))
-
-
-def _cell_transition(power: float, rho: float, delta: float, refine: int) -> tuple[float, ...]:
-    """Exact one-cell transition of a Markov kernel of power P (the
-    exponential covariance) reduced by the trapezoid rule: (start, decay,
-    drift, l11, l21, l22), where a path starts at x_0 = start z_0.
-
-    On the refined grid of ``refine`` = r steps of length delta the kernel
-    is the AR(1) recursion x_k = rho x_{k-1} + s e_k, with rho the family
-    record's AR(1) step over delta and s^2 = P (1 - rho^2).  Given the cell's
-    start value x_0, its end value and trapezoid increment are
-
-        x_r = rho^r x_0 + s sum_i a_i e_i,             a_i = rho^(r-i)
-        inc = delta c_0 x_0 + s delta sum_i b_i e_i,  b_i = sum_(k>=i) w_k rho^(k-i)
-
-    with c_0 = sum_k w_k rho^k and trapezoid weights w_0 = w_r = 1/2, w_k = 1
-    otherwise (Gillespie 1996 gives the unreduced pair).  The two sums are
-    drawn from two normals (u, v) by the Cholesky factor of their covariance
-    s^2 [[a.a, delta a.b], [delta a.b, delta^2 b.b]]:
-
-        x_r = decay x_0 + l11 u,    inc = drift x_0 + l21 u + l22 v.
-
-    The powers rho^0, ..., rho^r are formed ``_BLOCK_VALUES`` at a time, so
-    the transition holds at most four tables of that many values whatever
-    ``refine``.  Raises ``FactorizationFailure`` when the Schur complement is
-    not positive.
-    """
-    s = math.sqrt(power * (1.0 - rho * rho))
-    # a and b indexed by e = r - i, the steps left in the cell after e_i:
-    # a_e = rho^e and b_e = rho^0 + ... + rho^(e-1) + rho^e / 2, whose
-    # running sum ``prefix`` carries from one chunk of powers to the next
-    aa = ab = bb = prefix = 0.0
-    totals = []
-    for start in range(0, refine + 1, _BLOCK_VALUES):
-        powers = rho ** np.arange(start, min(start + _BLOCK_VALUES, refine + 1), dtype=float)
-        totals.append(math.fsum(powers))
-        a = powers[: refine - start]
-        if a.size == 0:
-            break
-        b = np.cumsum(np.concatenate(([prefix], a[:-1])))
-        prefix = float(b[-1] + a[-1])
-        b += 0.5 * a
-        aa, ab, bb = aa + float(a @ a), ab + float(a @ b), bb + float(b @ b)
-    decay = float(powers[-1])
-    c0 = math.fsum(totals) - 0.5 * (1.0 + decay)
-    schur = bb - ab * ab / aa
-    if not schur > 0.0:
-        raise FactorizationFailure(
-            f"cell transition covariance is not positive definite (refine={refine}, "
-            f"rho={rho!r}, Schur complement {schur:g})"
-        )
-    root = math.sqrt(aa)
-    l11, l21, l22 = s * root, s * delta * ab / root, s * delta * math.sqrt(schur)
-    return math.sqrt(power), decay, delta * c0, l11, l21, l22
-
-
-def _transition_increments(transition: tuple[float, ...], z: np.ndarray) -> np.ndarray:
-    """Trapezoid increments of paths drawn by the exact cell transition.
-
-    ``z`` is (paths, 2n + 1) and is overwritten: column 0 starts each path at
-    x_0 = start z_0, and columns 2j + 1 and 2j + 2 hold the v and u of
-    cell j.  The increments are formed for all cells at once from the pairs;
-    then the even columns run through the recursion x_(j+1) = decay x_j +
-    l11 u_j in place, one vector step across all paths per cell, and the
-    drift terms of the cell-start values x_0, ..., x_(n-1) are added.  Every
-    value is rounded the same way whatever the number of rows, so a path
-    does not depend on how many other paths share the block.
-    """
-    start, decay, drift, l11, l21, l22 = transition
-    chain, v = z[:, ::2], z[:, 1::2]  # x_0, u_0, ..., u_(n-1); v_0, ..., v_(n-1)
-    u = chain[:, 1:]
-    increments = np.multiply(u, l21)
-    v *= l22
-    increments += v
-    u *= l11
-    chain[:, 0] *= start
-    columns = iter(chain.T)
-    prev = next(columns)
-    step = np.empty(z.shape[0])
-    for col in columns:
-        np.multiply(prev, decay, out=step)
-        col += step
-        prev = col
-    starts = chain[:, :-1]
-    starts *= drift
-    increments += starts
-    return increments
 
 
 def _embedding_sizes(model: SpectralModel, m: int, delta: float):
@@ -291,60 +200,40 @@ def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Route:
-    """How a batch's paths are drawn, and the memory drawing them holds:
-    ``width`` normals per path ahead of its n channel-noise normals, which
-    ``draw`` maps (and may overwrite) to the block's n-column increments;
-    one table of ``second`` values per row beside each block; ``setup``
-    values while the route is built.  ``min_eig`` is the smallest embedding
-    eigenvalue before clipping (None on the cell-transition route).  An
-    unbuilt route (``_route`` with ``fits``) has no ``draw``."""
+    """The circulant embedding of size ``size`` that draws a batch's paths
+    on a grid refined ``refine`` times: ``width`` = M/refine normals per
+    path ahead of its n channel-noise normals.  ``roots`` are the folded
+    spectrum's square roots and ``min_eig`` the smallest embedding
+    eigenvalue before clipping; an unbuilt route (``_route`` with ``fits``)
+    has neither."""
 
-    width: int
-    second: int
-    setup: int
-    draw: Callable[[np.ndarray], np.ndarray] | None = None
+    size: int
+    refine: int
+    roots: np.ndarray | None = None
     min_eig: float | None = None
+
+    @property
+    def width(self) -> int:
+        return self.size // self.refine
 
 
 def _route(model: SpectralModel, grid: SamplingGrid, refine: int, fits=None) -> _Route:
     """The built route for paths of ``model`` on ``grid`` refined ``refine``
-    times; the one place that chooses it.
+    times: the smallest circulant embedding of size M that is semidefinite
+    up to rounding, folded onto the cells.
 
-    A family with an AR(1) step takes the exact cell transition: 2n + 1
-    draws per path, whatever ``refine``; the recursion overwrites them, and
-    the second table is the block's increments with the step vector or one
-    reduction temporary (noise values or lag products, n per path); the
-    setup is the transition's four tables of min(refine + 1,
-    ``_BLOCK_VALUES``) values.  Any other family takes the smallest
-    circulant embedding of size M that is semidefinite up to rounding,
-    folded onto the cells: M/refine draws per path, overwritten by the
-    inverse transform; the second table is the half spectrum, width + 2
-    values per path, which covers the reduction temporaries (width >= 2n);
-    the setup is the search's four vectors of M values and the fold's two.
-
-    ``fits`` sees each candidate's shape before the transition is built or
-    the embedding's FFT runs, and the first shape it refuses is returned
-    unbuilt.  Raises ``FactorizationFailure`` when no embedding within the
-    padding stop is positive semidefinite.
+    ``fits`` sees each candidate size before its FFT runs, and the first
+    one it refuses is returned unbuilt.  Raises ``FactorizationFailure``
+    when no embedding within the padding stop is positive semidefinite.
     """
-    n, delta = grid.n, grid.h / refine
-    if model.family.ar1_step is not None:
-        shape = _Route(2 * n + 1, 2 * n + 1, 4 * min(refine + 1, _BLOCK_VALUES))
-        if fits is not None and not fits(shape):
-            return shape
-        rho = model.family.ar1_step(model.scale, delta)
-        transition = _cell_transition(model.power, rho, delta, refine)
-        return replace(shape, draw=lambda z: _transition_increments(transition, z))
-    m = n * refine + 1
+    m, delta = grid.n * refine + 1, grid.h / refine
     for size in _embedding_sizes(model, m, delta):
-        shape = _Route(size // refine, size // refine + 2, 6 * size)
+        shape = _Route(size, refine)
         if fits is not None and not fits(shape):
             return shape
         lam = _embedding_eigs(model, size, delta)
         if _semidefinite(lam):
-            roots = _folded_roots(lam, refine, delta)
-            return replace(shape, draw=lambda z: _embedded_paths(roots, z, n),
-                           min_eig=float(lam.min()))
+            return _Route(size, refine, _folded_roots(lam, refine, delta), float(lam.min()))
     raise FactorizationFailure(
         f"circulant embedding of the covariance on the refined grid (m={m}, "
         f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue "
@@ -414,20 +303,21 @@ def _validation_bytes(route: _Route, n: int, paths: int, lags: int) -> int:
     blocks on each thread, the per-path vectors, and the route's setup.
 
     Each of the sampler's threads holds one block at a time: its normals,
-    width + n values per path, and beside them the route's second table.
-    Each thread also fills the buffers of numpy's iterator for an operation
+    width + n values per path, overwritten by the inverse transform, and
+    beside them their half spectrum, width + 2 values per path, which
+    covers the reduction temporaries (width >= 2n).  Each thread also fills the buffers of numpy's iterator for an operation
     on strided or mixed-type operands (at most three of ``np.getbufsize()``
     float64 values, or one of complex values) and holds the block's array
     headers and generator state, which are counted as one more such buffer.
     The block size and the thread count are the sampler's own
     (``_block_rows``, ``_workers``).  Beside the blocks the run holds lags +
     2 vectors of one value per path (the lag means, the noise sums and the
-    noise's centred sums of squares), and the route's setup values are
-    counted beside them too.
+    noise's centred sums of squares), and the route's setup, the search's
+    four vectors of M values and the fold's two, is counted beside them too.
     """
     rows = _block_rows(paths, route.width + n)
-    per_thread = rows * (route.width + n + route.second) + 4 * np.getbufsize()
-    return 8 * (_workers(paths, rows) * per_thread + route.setup + (lags + 2) * paths)
+    per_thread = rows * (2 * route.width + n + 2) + 4 * np.getbufsize()
+    return 8 * (_workers(paths, rows) * per_thread + 6 * route.size + (lags + 2) * paths)
 
 
 def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
@@ -464,7 +354,7 @@ def _sample_blocks(route: _Route, grid: SamplingGrid, paths: int, seed: int, sin
 
     def fill(block: slice) -> None:
         z = _block_normals(seed, block.start // rows, block.stop - block.start, count)
-        increments = route.draw(z[:, :width])
+        increments = _embedded_paths(route.roots, z[:, :width], grid.n)
         noisy = z[:, width:]
         noisy *= noise_scale
         noisy += increments
@@ -483,24 +373,21 @@ def sample_paths(
     """Simulate ``paths`` independent stationary inputs and reduce them to
     per-cell trapezoid increments and their noisy channel observations.
 
-    Both routes are exact in law for the trapezoid rule on the refined grid
-    of m = n*refine + 1 points.  A model whose family record has an AR(1)
-    step (the exponential covariance) draws each cell's end value and
-    increment at once by the exact cell transition (``_cell_transition``):
-    2n + 1 draws per path, whatever ``refine``.  Other models use circulant
-    embedding of the refined grid, of size M (2(m - 1), or a power-of-two
-    multiple of it when padding was needed; ``min_embedding_eig`` records
-    its smallest eigenvalue), folded onto the cells (``_folded_roots``), so
-    each path's n increments come from M/refine draws.  Raises
-    ``FactorizationFailure`` when no embedding within the padding stop is
-    positive semidefinite.  Paths are drawn in blocks of about
-    ``_BLOCK_VALUES`` values (``_sample_blocks``), and each block is copied
-    into the two result tables, so the working memory beyond them does not
-    grow with ``paths``.  Deterministic given (seed, arguments): each path's
-    row of its block's draws holds the path's draws first and the next n
-    draws for its channel noise, and depends only on (seed, path index,
-    draws per path), so the tables do not depend on the number of threads,
-    and a larger batch starts with a smaller one.
+    Exact in law for the trapezoid rule on the refined grid of m =
+    n*refine + 1 points: the circulant embedding of the refined grid, of
+    size M (2(m - 1), or a power-of-two multiple of it when padding was
+    needed; ``min_embedding_eig`` records its smallest eigenvalue), is
+    folded onto the cells (``_folded_roots``), so each path's n increments
+    come from M/refine draws.  Raises ``FactorizationFailure`` when no
+    embedding within the padding stop is positive semidefinite.  Paths are
+    drawn in blocks of about ``_BLOCK_VALUES`` values (``_sample_blocks``),
+    and each block is copied into the two result tables, so the working
+    memory beyond them does not grow with ``paths``.  Deterministic given
+    (seed, arguments): each path's row of its block's draws holds the
+    path's draws first and the next n draws for its channel noise, and
+    depends only on (seed, path index, draws per path), so the tables do
+    not depend on the number of threads, and a larger batch starts with a
+    smaller one.
     """
     refine, paths, seed = _sampling_args(refine, paths, seed)
     route = _route(model, grid, refine)
@@ -690,7 +577,7 @@ def write_batch(batch: PathBatch, path) -> None:
 def read_batch(path) -> tuple[dict, np.ndarray]:
     """Read a dump written by ``write_batch``; returns (header fields, table).
 
-    Versions 1 to 3 share the layout and are all read.  The file size is
+    Versions 1 to 4 share the layout and are all read.  The file size is
     checked against the header before the table is allocated, and the
     payload is read straight into it; it is converted only on a big-endian
     host."""

@@ -74,7 +74,6 @@ class ModelFamily:
     breakpoints: Callable  # (s) -> points where R is not smooth
     power_tail_bound: Callable  # (P, s, lam0, q) -> bound on (1/pi) int_{lam0}^inf (2pi*f)^q
     gamma: Callable  # (P, s, h, n) -> Gram coefficients gamma_0..gamma_{n-1} (see gram)
-    ar1_step: Callable | None = None  # (s, delta) -> AR(1) coefficient rho of a Markov kernel
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +183,6 @@ _FAMILIES = {
         breakpoints=lambda s: (0.0,),
         power_tail_bound=lambda p, s, lam0, q: _algebraic_tail(2.0 * p * s, lam0, q),
         gamma=_gamma_exponential,
-        ar1_step=lambda s, delta: math.exp(-s * delta),
     ),
     ModelKind.GAUSSIAN_KERNEL: ModelFamily(
         scale_name="width",

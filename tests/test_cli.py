@@ -245,6 +245,9 @@ def test_model_error_lists_every_model_kind():
         ("mc-validate", "--paths", "50000000"),
         # the embedding would need M ~ 1e10 points per path
         ("mc-validate", "--model", "gauss", "--width", "1e6"),
+        # the exponential model's embedding of M = 2 * 100 * 524288 points:
+        # the route's setup alone, six vectors of M values, takes 4.7 GiB
+        ("mc-validate", "--refine", "524288"),
     ],
     ids=" ".join,
 )
@@ -301,7 +304,7 @@ def _traced_peak(config, capsys) -> int:
         ("mc-validate", "--model", "tri", "--n", "100", "--paths", "2000", "--lags", "0"),
         # more blocks than sampler threads, so each thread holds one block at a time
         ("mc-validate", "--n", "100", "--paths", "4000", "--lags", "0"),
-        # the cell transition sums its 2^19 + 1 powers of rho in chunks
+        # the route's setup is the fold's embedding of M = 4,194,304 points
         ("mc-validate", "--n", "4", "--paths", "100", "--refine", "524288", "--lags", "0"),
     ],
     ids=" ".join,
@@ -314,7 +317,7 @@ def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # the cell transition sums its 2^19 + 1 powers of rho in chunks
+        # the route's setup is the fold's embedding of M = 4,194,304 points
         ("mc-validate", "--n", "4", "--paths", "100", "--refine", "524288", "--lags", "0"),
         # the eigenvalue search tries four sizes, up to M = 2560
         ("mc-validate", "--model", "gauss", "--T", "1", "--n", "20", "--paths", "200",
@@ -355,38 +358,32 @@ def test_mc_validate_memory_does_not_grow_with_the_path_count(capsys, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "argv, boxes, code, sizes, transitions",
+    "argv, boxes, code, sizes",
     [
         # the embedding of this short horizon is indefinite until M grows
         # 8-fold, so four sizes
         (("--model", "gauss", "--T", "1", "--n", "20", "--paths", "200", "--lags", "0"),
-         False, 0, [320, 640, 1280, 2560], 0),
+         False, 0, [320, 640, 1280, 2560]),
         # the box-shaped acf of the mc tests' padding-stop case is indefinite
         # at every size up to the stop M = 128, which the guard reports
         (("--model", "gauss", "--width", "3", "--T", "1", "--n", "4", "--refine", "4",
-          "--paths", "100", "--lags", "0"), True, 3, [32, 64, 128], 0),
-        # the exponential model's route builds one cell transition
-        (("--n", "20", "--paths", "200", "--lags", "0"), False, 0, [], 1),
+          "--paths", "100", "--lags", "0"), True, 3, [32, 64, 128]),
+        # the exponential model's embedding is definite at the smallest size
+        (("--n", "20", "--paths", "200", "--lags", "0"), False, 0, [320]),
     ],
     ids=["gauss-padded", "indefinite-at-the-padding-stop", "ou"],
 )
-def test_padded_mc_validate_searches_each_embedding_size_once(argv, boxes, code, sizes,
-                                                              transitions, capsys, monkeypatch):
+def test_padded_mc_validate_searches_each_embedding_size_once(argv, boxes, code, sizes, capsys,
+                                                              monkeypatch):
     # the memory guard builds the sampler's route, and the run takes it: each
-    # embedding size is searched once, and a cell transition built once
-    searched, built = [], []
-    eigs, transition = mc._embedding_eigs, mc._cell_transition
+    # embedding size is searched once
+    searched, eigs = [], mc._embedding_eigs
 
     def recording_eigs(model, size, delta):
         searched.append(size)
         return eigs(model, size, delta)
 
-    def recording_transition(*args):
-        built.append(args)
-        return transition(*args)
-
     monkeypatch.setattr(mc, "_embedding_eigs", recording_eigs)
-    monkeypatch.setattr(mc, "_cell_transition", recording_transition)
     if boxes:
         # a box of radius 0.5 on a lower box of radius s: its spectrum is a
         # sinc, which changes sign
@@ -394,7 +391,7 @@ def test_padded_mc_validate_searches_each_embedding_size_once(argv, boxes, code,
         boxed = dataclasses.replace(family, acf=lambda p, s, t: p * ((t < 0.5) + 0.1 * (t < s)))
         monkeypatch.setitem(_FAMILIES, ModelKind.GAUSSIAN_KERNEL, boxed)
     assert main(["mc-validate", *argv]) == code
-    assert searched == sizes and len(built) == transitions
+    assert searched == sizes
     if code == 3:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1

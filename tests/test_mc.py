@@ -1,6 +1,6 @@
 """Monte-Carlo layer: counter-based reproducibility, sampler correctness
-(the exact cell transition and the circulant embedding against the dense
-covariance of the refined grid), trapezoid accuracy order, agreement with the
+(the folded circulant embedding against the dense covariance of the refined
+grid, for every model), trapezoid accuracy order, agreement with the
 analytic covariances, and the binary increment dump.
 
 Statistical assertions run at fixed seeds, so every "within k standard errors"
@@ -62,8 +62,8 @@ def _ar1_reference(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndar
     """Stationary exponential-model paths on a grid of step delta from the
     (paths, m) normals ``z``, by the AR(1) recursion x_j = rho x_(j-1) +
     sqrt(P (1 - rho^2)) z_j started from x_0 = sqrt(P) z_0, one time step at
-    a time: the slow reference for the sampler's cell transition."""
-    rho = model.family.ar1_step(model.scale, delta)
+    a time: the slow reference for the sampler's folded embedding."""
+    rho = math.exp(-model.scale * delta)
     x = np.empty_like(z)
     x[:, 0] = math.sqrt(model.power) * z[:, 0]
     scale = math.sqrt(model.power * (1.0 - rho * rho))
@@ -73,8 +73,8 @@ def _ar1_reference(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndar
 
 
 def _width(model: SpectralModel, grid: SamplingGrid, refine: int) -> int:
-    """Draws per path ahead of the channel noise: 2n + 1 on the
-    cell-transition route, M/refine for the embedding size M on the other."""
+    """Draws per path ahead of the channel noise: M/refine for the
+    embedding size M."""
     return mc._route(model, grid, refine).width
 
 
@@ -87,14 +87,6 @@ def _embedding_spectrum(model: SpectralModel, m: int, delta: float) -> np.ndarra
         if mc._semidefinite(lam):
             return lam
     raise AssertionError("no semidefinite embedding within the padding stop")
-
-
-def _cell_transition(model: SpectralModel, h: float, refine: int) -> tuple[float, ...]:
-    """The exact cell transition of ``model`` for cells of length h refined
-    ``refine`` times."""
-    delta = h / refine
-    rho = model.family.ar1_step(model.scale, delta)
-    return mc._cell_transition(model.power, rho, delta, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +228,8 @@ def test_each_row_block_draws_from_the_stream_keyed_by_its_index(kind, seed, mon
 @pytest.mark.parametrize("block_values, paths", [(200, 12), (mc._BLOCK_VALUES, 5000)])
 def test_worker_count_does_not_change_the_batch(kind, block_values, paths, monkeypatch):
     # one path per 200-value block, and at least three blocks of many paths
-    # at the default (the exponential model's 3n + 1 = 121 draws per path
-    # put 2166 paths in a block); three workers can outnumber the CPUs, and
+    # at the default (the exponential model's 3n = 120 draws per path put
+    # 2184 paths in a block); three workers can outnumber the CPUs, and
     # a short switch interval interleaves them often
     grid, args = SamplingGrid(T=4.0, n=40), dict(refine=8, paths=paths, seed=5)
     monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
@@ -294,11 +286,11 @@ def test_exponential_sampler_stream_is_pinned(ou11):
         for name in ("increments", "noisy")
     }
     assert digest == {
-        "increments": "ed11828fd86807e63f7fcea25a42249f4dcd24aab1e89e0ea89bd839fdbaa22b",
-        "noisy": "8177e259121d877ff5aa0c0ee16931e3bde8fa135a2d35d9dc73e2775c6b2a55",
+        "increments": "b5ca4ed3996018b016403ec76de0ccb6326211fa0c547e2507f83bd4d1233585",
+        "noisy": "e0b7d20bc4ba9c6492bbc76cac7f3a5b88068a307460948ea959f12a27b98221",
     }
-    assert BATCH_VERSION == 3
-    assert batch.generator.startswith("numpy.random.Philox keyed (seed, row block), batch v3 ")
+    assert BATCH_VERSION == 4
+    assert batch.generator.startswith("numpy.random.Philox keyed (seed, row block), batch v4 ")
 
 
 def test_embedding_sampler_stream_is_pinned():
@@ -314,25 +306,6 @@ def test_embedding_sampler_stream_is_pinned():
         "increments": "da909c457f877be362d060a7bb6849b55ff873dce20403faa50f08a3f3c98048",
         "noisy": "627d1281dd959bf36f2292e5d587ae88c31bb433028af684841d9deb539abd01",
     }
-
-
-def test_cell_transition_matches_the_scalar_recursion_bitwise():
-    # each row is stepped on its own, in the order of the scalar recursion
-    model, n = SpectralModel.ornstein_uhlenbeck(2.5, 0.7), 20
-    transition = _cell_transition(model, 0.24, 8)
-    start, decay, drift, l11, l21, l22 = transition
-    assert start == math.sqrt(model.power)
-    z = np.random.default_rng(0).standard_normal((5, 2 * n + 1))
-    expected = np.empty((5, n))
-    for i, row in enumerate(z.tolist()):
-        x = start * row[0]
-        for j in range(n):
-            v, u = row[2 * j + 1], row[2 * j + 2]
-            expected[i, j] = (l21 * u + l22 * v) + drift * x
-            x = l11 * u + decay * x
-    increments = mc._transition_increments(transition, z)
-    assert increments.flags.c_contiguous
-    assert np.array_equal(increments, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +324,11 @@ def test_exponential_model_one_step_regression(ou11):
 
 @pytest.mark.parametrize(
     "model",
-    [SpectralModel.gaussian_kernel(1.0, 0.7), SpectralModel.triangular(1.0, 0.7)],
+    [
+        SpectralModel.ornstein_uhlenbeck(1.0, 0.7),
+        SpectralModel.gaussian_kernel(1.0, 0.7),
+        SpectralModel.triangular(1.0, 0.7),
+    ],
     ids=lambda model: model.kind.value,
 )
 def test_embedding_route_matches_analytic_covariances(model):
@@ -386,7 +363,7 @@ def test_nested_refinement_shift(ou11):
     # trapezoid resolutions: the induced shift in the lag-0 estimate is
     # negative (coarser rules undershoot here) and shrinks as the resolution
     # rises.  At full resolution the reference agrees with the sampler's
-    # batch, whose cell transition draws the same law.
+    # batch, whose folded embedding draws the same law.
     grid, refine, paths = SamplingGrid(T=10.0, n=50), 16, 2000
     batch = sample_paths(ou11, grid, refine=refine, paths=paths, seed=11)
     z = np.random.default_rng(11).standard_normal((paths, grid.n * refine + 1))
@@ -534,7 +511,7 @@ def test_empirical_gram_returns_each_requested_lag(ou11):
     ids=["ou", "gauss", "tri", "gauss-padded"],
 )
 def test_streamed_estimates_equal_the_table_route(kind, T, n, workers, tmp_path, monkeypatch):
-    # 1001 paths leave a shorter last block of rows on every route
+    # 1001 paths leave a shorter last block of rows for every model
     model, grid, paths, seed, lags = _KINDS[kind], SamplingGrid(T=T, n=n), 1001, 7, (0, 1, 2, 5)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
     batch = sample_paths(model, grid, refine=8, paths=paths, seed=seed)
@@ -645,12 +622,15 @@ def _trapezoid_covariance(model, grid, refine):
 @pytest.mark.parametrize("power", [1.3, 0.0])
 @pytest.mark.parametrize("alpha_delta", [1e-8, 0.05, 40.0], ids=["rho-near-1", "rho-mid", "rho-near-0"])
 @pytest.mark.parametrize("refine", [4, 8, 64])
-def test_cell_transition_reproduces_the_trapezoid_covariance(refine, alpha_delta, power, monkeypatch):
+def test_exponential_embedding_reproduces_the_trapezoid_covariance(refine, alpha_delta, power,
+                                                                   monkeypatch):
     # the increments must have the covariance B' Sigma B of the refined AR(1)
     # path reduced by the trapezoid rule, and the noisy values that plus h I;
-    # at power 0 the bound is 0, so the increments must be exactly zero
+    # at power 0 the bound is 0, so the increments must be exactly zero.  The
+    # convex decreasing acf embeds unpadded: 2n draws per path.
     model, n = SpectralModel.ornstein_uhlenbeck(power, 0.7), 10
     grid = SamplingGrid(T=n * refine * alpha_delta / model.scale, n=n)
+    assert _width(model, grid, refine) == 2 * n
     increments, noisy = _route_tables(model, grid, refine, monkeypatch)
     expected = _trapezoid_covariance(model, grid, refine)
     for table, want in ((increments, expected), (noisy, expected + grid.h * np.eye(n))):
@@ -687,29 +667,6 @@ def test_folded_embedding_reproduces_the_trapezoid_covariance(model, T, n, refin
         assert np.max(np.abs(table.T @ table - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_validation_bytes_of_the_cell_route_stop_growing_with_refine():
-    # only the transition's chunk of powers grows with refine, up to four
-    # tables of _BLOCK_VALUES values, so a huge refine is not refused
-    model, grid = _KINDS["ou"], SamplingGrid(T=10.0, n=100)
-    # the routes are sized unbuilt, so no 10^8-step transition runs
-    routes = {refine: mc._route(model, grid, refine, fits=lambda route: False)
-              for refine in (4, 2**18, 2**20, 10**8)}
-    assert {route.draw for route in routes.values()} == {None}
-    sizes = {refine: mc._validation_bytes(route, grid.n, 10_000, 4)
-             for refine, route in routes.items()}
-    assert sizes[2**18] == sizes[2**20] == sizes[10**8]
-    assert sizes[10**8] - sizes[4] < 4 * 8 * mc._BLOCK_VALUES
-
-
-def test_chunked_cell_transition_matches_one_chunk(monkeypatch):
-    # more than one chunk of powers changes only the rounding of the sums
-    model, h = SpectralModel.ornstein_uhlenbeck(1.2, 0.8), 0.3
-    whole = _cell_transition(model, h, 65)
-    monkeypatch.setattr(mc, "_BLOCK_VALUES", 7)
-    chunked = _cell_transition(model, h, 65)
-    np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0)
-
-
 def test_indefinite_kernel_fails_at_the_padding_stop(monkeypatch):
     # A box-shaped autocovariance is not positive definite: its spectrum is
     # a sinc, which changes sign.  This one is a box of radius 0.5 on a
@@ -744,14 +701,14 @@ def test_read_batch_rejects_bad_magic(tmp_path):
         read_batch(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_read_batch_reads_the_versions_that_share_the_layout(version, tmp_path):
-    # versions 1 to 3 differ only in the sampler behind the table
+    # versions 1 to 4 differ only in the sampler behind the table
     path = tmp_path / "batch.szgl"
     table = np.arange(6.0).reshape(2, 3)
     path.write_bytes(_HEADER.pack(BATCH_MAGIC, version, 2, 3, 8, 5) + table.astype("<f8").tobytes())
-    if version == 4:
-        with pytest.raises(ValueError, match="unsupported dump version 4"):
+    if version == 5:
+        with pytest.raises(ValueError, match="unsupported dump version 5"):
             read_batch(path)
         return
     header, read = read_batch(path)
