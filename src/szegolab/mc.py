@@ -26,16 +26,17 @@ shape, which the sampler and the memory bound (``_validation_bytes``) read.
 Paths are drawn in blocks of rows by one loop (``_sample_blocks``), so each
 working table stays near 2 MiB whatever the path count.  The blocks run on
 one thread per usable CPU (at most one per block), the calling thread
-included, and each thread holds one block's tables at a time: its normals
-and their half spectrum.  The loop hands each block to a sink on the thread
-that drew it.  ``sample_paths`` copies the blocks into the two n-column
-result tables of a ``PathBatch``, the only arrays that grow with the path
-count there.  The command line never builds those tables: its sink reduces
-each block at once to per-path statistics (lag means, noise sums and
-centred sums of squares) with the same per-row reducers that
-``empirical_gram`` and ``noise_variance_ratio`` run over a batch's tables,
-so the estimates are the same either way, and writes the block's increment
-rows into the dump file.
+included, and each worker allocates its tables once, for all its blocks:
+normals, and their half spectrum, which then holds the block's increment
+and noisy rows.  The loop hands those to a sink on the thread that drew
+them, with the dead normals as scratch.  ``sample_paths`` copies the
+blocks into the two n-column result tables of a ``PathBatch``, the only
+arrays that grow with the path count there.  The command line never builds
+those tables: its sink reduces each block at once to per-path statistics
+(lag means, noise sums and centred sums of squares) with the same per-row
+reducers that ``empirical_gram`` and ``noise_variance_ratio`` run over a
+batch's tables, so the estimates are the same either way, and writes the
+block's increment rows into the dump file.
 
 Randomness: each block of R rows draws all its normals by one call from its
 own counter-based stream, ``Philox`` keyed by (seed, block index) (Salmon et
@@ -133,11 +134,11 @@ class PathBatch:
             object.__setattr__(self, name, table)
 
 
-def _block_normals(seed: int, block: int, rows: int, count: int) -> np.ndarray:
-    """rows x count standard normals for row block ``block``, drawn by one
+def _block_normals(seed: int, block: int, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with standard normals for row block ``block`` by one
     call from the counter-based stream keyed by (seed, block)."""
     bits = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
-    return np.random.Generator(bits).standard_normal((rows, count))
+    return np.random.Generator(bits).standard_normal(out=out)
 
 
 def _embedding_sizes(model: SpectralModel, m: int, delta: float):
@@ -186,15 +187,19 @@ def _folded_roots(lam: np.ndarray, refine: int, delta: float) -> np.ndarray:
     return np.sqrt(folded)
 
 
-def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int, spectrum: np.ndarray) -> np.ndarray:
     """First m values of C^(1/2) w for each row w of ``w``, where C is the
     circulant with eigenvalues ``roots**2``; rows of independent standard
     normals give rows with covariance C[:m, :m].
 
-    ``w`` is overwritten by the inverse transform, and the result is a view
-    of it, so a block holds only the normals and their half spectrum."""
-    spectrum = np.fft.rfft(w, axis=1)
-    spectrum *= roots
+    Each row of ``roots`` holds the square roots, which scale the half
+    spectrum formed in ``spectrum`` len(roots) rows at a time: numpy needs no
+    iterator buffer for two contiguous tables of one shape.  ``w`` is
+    overwritten by the inverse transform; the result is a view of it."""
+    np.fft.rfft(w, axis=1, out=spectrum)
+    for start in range(0, len(spectrum), len(roots)):
+        group = spectrum[start : start + len(roots)]
+        group *= roots[: len(group)]
     return np.fft.irfft(spectrum, n=w.shape[1], axis=1, out=w)[:, :m]
 
 
@@ -265,23 +270,30 @@ def _workers(paths: int, rows: int) -> int:
     return min(_usable_cpus(), -(-paths // rows))
 
 
-def _run_blocks(fill, blocks: list[slice], workers: int) -> None:
-    """Call ``fill(block)`` for every block, split into ``workers`` strided
-    shares; the calling thread runs the first share and one new thread runs
-    each other share.  Every started thread is joined before this returns
-    or raises, and the first exception any share raised is then re-raised; a
-    share stops at its next block once any share has failed."""
+def _workspace(rows: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """One sampler worker's tables: ``rows`` rows of ``count`` normals, and
+    the half spectrum of their first ``width`` columns."""
+    return np.empty((rows, count)), np.empty((rows, width // 2 + 1), dtype=complex)
+
+
+def _run_blocks(start, blocks: list[slice], workers: int) -> None:
+    """Split the blocks into ``workers`` strided shares, the first run by
+    the calling thread and each other by a new one; a share calls
+    ``fill = start()`` once, then ``fill(block)`` for each of its blocks.
+    All threads are joined before this returns or raises, and the first
+    exception any share raised is then re-raised; a share stops at its next
+    block once any share has failed."""
     errors: list[BaseException] = []
 
     def share(first: int) -> None:
-        for block in blocks[first::workers]:
-            if errors:
-                return
-            try:
+        try:
+            fill = start()
+            for block in blocks[first::workers]:
+                if errors:
+                    return
                 fill(block)
-            except BaseException as exc:  # re-raised below, after the join
-                errors.append(exc)
-                return
+        except BaseException as exc:  # re-raised below, after the join
+            errors.append(exc)
 
     threads = []
     try:
@@ -302,11 +314,13 @@ def _validation_bytes(route: _Route, n: int, paths: int, lags: int) -> int:
     ``paths`` paths of n cells at ``lags`` lags on ``route``: the sampler
     blocks on each thread, the per-path vectors, and the route's setup.
 
-    Each of the sampler's threads holds one block at a time: its normals,
-    width + n values per path, overwritten by the inverse transform, and
-    beside them their half spectrum, width + 2 values per path, which
-    covers the reduction temporaries (width >= 2n).  Each thread also fills the buffers of numpy's iterator for an operation
-    on strided or mixed-type operands (at most three of ``np.getbufsize()``
+    Each of the sampler's threads reuses one workspace of a block's rows:
+    normals, width + n values per path, and their half spectrum, width + 2
+    values per path.  Once a block is transformed, its increment and noisy
+    rows are copied into the half spectrum (2n values per path; width >=
+    2n), and the reducers form their temporaries in the dead normals.  Each
+    thread also fills the buffers of numpy's iterator for an operation on
+    strided or mixed-type operands (at most three of ``np.getbufsize()``
     float64 values, or one of complex values) and holds the block's array
     headers and generator state, which are counted as one more such buffer.
     The block size and the thread count are the sampler's own
@@ -333,9 +347,13 @@ def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
 
 def _sample_blocks(route: _Route, grid: SamplingGrid, paths: int, seed: int, sink) -> None:
     """Draw ``paths`` paths on ``route`` in blocks of rows and pass each
-    block to ``sink(rows, increments, noisy)`` on the thread that drew it,
-    where ``rows`` is the block's slice of path indices and the two arrays
-    hold its rows of the increment and noisy tables.
+    block to ``sink(rows, increments, noisy, scratch)`` on the thread that
+    drew it, where ``rows`` is the block's slice of path indices and the two
+    arrays hold its rows of the increment and noisy tables.  The arrays are
+    contiguous views into the workspace (``_workspace``) that each thread
+    allocates once, valid only during the call, which is why
+    ``sample_paths`` copies them; ``scratch`` is the workspace's normals,
+    dead by then, as width + n float64 values per row.
 
     Block b holds the paths [b R, (b + 1) R), R = max(1, _BLOCK_VALUES //
     count) for count normals per path, and draws them by one call from the
@@ -351,16 +369,26 @@ def _sample_blocks(route: _Route, grid: SamplingGrid, paths: int, seed: int, sin
     count = width + grid.n
     noise_scale = math.sqrt(grid.h)
     rows = _block_rows(paths, count)
+    # the roots repeated down rows of about 4096 values (``_embedded_paths``)
+    roots = np.tile(route.roots.astype(complex), (max(1, 4096 // route.roots.size), 1))
 
-    def fill(block: slice) -> None:
-        z = _block_normals(seed, block.start // rows, block.stop - block.start, count)
-        increments = _embedded_paths(route.roots, z[:, :width], grid.n)
-        noisy = z[:, width:]
-        noisy *= noise_scale
-        noisy += increments
-        sink(block, increments, noisy)
+    def start():
+        normals, spectrum = _workspace(rows, count, width)
+        tables = spectrum.reshape(-1).view(float)
 
-    _run_blocks(fill, _row_blocks(paths, rows), _workers(paths, rows))
+        def fill(block: slice) -> None:
+            size = block.stop - block.start
+            z = _block_normals(seed, block.start // rows, normals[:size])
+            increments, noisy = tables[: 2 * size * grid.n].reshape(2, size, grid.n)
+            increments[...] = _embedded_paths(roots, z[:, :width], grid.n, spectrum[:size])
+            noisy[...] = z[:, width:]
+            noisy *= noise_scale
+            noisy += increments
+            sink(block, increments, noisy, z.reshape(-1))
+
+        return fill
+
+    _run_blocks(start, _row_blocks(paths, rows), _workers(paths, rows))
 
 
 def sample_paths(
@@ -394,7 +422,7 @@ def sample_paths(
     increments = np.empty((paths, grid.n))
     noisy = np.empty((paths, grid.n))
 
-    def store(rows: slice, increments_block: np.ndarray, noisy_block: np.ndarray) -> None:
+    def store(rows: slice, increments_block: np.ndarray, noisy_block: np.ndarray, _) -> None:
         increments[rows] = increments_block
         noisy[rows] = noisy_block
 
@@ -416,7 +444,8 @@ def sample_paths(
 # Per-path reducers, shared by the table route (empirical_gram,
 # noise_variance_ratio) and the streamed route (_validation_estimates): each
 # reduces one block of rows into its columns of a per-path vector, every row
-# on its own, so the estimates do not depend on how the rows are blocked.
+# on its own, so the estimates do not depend on how the rows are blocked,
+# and forms its temporaries in ``scratch``, float64 values at least as many.
 def _gram_lags(paths: int, n: int, lags) -> list[int]:
     """The requested lags as integers, checked against the path count and n."""
     if paths < 100:
@@ -428,21 +457,26 @@ def _gram_lags(paths: int, n: int, lags) -> list[int]:
     return lags
 
 
-def _lag_means(increments: np.ndarray, lags: list[int], out: np.ndarray) -> None:
+def _lag_means(
+    increments: np.ndarray, lags: list[int], out: np.ndarray, scratch: np.ndarray
+) -> None:
     """Row ``pos`` of ``out`` gets each path's mean of inc_j * inc_{j+l} over
     its valid offsets, for l = lags[pos]."""
-    n = increments.shape[1]
+    paths, n = increments.shape
     for row, l in zip(out, lags):
-        np.mean(increments[:, : n - l] * increments[:, l:], axis=1, out=row)
+        products = scratch[: paths * (n - l)].reshape(paths, n - l)
+        np.multiply(increments[:, : n - l], increments[:, l:], out=products)
+        np.mean(products, axis=1, out=row)
 
 
 def _noise_moments(
-    increments: np.ndarray, noisy: np.ndarray, shift: float, out: np.ndarray
+    increments: np.ndarray, noisy: np.ndarray, shift: float, out: np.ndarray, scratch: np.ndarray
 ) -> None:
     """Each path's sum of noise - shift (``out[0]``) and its sum of squares
     about that path's mean (``out[1]``), where the noise is noisy -
     increments."""
-    noise = noisy - increments
+    noise = scratch[: noisy.size].reshape(noisy.shape)
+    np.subtract(noisy, increments, out=noise)
     noise -= shift
     np.sum(noise, axis=1, out=out[0])
     noise -= (out[0] / noise.shape[1])[:, None]
@@ -486,8 +520,9 @@ def empirical_gram(batch: PathBatch, lags) -> tuple[np.ndarray, np.ndarray]:
     n = batch.grid.n
     lags = _gram_lags(batch.paths, n, lags)
     lag_means = np.empty((len(lags), batch.paths))
-    for rows in _row_blocks(batch.paths, _block_rows(batch.paths, n)):
-        _lag_means(batch.increments[rows], lags, lag_means[:, rows])
+    scratch = np.empty(_block_rows(batch.paths, n) * n)
+    for rows in _row_blocks(batch.paths, scratch.size // n):
+        _lag_means(batch.increments[rows], lags, lag_means[:, rows], scratch)
     return _gram_estimates(lag_means, n / batch.grid.T)
 
 
@@ -504,8 +539,9 @@ def noise_variance_ratio(batch: PathBatch) -> float:
     n = batch.grid.n
     shift = float(batch.noisy[0, 0] - batch.increments[0, 0])
     moments = np.empty((2, batch.paths))
-    for rows in _row_blocks(batch.paths, _block_rows(batch.paths, n)):
-        _noise_moments(batch.increments[rows], batch.noisy[rows], shift, moments[:, rows])
+    scratch = np.empty(_block_rows(batch.paths, n) * n)
+    for rows in _row_blocks(batch.paths, scratch.size // n):
+        _noise_moments(batch.increments[rows], batch.noisy[rows], shift, moments[:, rows], scratch)
     return _pooled_variance(moments, n) / batch.grid.h
 
 
@@ -516,9 +552,9 @@ def _validation_estimates(
     """``empirical_gram`` and ``noise_variance_ratio`` of the batch that
     ``sample_paths`` would draw with these arguments, computed without its
     tables: each block is reduced by the same per-path reducers on the
-    thread that drew it, so only the sampler's blocks and lags + 2 per-path
-    vectors are held.  The channel noise is centred by construction, so it
-    is not shifted.
+    thread that drew it, in the sampler's scratch, so only the sampler's
+    workspaces and lags + 2 per-path vectors are held.  The channel noise is
+    centred by construction, so it is not shifted.
 
     With ``dump``, the file ``write_batch`` would write is written to that
     path, each block's increment rows at their offset in it; the file is
@@ -536,9 +572,9 @@ def _validation_estimates(
     fh = None
     lock = threading.Lock()
 
-    def reduce(rows: slice, increments: np.ndarray, noisy: np.ndarray) -> None:
-        _lag_means(increments, lags, lag_means[:, rows])
-        _noise_moments(increments, noisy, 0.0, moments[:, rows])
+    def reduce(rows: slice, increments: np.ndarray, noisy: np.ndarray, scratch) -> None:
+        _lag_means(increments, lags, lag_means[:, rows], scratch)
+        _noise_moments(increments, noisy, 0.0, moments[:, rows], scratch)
         if fh is not None:
             data = np.ascontiguousarray(increments, dtype="<f8").data
             with lock:

@@ -302,7 +302,7 @@ def _traced_peak(config, capsys) -> int:
         ("mc-validate", "--n", "40", "--paths", "1000", "--refine", "4", "--lags", "0"),
         # several blocks of paths
         ("mc-validate", "--model", "tri", "--n", "100", "--paths", "2000", "--lags", "0"),
-        # more blocks than sampler threads, so each thread holds one block at a time
+        # more blocks than sampler threads, so each thread reuses its workspace
         ("mc-validate", "--n", "100", "--paths", "4000", "--lags", "0"),
         # the route's setup is the fold's embedding of M = 4,194,304 points
         ("mc-validate", "--n", "4", "--paths", "100", "--refine", "524288", "--lags", "0"),

@@ -15,6 +15,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ def test_channel_noise_follows_the_path_draws(kind):
     model, grid, refine = _KINDS[kind], SamplingGrid(T=2.0, n=10), 4
     batch = sample_paths(model, grid, refine=refine, paths=5, seed=77)
     width = _width(model, grid, refine)
-    z = _block_normals(77, 0, 5, width + grid.n)
+    z = _block_normals(77, 0, np.empty((5, width + grid.n)))
     assert np.array_equal(batch.noisy, batch.increments + math.sqrt(grid.h) * z[:, width:])
 
 
@@ -255,13 +256,68 @@ def test_worker_count_does_not_change_the_batch(kind, block_values, paths, monke
             assert np.array_equal(getattr(batch, name), getattr(batches[0], name))
 
 
+@pytest.mark.parametrize("kind", _KINDS)
+def test_each_worker_allocates_one_workspace(kind, monkeypatch):
+    # two-path blocks and 23 paths: twelve blocks, the last one ragged; each
+    # worker allocates its tables on its first block and reuses them for
+    # every later one, and workers that shared tables would garble the
+    # batch once a short switch interval interleaves them
+    model, grid, args = _KINDS[kind], SamplingGrid(T=4.0, n=40), dict(refine=8, paths=23, seed=5)
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 2 * (_width(model, grid, 8) + grid.n))
+    workspace, allocated = mc._workspace, []
+
+    def counting(rows, count, width):
+        allocated.append(rows)
+        return workspace(rows, count, width)
+
+    monkeypatch.setattr(mc, "_workspace", counting)
+    batches = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+            allocated.clear()
+            batches.append(sample_paths(model, grid, **args))
+            assert allocated == [2] * workers
+    finally:
+        sys.setswitchinterval(interval)
+    for batch in batches[1:]:
+        for name in ("increments", "noisy"):
+            assert np.array_equal(getattr(batch, name), getattr(batches[0], name))
+
+
+def test_sampler_memory_does_not_grow_with_the_block_count(monkeypatch):
+    # beside its two paths x n result tables, sample_paths holds one
+    # workspace per worker, so its 19 blocks of 873 paths at 16 000 paths
+    # hold no more than its 5 at 4 000; the bound is the memory guard's
+    # count of the sampler's threads
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    model, grid, refine = _KINDS["ou"], SamplingGrid(T=10.0, n=100), 8
+    width = _width(model, grid, refine)
+    sample_paths(model, grid, refine=refine, paths=100, seed=1)  # warms caches, untraced
+    held = []
+    for paths in (4000, 16000):
+        tracemalloc.start()
+        try:
+            sample_paths(model, grid, refine=refine, paths=paths, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held.append(peak - 2 * paths * grid.n * 8)
+    rows = mc._block_rows(16000, width + grid.n)
+    assert -(-4000 // rows) == 5 and -(-16000 // rows) == 19
+    assert abs(held[1] - held[0]) <= 64 * 1024
+    assert max(held) < 2 * 8 * (rows * (2 * width + grid.n + 2) + 4 * np.getbufsize())
+
+
 def test_a_failing_block_is_raised_once_every_thread_has_ended(monkeypatch):
     calls, embedded = itertools.count(), _embedded_paths
 
-    def failing_second_call(roots, w, m):
+    def failing_second_call(roots, w, m, spectrum):
         if next(calls) == 1:
             raise RuntimeError("block failed")
-        return embedded(roots, w, m)
+        return embedded(roots, w, m, spectrum)
 
     monkeypatch.setattr(mc, "_embedded_paths", failing_second_call)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
@@ -592,7 +648,8 @@ def test_embedding_reproduces_the_dense_covariance(model, T, padding):
     lam = _embedding_spectrum(model, m, delta)
     size = 2 * (lam.size - 1)
     assert size == 2 * (m - 1) * padding
-    x = _embedded_paths(np.sqrt(np.maximum(lam, 0.0)), np.eye(size), m)
+    roots, spectrum = np.sqrt(np.maximum(lam, 0.0))[None], np.empty((size, lam.size), dtype=complex)
+    x = _embedded_paths(roots, np.eye(size), m, spectrum)
     dense = scipy.linalg.toeplitz(model.acf(delta * np.arange(m)))
     assert np.max(np.abs(x.T @ x - dense)) <= 1e-12 * model.power
 
@@ -603,7 +660,7 @@ def _route_tables(model, grid, refine, monkeypatch):
     of the route's linear map for draw k, so a table's Gram matrix is the
     covariance the route gives it."""
     count = _width(model, grid, refine) + grid.n
-    monkeypatch.setattr(mc, "_block_normals", lambda seed, block, rows, count: np.eye(rows, count))
+    monkeypatch.setattr(mc, "_block_normals", lambda seed, block, out: np.eye(*out.shape))
     batch = sample_paths(model, grid, refine=refine, paths=count, seed=0)
     return batch.increments, batch.noisy
 
