@@ -6,9 +6,9 @@ sample the stationary signal on a refined grid, integrate it over each
 sampling cell with the trapezoid rule, and compare the empirical normalized
 covariances (with honest per-path standard errors) to the closed forms.
 The batch is reproducible bit for bit from its seed — each block of paths
-draws from its own counter-based stream, so a path's draws depend only on
-the seed and its index — and can be dumped to a compact binary file for
-external analysis.
+draws from its own stream, seeded by the seed and the block's index, so a
+path's draws depend only on the seed and its index — and can be dumped to a
+compact binary file for external analysis.
 
 Run:  python demos/06_monte_carlo.py
 """

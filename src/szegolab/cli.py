@@ -537,10 +537,9 @@ def _run_mc_validate(config: RunConfig):
             )
     if not 0.9 <= ratio <= 1.1:
         violations.append(f"channel noise variance ratio {ratio:.8e} outside [0.9, 1.1]")
-    # the sampler is exact, so no jitter is ever added (PathBatch.jitter)
     stderr_lines = [
         f"[mc-validate] paths={config.paths} refine={config.refine} seed={config.seed} "
-        f"varianceRatio={ratio:.8e} jitter={0.0:.8e}"
+        f"varianceRatio={ratio:.8e}"
     ]
     if config.dump_batch is not None:
         stderr_lines.append(f"[mc-validate] wrote increment dump to {config.dump_batch}")

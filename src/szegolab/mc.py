@@ -16,9 +16,10 @@ Sampling is exact in law for the trapezoid rule on the refined grid, by
 circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997) one lattice
 up: the refined-grid autocovariance is embedded in a symmetric circulant of
 size M = 2(m - 1), doubled while indefinite, whose spectrum is folded onto
-the M/refine cells (``_folded_roots``); each path's increments are the first
-n values of C_y^(1/2) w for M/refine standard normals w, at O((M/refine)
-log M) cost and O(M/refine) memory per path.  A convex decreasing acf (the
+the W = M/refine cells (``_folded_roots``); each path's increments are the
+first n values of C_y^(1/2) w for white noise w of length W, whose half
+spectrum is drawn directly from W + 2 normals (``_half_spectrum_scale``),
+at O(W log W) cost and O(W) memory per path.  A convex decreasing acf (the
 exponential model's) gives a semidefinite embedding at the smallest size.
 ``_route`` alone runs the embedding's eigenvalue search and sets the memory
 shape, which the sampler and the memory bound (``_validation_bytes``) read.
@@ -27,9 +28,9 @@ Paths are drawn in blocks of rows by one loop (``_sample_blocks``), so each
 working table stays near 2 MiB whatever the path count.  The blocks run on
 one thread per usable CPU (at most one per block), the calling thread
 included, and each worker allocates its tables once, for all its blocks:
-normals, and their half spectrum, which then holds the block's increment
-and noisy rows.  The loop hands those to a sink on the thread that drew
-them, with the dead normals as scratch.  ``sample_paths`` copies the
+normals, which then hold the block's increment and noisy rows, and their
+inverse transform.  The loop hands those rows to a sink on the thread that
+drew them, with the dead transform as scratch.  ``sample_paths`` copies the
 blocks into the two n-column result tables of a ``PathBatch``, the only
 arrays that grow with the path count there.  The command line never builds
 those tables: its sink reduces each block at once to per-path statistics
@@ -39,12 +40,12 @@ batch's tables, so the estimates are the same either way, and writes the
 block's increment rows into the dump file.
 
 Randomness: each block of R rows draws all its normals by one call from its
-own counter-based stream, ``Philox`` keyed by (seed, block index) (Salmon et
-al. 2011), and writes only its own rows.  R depends only on the number of
-draws per path, so each path's draws depend only on (seed, path index, draws
-per path): the batch is bit-identical for any number of threads, a larger
-batch starts with a smaller one, and a fixed seed reproduces it exactly, on
-any platform.
+own stream, ``PCG64DXSM`` seeded by ``SeedSequence((seed, block index))``
+(O'Neill 2014), and writes only its own rows.  R depends only on the number
+of draws per path, so each path's draws depend only on (seed, path index,
+draws per path): the batch is bit-identical for any number of threads, a
+larger batch starts with a smaller one, and a fixed seed reproduces it
+exactly, on any platform.
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ __all__ = [
 ]
 
 BATCH_MAGIC = b"SZGL"
-BATCH_VERSION = 4
-# Every version so far lays the file out the same way; versions 1 to 3 name
-# earlier samplers of the exponential model (2 and 3 also of the others).
-_READABLE_VERSIONS = (1, 2, 3, 4)
+BATCH_VERSION = 5
+# Every version so far lays the file out the same way; versions 1 to 4 name
+# earlier samplers of the exponential model (2 to 4 also of the others).
+_READABLE_VERSIONS = (1, 2, 3, 4, 5)
 _HEADER = struct.Struct("<4sIQIIQ")  # magic, version, N, n, refine, seed — 32 bytes
 _SEED_MAX = 2**64
 _EPS = float(np.finfo(float).eps)
@@ -98,7 +99,7 @@ class PathBatch:
 
     ``increments`` is the N x n table of integrated-input approximations;
     ``noisy`` adds the per-cell channel noise.  ``generator`` records the
-    random source, its keying by (seed, row block), the batch version and
+    random source, its seeding by (seed, row block), the batch version and
     the library version behind the seed.  ``jitter`` is always 0.0: the
     sampler is exact, so no diagonal regularization is added to the
     covariance.  ``min_embedding_eig`` is the smallest eigenvalue of the
@@ -136,8 +137,8 @@ class PathBatch:
 
 def _block_normals(seed: int, block: int, out: np.ndarray) -> np.ndarray:
     """``out`` filled with standard normals for row block ``block`` by one
-    call from the counter-based stream keyed by (seed, block)."""
-    bits = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
+    call from the stream seeded by (seed, block)."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence((seed, block)))
     return np.random.Generator(bits).standard_normal(out=out)
 
 
@@ -187,30 +188,41 @@ def _folded_roots(lam: np.ndarray, refine: int, delta: float) -> np.ndarray:
     return np.sqrt(folded)
 
 
-def _embedded_paths(roots: np.ndarray, w: np.ndarray, m: int, spectrum: np.ndarray) -> np.ndarray:
-    """First m values of C^(1/2) w for each row w of ``w``, where C is the
-    circulant with eigenvalues ``roots**2``; rows of independent standard
-    normals give rows with covariance C[:m, :m].
+def _half_spectrum_scale(roots: np.ndarray) -> np.ndarray:
+    """Factors that turn W + 2 standard normals, read as W/2 + 1 complex
+    values, into the half spectrum of C^(1/2) w for white noise w of length
+    W = 2(len(roots) - 1), C the circulant with eigenvalues ``roots**2``:
+    each bin's root times the deviation of the parts of w's rfft, which are
+    independent, of variance W at DC and Nyquist (real; irfft ignores their
+    imaginary parts) and W/2 between them."""
+    width = 2 * (roots.size - 1)
+    scale = np.repeat(roots * math.sqrt(width / 2), 2)
+    scale[[0, -2]] = roots[[0, -1]] * math.sqrt(width)
+    return scale
 
-    Each row of ``roots`` holds the square roots, which scale the half
-    spectrum formed in ``spectrum`` len(roots) rows at a time: numpy needs no
-    iterator buffer for two contiguous tables of one shape.  ``w`` is
-    overwritten by the inverse transform; the result is a view of it."""
-    np.fft.rfft(w, axis=1, out=spectrum)
-    for start in range(0, len(spectrum), len(roots)):
-        group = spectrum[start : start + len(roots)]
-        group *= roots[: len(group)]
-    return np.fft.irfft(spectrum, n=w.shape[1], axis=1, out=w)[:, :m]
+
+def _embedded_paths(scale: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` gets C^(1/2) w (``_half_spectrum_scale``) for each row of
+    ``z``, whose first W + 2 values (W = out.shape[1]) are standard normals.
+    Each row of ``scale`` holds that function's factors and then those for
+    the rest of a row; they scale ``z`` in place, len(scale) rows at a time:
+    numpy needs no iterator buffer for two contiguous tables of one shape."""
+    for start in range(0, len(z), len(scale)):
+        group = z[start : start + len(scale)]
+        group *= scale[: len(group)]
+    width = out.shape[1]
+    return np.fft.irfft(z[:, : width + 2].view(complex), n=width, axis=1, out=out)
 
 
 @dataclass(frozen=True)
 class _Route:
     """The circulant embedding of size ``size`` that draws a batch's paths
-    on a grid refined ``refine`` times: ``width`` = M/refine normals per
-    path ahead of its n channel-noise normals.  ``roots`` are the folded
-    spectrum's square roots and ``min_eig`` the smallest embedding
-    eigenvalue before clipping; an unbuilt route (``_route`` with ``fits``)
-    has neither."""
+    on a grid refined ``refine`` times: ``width`` = M/refine values per
+    path, from width + 2 normals ahead of its n channel-noise normals.
+    ``roots`` are the folded spectrum's square roots scaled for those
+    normals (``_half_spectrum_scale``) and ``min_eig`` the smallest
+    embedding eigenvalue before clipping; an unbuilt route (``_route`` with
+    ``fits``) has neither."""
 
     size: int
     refine: int
@@ -238,7 +250,8 @@ def _route(model: SpectralModel, grid: SamplingGrid, refine: int, fits=None) -> 
             return shape
         lam = _embedding_eigs(model, size, delta)
         if _semidefinite(lam):
-            return _Route(size, refine, _folded_roots(lam, refine, delta), float(lam.min()))
+            roots = _half_spectrum_scale(_folded_roots(lam, refine, delta))
+            return _Route(size, refine, roots, float(lam.min()))
     raise FactorizationFailure(
         f"circulant embedding of the covariance on the refined grid (m={m}, "
         f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue "
@@ -272,8 +285,8 @@ def _workers(paths: int, rows: int) -> int:
 
 def _workspace(rows: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """One sampler worker's tables: ``rows`` rows of ``count`` normals, and
-    the half spectrum of their first ``width`` columns."""
-    return np.empty((rows, count)), np.empty((rows, width // 2 + 1), dtype=complex)
+    the ``width`` values per row of their inverse transform."""
+    return np.empty((rows, count)), np.empty((rows, width))
 
 
 def _run_blocks(start, blocks: list[slice], workers: int) -> None:
@@ -315,21 +328,22 @@ def _validation_bytes(route: _Route, n: int, paths: int, lags: int) -> int:
     blocks on each thread, the per-path vectors, and the route's setup.
 
     Each of the sampler's threads reuses one workspace of a block's rows:
-    normals, width + n values per path, and their half spectrum, width + 2
-    values per path.  Once a block is transformed, its increment and noisy
-    rows are copied into the half spectrum (2n values per path; width >=
-    2n), and the reducers form their temporaries in the dead normals.  Each
-    thread also fills the buffers of numpy's iterator for an operation on
-    strided or mixed-type operands (at most three of ``np.getbufsize()``
-    float64 values, or one of complex values) and holds the block's array
-    headers and generator state, which are counted as one more such buffer.
+    normals, width + 2 + n values per path, and their inverse transform,
+    width values per path.  Once a block is transformed, its noise is
+    copied beside its increments in the transform and both, contiguous,
+    into the dead normals (2n values per path; width >= 2n), and the
+    reducers form their temporaries in the dead transform.  Each
+    thread is also allowed the buffers of numpy's iterator, which no
+    operation on the sampler path needs (at most three of
+    ``np.getbufsize()`` float64 values, or one of complex values), and holds
+    the block's array headers and generator state, counted as one more.
     The block size and the thread count are the sampler's own
     (``_block_rows``, ``_workers``).  Beside the blocks the run holds lags +
     2 vectors of one value per path (the lag means, the noise sums and the
     noise's centred sums of squares), and the route's setup, the search's
     four vectors of M values and the fold's two, is counted beside them too.
     """
-    rows = _block_rows(paths, route.width + n)
+    rows = _block_rows(paths, route.width + 2 + n)
     per_thread = rows * (2 * route.width + n + 2) + 4 * np.getbufsize()
     return 8 * (_workers(paths, rows) * per_thread + 6 * route.size + (lags + 2) * paths)
 
@@ -352,39 +366,41 @@ def _sample_blocks(route: _Route, grid: SamplingGrid, paths: int, seed: int, sin
     arrays hold its rows of the increment and noisy tables.  The arrays are
     contiguous views into the workspace (``_workspace``) that each thread
     allocates once, valid only during the call, which is why
-    ``sample_paths`` copies them; ``scratch`` is the workspace's normals,
-    dead by then, as width + n float64 values per row.
+    ``sample_paths`` copies them; ``scratch`` is the workspace's inverse
+    transform, dead by then, as width float64 values per row.
 
     Block b holds the paths [b R, (b + 1) R), R = max(1, _BLOCK_VALUES //
-    count) for count normals per path, and draws them by one call from the
-    stream keyed by (seed, b).  R depends on count alone, so each path's
-    draws depend only on (seed, path index, count).
+    count) for count = width + 2 + n normals per path, and draws them by one
+    call from the stream seeded by (seed, b).  R depends on count alone, so
+    each path's draws depend only on (seed, path index, count).
 
     The blocks run on one thread per usable CPU, at most one per block, so
     ``sink`` is called from several threads at once, each time for other
     rows.  An exception raised in any block, the sink's included, is
     re-raised here once every thread has finished.
     """
-    width = route.width
-    count = width + grid.n
-    noise_scale = math.sqrt(grid.h)
+    n, width = grid.n, route.width
+    count = width + 2 + n
     rows = _block_rows(paths, count)
-    # the roots repeated down rows of about 4096 values (``_embedded_paths``)
-    roots = np.tile(route.roots.astype(complex), (max(1, 4096 // route.roots.size), 1))
+    # a row's factors, the route's roots and then the noise's sqrt(h),
+    # repeated down rows of about 4096 values (``_embedded_paths``)
+    scale = np.concatenate((route.roots, np.full(n, math.sqrt(grid.h))))
+    scale = np.tile(scale, (max(1, 4096 // count), 1))
 
     def start():
-        normals, spectrum = _workspace(rows, count, width)
-        tables = spectrum.reshape(-1).view(float)
+        normals, transform = _workspace(rows, count, width)
+        tables = normals.reshape(-1)
 
         def fill(block: slice) -> None:
             size = block.stop - block.start
             z = _block_normals(seed, block.start // rows, normals[:size])
-            increments, noisy = tables[: 2 * size * grid.n].reshape(2, size, grid.n)
-            increments[...] = _embedded_paths(roots, z[:, :width], grid.n, spectrum[:size])
-            noisy[...] = z[:, width:]
-            noisy *= noise_scale
+            x = _embedded_paths(scale, z, transform[:size])
+            x[:, n : 2 * n] = z[:, width + 2 :]
+            increments, noisy = tables[: 2 * size * n].reshape(2, size, n)
+            increments[...] = x[:, :n]
+            noisy[...] = x[:, n : 2 * n]
             noisy += increments
-            sink(block, increments, noisy, z.reshape(-1))
+            sink(block, increments, noisy, transform.reshape(-1))
 
         return fill
 
@@ -406,7 +422,7 @@ def sample_paths(
     size M (2(m - 1), or a power-of-two multiple of it when padding was
     needed; ``min_embedding_eig`` records its smallest eigenvalue), is
     folded onto the cells (``_folded_roots``), so each path's n increments
-    come from M/refine draws.  Raises ``FactorizationFailure`` when no
+    come from M/refine + 2 draws.  Raises ``FactorizationFailure`` when no
     embedding within the padding stop is positive semidefinite.  Paths are
     drawn in blocks of about ``_BLOCK_VALUES`` values (``_sample_blocks``),
     and each block is copied into the two result tables, so the working
@@ -435,8 +451,8 @@ def sample_paths(
         seed=seed,
         increments=increments,
         noisy=noisy,
-        generator=f"numpy.random.Philox keyed (seed, row block), batch v{BATCH_VERSION} "
-        f"(numpy {np.__version__})",
+        generator=f"numpy.random.PCG64DXSM seeded by (seed, row block), batch "
+        f"v{BATCH_VERSION} (numpy {np.__version__})",
         min_embedding_eig=route.min_eig,
     )
 
@@ -445,7 +461,9 @@ def sample_paths(
 # noise_variance_ratio) and the streamed route (_validation_estimates): each
 # reduces one block of rows into its columns of a per-path vector, every row
 # on its own, so the estimates do not depend on how the rows are blocked,
-# and forms its temporaries in ``scratch``, float64 values at least as many.
+# and forms its temporaries in ``scratch`` (float64 values at least as many
+# as the block's, twice as many for ``_noise_moments``), by operations that
+# need no iterator buffer: copies, or ones on contiguous tables of one shape.
 def _gram_lags(paths: int, n: int, lags) -> list[int]:
     """The requested lags as integers, checked against the path count and n."""
     if paths < 100:
@@ -461,12 +479,16 @@ def _lag_means(
     increments: np.ndarray, lags: list[int], out: np.ndarray, scratch: np.ndarray
 ) -> None:
     """Row ``pos`` of ``out`` gets each path's mean of inc_j * inc_{j+l} over
-    its valid offsets, for l = lags[pos]."""
+    its valid offsets, for l = lags[pos], summed as ``np.mean`` sums them.
+    The products run along the flat table, so a row's last l pair it with
+    the next row; they are never summed."""
     paths, n = increments.shape
+    flat = increments.reshape(-1)
+    products = scratch[: flat.size].reshape(paths, n)
     for row, l in zip(out, lags):
-        products = scratch[: paths * (n - l)].reshape(paths, n - l)
-        np.multiply(increments[:, : n - l], increments[:, l:], out=products)
-        np.mean(products, axis=1, out=row)
+        np.multiply(flat[: flat.size - l], flat[l:], out=products.reshape(-1)[: flat.size - l])
+        np.add.reduce(products[:, : n - l], axis=1, out=row)
+        row /= n - l
 
 
 def _noise_moments(
@@ -474,12 +496,15 @@ def _noise_moments(
 ) -> None:
     """Each path's sum of noise - shift (``out[0]``) and its sum of squares
     about that path's mean (``out[1]``), where the noise is noisy -
-    increments."""
-    noise = scratch[: noisy.size].reshape(noisy.shape)
+    increments.  The centring subtracts the path means, copied across a
+    table beside the noise, by way of ``out[1]``."""
+    noise, means = scratch[: 2 * noisy.size].reshape(2, *noisy.shape)
     np.subtract(noisy, increments, out=noise)
     noise -= shift
     np.sum(noise, axis=1, out=out[0])
-    noise -= (out[0] / noise.shape[1])[:, None]
+    np.divide(out[0], noise.shape[1], out=out[1])
+    means[...] = out[1][:, None]
+    noise -= means
     noise *= noise
     np.sum(noise, axis=1, out=out[1])
 
@@ -539,8 +564,8 @@ def noise_variance_ratio(batch: PathBatch) -> float:
     n = batch.grid.n
     shift = float(batch.noisy[0, 0] - batch.increments[0, 0])
     moments = np.empty((2, batch.paths))
-    scratch = np.empty(_block_rows(batch.paths, n) * n)
-    for rows in _row_blocks(batch.paths, scratch.size // n):
+    scratch = np.empty(_block_rows(batch.paths, 2 * n) * 2 * n)
+    for rows in _row_blocks(batch.paths, scratch.size // (2 * n)):
         _noise_moments(batch.increments[rows], batch.noisy[rows], shift, moments[:, rows], scratch)
     return _pooled_variance(moments, n) / batch.grid.h
 
@@ -613,7 +638,7 @@ def write_batch(batch: PathBatch, path) -> None:
 def read_batch(path) -> tuple[dict, np.ndarray]:
     """Read a dump written by ``write_batch``; returns (header fields, table).
 
-    Versions 1 to 4 share the layout and are all read.  The file size is
+    Versions 1 to 5 share the layout and are all read.  The file size is
     checked against the header before the table is allocated, and the
     payload is read straight into it; it is converted only on a big-endian
     host."""

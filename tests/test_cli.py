@@ -695,8 +695,9 @@ def _scipy_submodules_loaded_by_cli(*argv: str, exit_code: int = 0) -> list[str]
 
 
 def test_import_loads_no_scipy_submodule():
-    # nor a thread pool or logging: each costs every process import time
-    watched = (*SCIPY_MODULES, "concurrent.futures", "logging")
+    # nor a thread pool, logging or numpy's random generators: each costs
+    # every process import time
+    watched = (*SCIPY_MODULES, "concurrent.futures", "logging", "numpy.random")
     assert _scipy_submodules_loaded_by("import sys, szegolab, szegolab.cli", watched) == []
 
 

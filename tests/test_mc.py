@@ -1,4 +1,4 @@
-"""Monte-Carlo layer: counter-based reproducibility, sampler correctness
+"""Monte-Carlo layer: per-block stream reproducibility, sampler correctness
 (the folded circulant embedding against the dense covariance of the refined
 grid, for every model), trapezoid accuracy order, agreement with the
 analytic covariances, and the binary increment dump.
@@ -74,8 +74,8 @@ def _ar1_reference(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndar
 
 
 def _width(model: SpectralModel, grid: SamplingGrid, refine: int) -> int:
-    """Draws per path ahead of the channel noise: M/refine for the
-    embedding size M."""
+    """Length of each path's inverse transform, M/refine for the embedding
+    size M; the path's draws ahead of its channel noise are two more."""
     return mc._route(model, grid, refine).width
 
 
@@ -194,14 +194,14 @@ def test_each_path_has_its_own_substream(kind):
 
 @pytest.mark.parametrize("kind", _KINDS)
 def test_channel_noise_follows_the_path_draws(kind):
-    # each path's row of draws holds the path's draws first and its n noise
-    # draws after them, so the noise never shifts the draws behind the
-    # increments
+    # each path's row of draws holds the path's width + 2 draws first and
+    # its n noise draws after them, so the noise never shifts the draws
+    # behind the increments
     model, grid, refine = _KINDS[kind], SamplingGrid(T=2.0, n=10), 4
     batch = sample_paths(model, grid, refine=refine, paths=5, seed=77)
     width = _width(model, grid, refine)
-    z = _block_normals(77, 0, np.empty((5, width + grid.n)))
-    assert np.array_equal(batch.noisy, batch.increments + math.sqrt(grid.h) * z[:, width:])
+    z = _block_normals(77, 0, np.empty((5, width + 2 + grid.n)))
+    assert np.array_equal(batch.noisy, batch.increments + math.sqrt(grid.h) * z[:, width + 2 :])
 
 
 @pytest.mark.parametrize("seed", [21, 2**64 - 1])
@@ -209,19 +209,19 @@ def test_channel_noise_follows_the_path_draws(kind):
 def test_each_row_block_draws_from_the_stream_keyed_by_its_index(kind, seed, monkeypatch):
     # with 200-value blocks, block b holds the rows [b R, (b + 1) R), R =
     # max(1, 200 // count), and draws them by one standard_normal((rows,
-    # count)) call of a fresh Philox keyed by (seed, b); the last block is cut
-    # at the path count
+    # count)) call of a fresh PCG64DXSM seeded by SeedSequence((seed, b));
+    # the last block is cut at the path count
     model, grid, refine, paths = _KINDS[kind], SamplingGrid(T=2.0, n=10), 4, 14
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)
     batch = sample_paths(model, grid, refine=refine, paths=paths, seed=seed)
     width = _width(model, grid, refine)
-    count = width + grid.n
+    count = width + 2 + grid.n
     rows = max(1, 200 // count)
     for block, start in enumerate(range(0, paths, rows)):
         stop = min(start + rows, paths)
-        bits = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
+        bits = np.random.PCG64DXSM(np.random.SeedSequence([seed, block]))
         z = np.random.Generator(bits).standard_normal((stop - start, count))
-        noise = math.sqrt(grid.h) * z[:, width:]
+        noise = math.sqrt(grid.h) * z[:, width + 2 :]
         assert np.array_equal(batch.noisy[start:stop], batch.increments[start:stop] + noise)
 
 
@@ -263,7 +263,7 @@ def test_each_worker_allocates_one_workspace(kind, monkeypatch):
     # every later one, and workers that shared tables would garble the
     # batch once a short switch interval interleaves them
     model, grid, args = _KINDS[kind], SamplingGrid(T=4.0, n=40), dict(refine=8, paths=23, seed=5)
-    monkeypatch.setattr(mc, "_BLOCK_VALUES", 2 * (_width(model, grid, 8) + grid.n))
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 2 * (_width(model, grid, 8) + 2 + grid.n))
     workspace, allocated = mc._workspace, []
 
     def counting(rows, count, width):
@@ -305,7 +305,7 @@ def test_sampler_memory_does_not_grow_with_the_block_count(monkeypatch):
         finally:
             tracemalloc.stop()
         held.append(peak - 2 * paths * grid.n * 8)
-    rows = mc._block_rows(16000, width + grid.n)
+    rows = mc._block_rows(16000, width + 2 + grid.n)
     assert -(-4000 // rows) == 5 and -(-16000 // rows) == 19
     assert abs(held[1] - held[0]) <= 64 * 1024
     assert max(held) < 2 * 8 * (rows * (2 * width + grid.n + 2) + 4 * np.getbufsize())
@@ -314,10 +314,10 @@ def test_sampler_memory_does_not_grow_with_the_block_count(monkeypatch):
 def test_a_failing_block_is_raised_once_every_thread_has_ended(monkeypatch):
     calls, embedded = itertools.count(), _embedded_paths
 
-    def failing_second_call(roots, w, m, spectrum):
+    def failing_second_call(scale, z, out):
         if next(calls) == 1:
             raise RuntimeError("block failed")
-        return embedded(roots, w, m, spectrum)
+        return embedded(scale, z, out)
 
     monkeypatch.setattr(mc, "_embedded_paths", failing_second_call)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
@@ -328,9 +328,9 @@ def test_a_failing_block_is_raised_once_every_thread_has_ended(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_generator_metadata_names_counter_based_source(ou11):
+def test_generator_metadata_names_the_block_seeded_source(ou11):
     batch = sample_paths(ou11, SamplingGrid(T=1.0, n=4), paths=2, seed=0)
-    assert "Philox" in batch.generator
+    assert "PCG64DXSM seeded by (seed, row block)" in batch.generator
 
 
 def test_exponential_sampler_stream_is_pinned(ou11):
@@ -342,11 +342,13 @@ def test_exponential_sampler_stream_is_pinned(ou11):
         for name in ("increments", "noisy")
     }
     assert digest == {
-        "increments": "b5ca4ed3996018b016403ec76de0ccb6326211fa0c547e2507f83bd4d1233585",
-        "noisy": "e0b7d20bc4ba9c6492bbc76cac7f3a5b88068a307460948ea959f12a27b98221",
+        "increments": "4716a20498bf059b8d2f2e8a3388e5553e72fb7695e7d6faa211649a72368f13",
+        "noisy": "06d8331bf26f2f621a8821856fe1cf209a401e7d65e88c0f7d295d4d9ed94edb",
     }
-    assert BATCH_VERSION == 4
-    assert batch.generator.startswith("numpy.random.Philox keyed (seed, row block), batch v4 ")
+    assert BATCH_VERSION == 5
+    assert batch.generator.startswith(
+        "numpy.random.PCG64DXSM seeded by (seed, row block), batch v5 "
+    )
 
 
 def test_embedding_sampler_stream_is_pinned():
@@ -359,8 +361,8 @@ def test_embedding_sampler_stream_is_pinned():
         for name in ("increments", "noisy")
     }
     assert digest == {
-        "increments": "da909c457f877be362d060a7bb6849b55ff873dce20403faa50f08a3f3c98048",
-        "noisy": "627d1281dd959bf36f2292e5d587ae88c31bb433028af684841d9deb539abd01",
+        "increments": "7ab0b61ad5738d98142ea89b8934d31a8af57d24b1c4bcc87cf7a72da024cc64",
+        "noisy": "fe80d9f3ad8e2823a7dd072183fd2856d2e2c77b90fb710e40a4b9ef5b8c9dc3",
     }
 
 
@@ -498,6 +500,27 @@ def test_streamed_noise_variance_ratio_matches_the_one_shot_variance(ragged_batc
     assert noise_variance_ratio(ragged_batch) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("reducer", ["_lag_means", "_noise_moments"])
+def test_block_reducers_allocate_no_iterator_buffer(reducer):
+    # one 873 x 100 block, as the sampler hands it to the reducers: each
+    # forms its temporaries in the scratch it is given, so numpy allocates
+    # only array headers beside it, not an iterator buffer (64 KiB and more)
+    increments, noisy = np.random.default_rng(0).standard_normal((2, 873, 100))
+    out, scratch = np.empty((4, 873)), np.empty(2 * 873 * 100)
+    call = {
+        "_lag_means": lambda: mc._lag_means(increments, [0, 1, 2, 5], out, scratch),
+        "_noise_moments": lambda: mc._noise_moments(increments, noisy, 0.0, out[:2], scratch),
+    }[reducer]
+    call()  # loads numpy's loops outside the measurement
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     shape=st.tuples(st.integers(1, 6), st.integers(1, 8)).filter(lambda s: s[0] * s[1] >= 2),
@@ -571,7 +594,7 @@ def test_streamed_estimates_equal_the_table_route(kind, T, n, workers, tmp_path,
     model, grid, paths, seed, lags = _KINDS[kind], SamplingGrid(T=T, n=n), 1001, 7, (0, 1, 2, 5)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
     batch = sample_paths(model, grid, refine=8, paths=paths, seed=seed)
-    assert paths % mc._block_rows(paths, _width(model, grid, 8) + n) > 0
+    assert paths % mc._block_rows(paths, _width(model, grid, 8) + 2 + n) > 0
     tilde, se = empirical_gram(batch, lags)
     ratio = noise_variance_ratio(batch)
     write_batch(batch, tmp_path / "table.szgl")
@@ -648,8 +671,8 @@ def test_embedding_reproduces_the_dense_covariance(model, T, padding):
     lam = _embedding_spectrum(model, m, delta)
     size = 2 * (lam.size - 1)
     assert size == 2 * (m - 1) * padding
-    roots, spectrum = np.sqrt(np.maximum(lam, 0.0))[None], np.empty((size, lam.size), dtype=complex)
-    x = _embedded_paths(roots, np.eye(size), m, spectrum)
+    scale = mc._half_spectrum_scale(np.sqrt(np.maximum(lam, 0.0)))[None]
+    x = _embedded_paths(scale, np.eye(size + 2), np.empty((size + 2, size)))[:, :m]
     dense = scipy.linalg.toeplitz(model.acf(delta * np.arange(m)))
     assert np.max(np.abs(x.T @ x - dense)) <= 1e-12 * model.power
 
@@ -658,10 +681,14 @@ def _route_tables(model, grid, refine, monkeypatch):
     """Push the identity through the sampler: with one path per draw and
     the identity as the block's normals, row k of each table is the column
     of the route's linear map for draw k, so a table's Gram matrix is the
-    covariance the route gives it."""
-    count = _width(model, grid, refine) + grid.n
+    covariance the route gives it.  Draws 1 and width + 1 fill the
+    imaginary parts of the DC and Nyquist bins, which the inverse rfft
+    ignores, so their rows must be exactly zero in both tables."""
+    width = _width(model, grid, refine)
     monkeypatch.setattr(mc, "_block_normals", lambda seed, block, out: np.eye(*out.shape))
-    batch = sample_paths(model, grid, refine=refine, paths=count, seed=0)
+    batch = sample_paths(model, grid, refine=refine, paths=width + 2 + grid.n, seed=0)
+    for table in (batch.increments, batch.noisy):
+        assert np.all(table[[1, width + 1]] == 0.0)
     return batch.increments, batch.noisy
 
 
@@ -758,14 +785,14 @@ def test_read_batch_rejects_bad_magic(tmp_path):
         read_batch(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_read_batch_reads_the_versions_that_share_the_layout(version, tmp_path):
-    # versions 1 to 4 differ only in the sampler behind the table
+    # versions 1 to 5 differ only in the sampler behind the table
     path = tmp_path / "batch.szgl"
     table = np.arange(6.0).reshape(2, 3)
     path.write_bytes(_HEADER.pack(BATCH_MAGIC, version, 2, 3, 8, 5) + table.astype("<f8").tobytes())
-    if version == 5:
-        with pytest.raises(ValueError, match="unsupported dump version 5"):
+    if version == 6:
+        with pytest.raises(ValueError, match="unsupported dump version 6"):
             read_batch(path)
         return
     header, read = read_batch(path)
