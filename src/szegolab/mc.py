@@ -37,7 +37,11 @@ those tables: its sink reduces each block at once to per-path statistics
 (lag means, noise sums and centred sums of squares) with the same per-row
 reducers that ``empirical_gram`` and ``noise_variance_ratio`` run over a
 batch's tables, so the estimates are the same either way, and writes the
-block's increment rows into the dump file.
+block's increment rows into the dump file.  Over a batch's tables the two
+run in blocks of their own, of about ``_REDUCE_VALUES`` values (256 KiB of
+scratch), not the sampler's 2 MiB: a reducer block only bounds the scratch,
+so its size fixes no stream and, since every row is reduced on its own,
+changes no estimate.
 
 Randomness: each block of R rows draws all its normals by one call from its
 own stream, ``PCG64DXSM`` seeded by ``SeedSequence((seed, block index))``
@@ -91,6 +95,9 @@ _CLIP_RTOL = 64 * _EPS
 # not grow with the number of paths and a block's tables stay in cache.  Each
 # block draws from its own stream, so changing this value changes the batch.
 _BLOCK_VALUES = 2**18
+# Values per block of rows when ``empirical_gram`` and ``noise_variance_ratio``
+# reduce a batch's tables; it sizes their scratch and changes no value.
+_REDUCE_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -259,9 +266,12 @@ def _route(model: SpectralModel, grid: SamplingGrid, refine: int, fits=None) -> 
     )
 
 
-def _block_rows(paths: int, count: int) -> int:
-    """Paths per block when each path holds ``count`` values."""
-    return min(paths, max(1, _BLOCK_VALUES // count))
+def _block_rows(paths: int, count: int, values: int | None = None) -> int:
+    """Paths per block of about ``values`` values (the sampler's
+    ``_BLOCK_VALUES`` when not given) when each path holds ``count``."""
+    if values is None:
+        values = _BLOCK_VALUES
+    return min(paths, max(1, values // count))
 
 
 def _row_blocks(paths: int, rows: int) -> list[slice]:
@@ -540,12 +550,12 @@ def empirical_gram(batch: PathBatch, lags) -> tuple[np.ndarray, np.ndarray]:
     per-path statistic, which is the honest sampling unit (offsets within one
     path are correlated).  The per-path statistics are reduced one block of
     rows at a time, each row on its own, so only one block of lag products
-    is held.  Requires at least 100 paths.
+    (about ``_REDUCE_VALUES`` values) is held.  Requires at least 100 paths.
     """
     n = batch.grid.n
     lags = _gram_lags(batch.paths, n, lags)
     lag_means = np.empty((len(lags), batch.paths))
-    scratch = np.empty(_block_rows(batch.paths, n) * n)
+    scratch = np.empty(_block_rows(batch.paths, n, _REDUCE_VALUES) * n)
     for rows in _row_blocks(batch.paths, scratch.size // n):
         _lag_means(batch.increments[rows], lags, lag_means[:, rows], scratch)
     return _gram_estimates(lag_means, n / batch.grid.T)
@@ -556,15 +566,16 @@ def noise_variance_ratio(batch: PathBatch) -> float:
     per-cell variance h; should sit near 1.
 
     The noise, noisy - increments, is formed one block of rows at a time
-    and reduced to each path's sum and centred sum of squares, which are
-    pooled as in ``_pooled_variance``.  The noise is first shifted by its
-    first value, so a large common offset does not swamp the path sums.
-    Requires at least two noise values.
+    (about ``_REDUCE_VALUES`` values with its centring table) and reduced to
+    each path's sum and centred sum of squares, which are pooled as in
+    ``_pooled_variance``.  The noise is first shifted by its first value,
+    so a large common offset does not swamp the path sums.  Requires at
+    least two noise values.
     """
     n = batch.grid.n
     shift = float(batch.noisy[0, 0] - batch.increments[0, 0])
     moments = np.empty((2, batch.paths))
-    scratch = np.empty(_block_rows(batch.paths, 2 * n) * 2 * n)
+    scratch = np.empty(_block_rows(batch.paths, 2 * n, _REDUCE_VALUES) * 2 * n)
     for rows in _row_blocks(batch.paths, scratch.size // (2 * n)):
         _noise_moments(batch.increments[rows], batch.noisy[rows], shift, moments[:, rows], scratch)
     return _pooled_variance(moments, n) / batch.grid.h

@@ -108,6 +108,9 @@ def _gamma_exponential(power: float, rate: float, h: float, n: int) -> np.ndarra
 
 
 _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise, into an object array
+# Lags per block of the Gaussian panel rule below: each of its temporaries
+# holds at most 16 * _GAMMA_LAGS nodes (32 KiB), whatever n is.
+_GAMMA_LAGS = 256
 
 
 def _gamma_squared_exponential(power: float, width: float, h: float, n: int) -> np.ndarray:
@@ -118,15 +121,22 @@ def _gamma_squared_exponential(power: float, width: float, h: float, n: int) -> 
         # gamma_l and turns it negative.  R varies on the scale s > h, so
         # one 16-point panel per lag of
         # gamma_l = (1/h) * integral_0^h (h - u) [R(l h + u) + R(l h - u)] du
-        # is accurate to rounding, and every term of it is positive.
-        lag = h * np.arange(n, dtype=float)[:, None]
+        # is accurate to rounding, and every term of it is positive.  Each
+        # lag's panel is summed on its own, so blocks of _GAMMA_LAGS lags
+        # give the values of one call over all n and bound the node tables.
         two_var = 2.0 * s * s
+        out = np.empty(n)
+        for start in range(0, n, _GAMMA_LAGS):
+            stop = min(start + _GAMMA_LAGS, n)
+            lag = h * np.arange(start, stop, dtype=float)[:, None]
 
-        def overlap(u):
-            bump = np.exp(-((lag + u) ** 2) / two_var) + np.exp(-((lag - u) ** 2) / two_var)
-            return bump * (h - u)
+            def overlap(u):
+                bump = np.exp(-((lag + u) ** 2) / two_var) + np.exp(-((lag - u) ** 2) / two_var)
+                return bump * (h - u)
 
-        return power * _panel_sums(overlap, np.zeros(n), np.full(n, h)) / h
+            size = stop - start
+            out[start:stop] = _panel_sums(overlap, np.zeros(size), np.full(size, h))
+        return power * out / h
     l = np.arange(n, dtype=float)
     a0 = (l - 1.0) * h
     b0 = (l + 1.0) * h
@@ -147,7 +157,10 @@ def _gamma_squared_exponential(power: float, width: float, h: float, n: int) -> 
     return power * (left + right) / h
 
 
-_GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
+# numpy.polynomial.legendre.leggauss(3), bit for bit (sqrt(3/5) and 5/9, 8/9
+# as it rounds them), kept as a table like the 16-point rule of ``quadrature``
+_GL3_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
+_GL3_WEIGHTS = np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
 
 
 def _gamma_triangular(power: float, support: float, h: float, n: int) -> np.ndarray:

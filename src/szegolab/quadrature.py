@@ -1,6 +1,12 @@
 """Adaptive 16-point Gauss-Legendre quadrature, vectorised over panels: the
 one adaptive rule of the package, used by the spectral functionals
-(``models``) and the Gram-coefficient reference (``gram``)."""
+(``models``) and the Gram-coefficient reference (``gram``).
+
+The rule's nodes and weights are a fixed table, as such rules are
+classically kept (Golub & Welsch, Math. Comp. 23, 1969): the shortest
+round-trip decimals of ``numpy.polynomial.legendre.leggauss(16)``, equal to
+it bit for bit (the tests check that), so no process imports
+``numpy.polynomial`` to build them."""
 
 from __future__ import annotations
 
@@ -12,7 +18,18 @@ from .errors import NonConvergedQuadrature
 
 __all__ = ["adaptive_gauss_legendre"]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
 # a priori rounding bound gamma_k = ku / (1 - ku) of one accepted panel: its
 # two 16-term dot products and their sum, k = 17
 _KU = 17 * np.finfo(float).eps / 2.0

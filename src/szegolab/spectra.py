@@ -264,16 +264,18 @@ def mi_levinson(gamma) -> float:
         raise NotPositiveDefinite(f"diagonal 1 + gamma_0 = {c[0]:.6e} of I + A is not positive")
     kappa = np.empty(n - 1)
     a = np.empty(n - 1)  # a[:k] holds the order-k predictor
+    update = np.empty(n - 1)  # kappa times the reversed predictor
     err = c[0]
     for k in range(1, n):
         pred = a[: k - 1]
+        # the strided dot, not a contiguous BLAS one, which rounds differently
         kap = -(c[k] + float(pred @ c[k - 1 : 0 : -1])) / err
         if not abs(kap) < 1.0:
             raise NotPositiveDefinite(
                 f"Levinson reflection coefficient {kap:.6e} at order {k} has |kappa| >= 1; "
                 "I + A is not positive definite"
             )
-        pred += kap * pred[::-1]
+        pred += np.multiply(pred[::-1], kap, out=update[: k - 1])
         a[k - 1] = kap
         err *= 1.0 - kap * kap
         kappa[k - 1] = kap
@@ -289,25 +291,31 @@ def mi_schur(gamma) -> float:
 
     The generators u = c, v = c - c_0 e_0 of I + A are rotated so that v[k]
     vanishes, which leaves the pivot d_k at u[k]; u then shifts one place.
-    Raises NotPositiveDefinite on a pivot <= 0.
+    Here u is kept shifted to index 0 (step k reads u[:n-k] against
+    v[k:]), so the shift costs nothing, and both rotations are formed in
+    two scratch vectors.  Raises NotPositiveDefinite on a pivot <= 0.
     """
     u = _gamma_copy(gamma)
     u[0] += 1.0
     v = u.copy()
     v[0] = 0.0
-    logs = np.empty(u.size)
-    for k in range(u.size):
-        uk, vk = u[k:], v[k:]
+    n = u.size
+    logs = np.empty(n)
+    scaled = np.empty((2, n))  # rho * v and rho * u
+    for k in range(n):
+        uk, vk = u[: n - k], v[k:]
         rho = vk[0] / uk[0]
-        rotated = uk - rho * vk
-        vk -= rho * uk
-        pivot = rotated[0]
+        rho_v, rho_u = scaled[:, : n - k]
+        np.multiply(vk, rho, out=rho_v)
+        np.multiply(uk, rho, out=rho_u)
+        uk -= rho_v
+        vk -= rho_u
+        pivot = uk[0]
         if not pivot > 0.0:
             raise NotPositiveDefinite(
                 f"Schur pivot {pivot:.6e} at step {k} is <= 0; I + A is not positive definite"
             )
         logs[k] = math.log(pivot)
-        u[k + 1 :] = rotated[:-1]
     return 0.5 * math.fsum(logs.tolist())
 
 
@@ -320,12 +328,14 @@ def toeplitz_traces(gamma) -> tuple[float, float, float]:
     column 0 repeats row 0.  A and S are persymmetric (S[n-1-i, n-1-j] =
     S[i, j]), so row n-1-i contributes what row i does: only the first half
     of the rows is streamed, which also halves the recurrence's error growth.
+    Each next row is formed in a second buffer, and the two then swap.
     """
     gamma = _gamma_copy(gamma)
     n = gamma.size
     sym = np.concatenate((gamma[:0:-1], gamma))  # sym[n-1+m] = gamma_|m|
     first = np.correlate(sym, gamma, "valid")[::-1]
-    row = first.copy()
+    row, nxt = first.copy(), np.empty(n)
+    dropped = np.empty(n - 1)  # the recurrence's subtracted term
     head, tail = gamma[1:], gamma[:0:-1]
     rows = (n + 1) // 2
     dots3 = np.empty(rows)
@@ -334,8 +344,12 @@ def toeplitz_traces(gamma) -> tuple[float, float, float]:
         dots3[i] = row @ sym[n - 1 - i : 2 * n - 1 - i]
         dots4[i] = row @ row
         if i + 1 < rows:
-            row[1:] = row[:-1] + gamma[i + 1] * head - gamma[n - 1 - i] * tail
-            row[0] = first[i + 1]
+            added = nxt[1:]
+            np.multiply(head, gamma[i + 1], out=added)
+            np.add(row[:-1], added, out=added)
+            np.subtract(added, np.multiply(tail, gamma[n - 1 - i], out=dropped), out=added)
+            nxt[0] = first[i + 1]
+            row, nxt = nxt, row
     weights = np.full(rows, 2.0)
     if n % 2:
         weights[-1] = 1.0  # the middle row is its own mirror

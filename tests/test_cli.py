@@ -681,7 +681,9 @@ def _scipy_submodules_loaded_by(code: str, watched=SCIPY_MODULES) -> list[str]:
     return result.stdout.splitlines()[-1].split()[1:]
 
 
-def _scipy_submodules_loaded_by_cli(*argv: str, exit_code: int = 0) -> list[str]:
+def _scipy_submodules_loaded_by_cli(
+    *argv: str, exit_code: int = 0, watched=SCIPY_MODULES
+) -> list[str]:
     return _scipy_submodules_loaded_by(
         "import runpy, sys\n"
         f"sys.argv = ['szegolab', *{argv!r}]\n"
@@ -690,14 +692,18 @@ def _scipy_submodules_loaded_by_cli(*argv: str, exit_code: int = 0) -> list[str]
         "except SystemExit as exc:\n"
         f"    assert exc.code == {exit_code}, exc.code\n"
         "else:\n"
-        "    raise AssertionError('no exit')\n"
+        "    raise AssertionError('no exit')\n",
+        watched,
     )
 
 
 def test_import_loads_no_scipy_submodule():
-    # nor a thread pool, logging or numpy's random generators: each costs
-    # every process import time
-    watched = (*SCIPY_MODULES, "concurrent.futures", "logging", "numpy.random")
+    # nor a thread pool, logging, numpy's random generators or its
+    # polynomial package (the quadrature rules are tables): each costs every
+    # process import time
+    watched = (
+        *SCIPY_MODULES, "concurrent.futures", "logging", "numpy.random", "numpy.polynomial"
+    )
     assert _scipy_submodules_loaded_by("import sys, szegolab, szegolab.cli", watched) == []
 
 
@@ -713,8 +719,10 @@ def test_usage_error_loads_no_scipy_submodule():
     ids=" ".join,
 )
 def test_cli_run_loads_no_scipy_submodule(argv):
-    # every subcommand at its defaults computes on numpy and math alone
-    assert _scipy_submodules_loaded_by_cli(*argv) == []
+    # every subcommand at its defaults computes on numpy and math alone, and
+    # reads its quadrature rules from tables, not from numpy.polynomial
+    watched = (*SCIPY_MODULES, "numpy.polynomial")
+    assert _scipy_submodules_loaded_by_cli(*argv, watched=watched) == []
 
 
 def test_config_file_value_feeds_the_computation(tmp_path):

@@ -28,6 +28,7 @@ from szegolab import (
     toeplitz_matrix,
 )
 from szegolab.gram import _gamma_quadrature
+from szegolab.quadrature import _panel_sums
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,25 @@ def test_squared_exponential_tail_is_positive_and_decreasing(ratio):
     gamma = gamma_sequence(model, SamplingGrid(T=400 * ratio, n=400)).gamma
     assert np.all(gamma >= 0.0)
     assert np.all(np.diff(gamma) <= 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 3000])
+def test_squared_exponential_lag_blocks_equal_one_panel_call(n):
+    # below h = sigma the 16-point rule runs on blocks of 256 lags; each
+    # lag's panel is summed on its own, so the blocks reproduce one call over
+    # all n lags (an n x 16 node table) bit for bit
+    power, s = 1.7, 1.3
+    grid = SamplingGrid(T=0.05 * n, n=n)
+    h, two_var = grid.h, 2.0 * s * s
+    lag = h * np.arange(n, dtype=float)[:, None]
+
+    def overlap(u):
+        bump = np.exp(-((lag + u) ** 2) / two_var) + np.exp(-((lag - u) ** 2) / two_var)
+        return bump * (h - u)
+
+    expected = power * _panel_sums(overlap, np.zeros(n), np.full(n, h)) / h
+    gamma = gamma_sequence(SpectralModel.gaussian_kernel(power, s), grid).gamma
+    assert np.array_equal(gamma, expected)
 
 
 def test_triangular_closed_form_oracle():

@@ -477,10 +477,13 @@ def test_noise_variance_ratio_reads_the_noise_column(ou11):
 
 @pytest.fixture(scope="module")
 def ragged_batch():
-    # 10 001 paths of n = 100 cells: three full blocks of rows and a shorter last one
+    # 10 001 paths of n = 100 cells: the reducers' blocks of rows, of n
+    # values each for the lag products and 2n for the noise and its
+    # centring table, are many full ones and a shorter last one
     batch = sample_paths(_KINDS["ou"], SamplingGrid(T=10.0, n=100), paths=10_001, seed=3)
-    rows = mc._block_rows(batch.paths, batch.grid.n)
-    assert batch.paths // rows == 3 and batch.paths % rows > 0
+    for count in (batch.grid.n, 2 * batch.grid.n):
+        rows = mc._block_rows(batch.paths, count, mc._REDUCE_VALUES)
+        assert batch.paths // rows > 1 and batch.paths % rows > 0
     return batch
 
 
@@ -498,6 +501,26 @@ def test_streamed_noise_variance_ratio_matches_the_one_shot_variance(ragged_batc
     noise = ragged_batch.noisy - ragged_batch.increments
     expected = float(np.var(noise, ddof=1)) / ragged_batch.grid.h
     assert noise_variance_ratio(ragged_batch) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("reducer", ["empirical_gram", "noise_variance_ratio"])
+def test_table_reducers_hold_a_cache_sized_block(ragged_batch, reducer):
+    # both reduce the batch's tables in blocks of about 2^15 values (256
+    # KiB), not the sampler's 2 MiB blocks; beside the block they hold one
+    # value per path per lag (or two for the noise): under 1 MiB in all,
+    # where sampler-sized blocks traced 2.46 and 2.31 MiB
+    call = {
+        "empirical_gram": lambda: empirical_gram(ragged_batch, (0, 1, 2, 5, 99)),
+        "noise_variance_ratio": lambda: noise_variance_ratio(ragged_batch),
+    }[reducer]
+    call()  # loads numpy's loops outside the measurement
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("reducer", ["_lag_means", "_noise_moments"])

@@ -24,7 +24,8 @@ from szegolab import (
     SpectralModel,
     spectral_functional,
 )
-from szegolab.models import _erf
+from szegolab import quadrature
+from szegolab.models import _GL3_NODES, _GL3_WEIGHTS, _erf
 from szegolab.quadrature import adaptive_gauss_legendre
 
 SQRT3 = math.sqrt(3.0)
@@ -291,6 +292,17 @@ def test_vectorised_erf_matches_scipy():
     ours = _erf(x).astype(float)
     assert ours.shape == x.shape
     assert np.allclose(ours, scipy.special.erf(x), rtol=2e-16, atol=1e-16)
+
+
+@pytest.mark.parametrize(
+    "points, nodes, weights",
+    [(16, quadrature._NODES, quadrature._WEIGHTS), (3, _GL3_NODES, _GL3_WEIGHTS)],
+)
+def test_gauss_legendre_tables_equal_leggauss(points, nodes, weights):
+    # the tables stand in for numpy.polynomial at import, bit for bit
+    expected_nodes, expected_weights = np.polynomial.legendre.leggauss(points)
+    assert np.array_equal(nodes, expected_nodes)
+    assert np.array_equal(weights, expected_weights)
 
 
 def test_starved_panel_budget_raises_nonconverged(monkeypatch):

@@ -230,6 +230,62 @@ def test_fast_routes_give_exact_zeros_at_zero_power():
     assert toeplitz_traces(gamma) == (0.0, 0.0, 0.0)
 
 
+def _stepwise_kernels(gamma):
+    # the three O(n^2) recursions as they stood with one temporary per step,
+    # the reference that the scratch-buffer kernels must reproduce bit for bit
+    c = gamma.copy()
+    c[0] += 1.0
+    n = c.size
+    kappa, a, err = np.empty(n - 1), np.empty(n - 1), c[0]
+    for k in range(1, n):
+        pred = a[: k - 1]
+        kap = -(c[k] + float(pred @ c[k - 1 : 0 : -1])) / err
+        pred += kap * pred[::-1]
+        a[k - 1] = kappa[k - 1] = kap
+        err *= 1.0 - kap * kap
+    terms = np.arange(n - 1, 0, -1, dtype=float) * np.log1p(-kappa * kappa)
+    levinson = 0.5 * math.fsum([n * math.log(c[0]), *terms.tolist()])
+    u, v = c.copy(), c.copy()
+    v[0] = 0.0
+    logs = np.empty(n)
+    for k in range(n):
+        uk, vk = u[k:], v[k:]
+        rho = vk[0] / uk[0]
+        rotated = uk - rho * vk
+        vk -= rho * uk
+        logs[k] = math.log(rotated[0])
+        u[k + 1 :] = rotated[:-1]
+    schur = 0.5 * math.fsum(logs.tolist())
+    sym = np.concatenate((gamma[:0:-1], gamma))
+    first = np.correlate(sym, gamma, "valid")[::-1]
+    row, rows = first.copy(), (n + 1) // 2
+    dots3, dots4 = np.empty(rows), np.empty(rows)
+    for i in range(rows):
+        dots3[i] = row @ sym[n - 1 - i : 2 * n - 1 - i]
+        dots4[i] = row @ row
+        if i + 1 < rows:
+            row[1:] = row[:-1] + gamma[i + 1] * gamma[1:] - gamma[n - 1 - i] * gamma[:0:-1]
+            row[0] = first[i + 1]
+    weights = np.full(rows, 2.0)
+    if n % 2:
+        weights[-1] = 1.0
+    traces = (
+        math.fsum((weights * dots3).tolist()),
+        math.fsum((weights * dots4).tolist()),
+    )
+    return levinson, schur, traces
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 500])
+@pytest.mark.parametrize("kind", MODELS)
+def test_fast_routes_equal_their_stepwise_recursions(kind, n):
+    gamma = gamma_sequence(MODELS[kind], SamplingGrid(T=0.05 * n, n=n)).gamma
+    levinson, schur, traces = _stepwise_kernels(gamma)
+    assert mi_levinson(gamma) == levinson
+    assert mi_schur(gamma) == schur
+    assert toeplitz_traces(gamma)[1:] == traces
+
+
 @pytest.mark.parametrize("route", [mi_levinson, mi_schur])
 def test_fast_logdets_reject_indefinite(route):
     with pytest.raises(NotPositiveDefinite):
@@ -253,6 +309,25 @@ def test_study_point_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gaussian_study_point_holds_no_lag_by_node_table():
+    # Below h = sigma the Gaussian gamma runs its 16-point rule on blocks of
+    # 256 lags: one 3000 x 16 node table and its temporaries traced 1.56 MiB,
+    # the largest transient of any ladder point.
+    model, schedule = MODELS["gauss"], ConvergenceSchedule(((150.0, 3000),))
+    assert _traced_peak(lambda: rate_convergence(model, schedule)) < 2**20
+    grid = SamplingGrid(T=150.0, n=3000)
+    assert _traced_peak(lambda: gamma_sequence(model, grid)) < 2**19
 
 
 # ---------------------------------------------------------------------------
