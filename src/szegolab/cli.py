@@ -12,11 +12,12 @@ dump-spectrum  table of circulant eigenvalues vs the scaled spectral density
 
 Configuration may come from flags or from a flat ``key = value`` file
 (``--config``); flags override file values, unknown keys are rejected.  Each
-option's flag, config key, default and range checks live in one row of
-``_OPTS``.  All numeric output uses 9 significant digits in a fixed column
-order, so identical configurations produce byte-identical reports.  Exit
-codes: 0 success, 1 a runtime invariant failed, 2 usage error, 3 numerical
-failure.
+subcommand lives in one entry of ``_SUBCOMMANDS``, each option's flag, config
+key and default in one row of ``_OPTS``, and each option's range in the
+library, whose own checks ``parse_config`` runs (``_check_values``).  All
+numeric output uses 9 significant digits in a fixed column order, so
+identical configurations produce byte-identical reports.  Exit codes: 0
+success, 1 a runtime invariant failed, 2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,16 +31,18 @@ import numpy as np
 
 from .errors import NumericalError, SzegolabError, UsageError
 from .gram import SamplingGrid, gamma_sequence
-from .mc import _Route, _route, _validation_bytes, _validation_estimates
-from .models import _FAMILIES, ModelKind, SpectralModel
+from .mc import (
+    _Route, _gram_lags, _route, _sampling_args, _seed, _validation_bytes, _validation_estimates,
+)
+from .models import _FAMILIES, ModelKind, SpectralModel, spectral_functional
 from .spectra import _toeplitz_eigs_bytes, _toeplitz_row_eigs, circulant_eigs
 from .szego import (
     DEFAULT_SCHEDULE,
     RATE_COLUMNS,
     ConvergenceSchedule,
-    MAX_DOMAIN_CAP,
-    MAX_SANDWICH_DEGREE,
-    _domain_cap_message,
+    _degree,
+    _domain_cap,
+    _exponent,
     _mi_from_eigs,
     _pair_bytes,
     default_domain_max,
@@ -51,167 +54,11 @@ from .szego import (
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "console_main"]
 
-_COMMANDS = (
-    "rate",
-    "equivalence",
-    "power-sum",
-    "sandwich",
-    "mc-validate",
-    "dump-gram",
-    "dump-spectrum",
-)
-
 # Relative + absolute slack applied to runtime bound checks, so that a bound
 # holding in exact arithmetic is not reported as violated because of the last
 # two or three bits of double rounding in the summed coefficients.
 _GUARD_REL = 1e-12
 _GUARD_ABS = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# option table (single source for flags and config-file keys)
-# ---------------------------------------------------------------------------
-def _conv_model(text: str) -> ModelKind:
-    try:
-        return ModelKind(text.strip().lower())
-    except ValueError:
-        names = ", ".join(kind.value for kind in ModelKind)
-        raise UsageError(f"model must be one of {names}; got {text!r}") from None
-
-
-def _conv_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise UsageError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _conv_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"expected an integer, got {text!r}") from None
-
-
-def _conv_format(text: str) -> str:
-    name = text.strip().lower()
-    if name not in ("text", "csv"):
-        raise UsageError(f"format must be text or csv, got {text!r}")
-    return name
-
-
-def _conv_schedule(text: str) -> ConvergenceSchedule:
-    points = []
-    for item in text.split(","):
-        item = item.strip()
-        head, sep, tail = item.partition(":")
-        if not item or not sep:
-            raise UsageError(f"schedule entry {item!r} must have the form T:n")
-        try:
-            points.append((float(head), int(tail)))
-        except ValueError:
-            raise UsageError(
-                f"schedule entry {item!r} must have the form T:n with numeric T, integer n"
-            ) from None
-    try:
-        return ConvergenceSchedule(tuple(points))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _conv_lags(text: str) -> tuple[int, ...]:
-    try:
-        lags = tuple(int(item.strip()) for item in text.split(","))
-    except ValueError:
-        raise UsageError(f"lags must be a comma list of integers, got {text!r}") from None
-    if not lags:
-        raise UsageError("lags list must be non-empty")
-    return lags
-
-
-@dataclass(frozen=True)
-class _Opt:
-    """One option: its flag and config-file key, how its text converts, its
-    default and its checks.  A ``{command: value}`` default varies by command
-    and names the commands the option applies to."""
-
-    name: str  # flag / config-file key (kebab-case)
-    conv: object
-    help: str
-    default: object = None
-    commands: tuple[str, ...] = _COMMANDS
-    checks: tuple = ()  # each maps a value to its error message, or None if valid
-
-    def __post_init__(self) -> None:
-        if isinstance(self.default, dict):
-            object.__setattr__(self, "commands", tuple(self.default))
-
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
-
-    def default_for(self, command: str):
-        return self.default[command] if isinstance(self.default, dict) else self.default
-
-
-# The study-point defaults match the documented diagnostic operating points
-# (h = 0.05 resolution for the dumps).
-_OPTS = (
-    _Opt("model", _conv_model,
-         f"input model kind: {' | '.join(kind.value for kind in ModelKind)} (default ou)",
-         ModelKind("ou")),
-    _Opt("power", _conv_float, "stationary variance P >= 0 (default 1)", 1.0),
-    *(
-        _Opt(_FAMILIES[kind].scale_flag, _conv_float,
-             f"{_FAMILIES[kind].scale_help} of the {kind.value} model (default 1)", 1.0)
-        for kind in ModelKind
-    ),
-    _Opt("tol", _conv_float, "spectral quadrature tolerance (default 1e-8)", 1e-8,
-         commands=("rate", "equivalence", "power-sum"),
-         checks=(lambda v: None if v > 0.0 else f"tol must be > 0, got {v!r}",)),
-    _Opt("seed", _conv_int, "64-bit random seed (default 42)", 42, commands=("mc-validate",),
-         checks=(lambda v: None if 0 <= v < 2**64 else f"seed must be in [0, 2^64), got {v}",)),
-    _Opt("format", _conv_format, "report format: text | csv (default text)", "text"),
-    _Opt("out", str, "write the report to this path instead of stdout"),
-    _Opt("schedule", _conv_schedule,
-         "comma list of T:n study points (default 25:500,50:1000,100:2000)",
-         DEFAULT_SCHEDULE, commands=("rate", "equivalence", "sandwich")),
-    _Opt("T", _conv_float, "time horizon of the study point",
-         {"power-sum": 100.0, "mc-validate": 10.0, "dump-gram": 10.0, "dump-spectrum": 10.0},
-         checks=(lambda v: None if v > 0.0 else f"T must be finite and > 0, got {v}",)),
-    _Opt("n", _conv_int, "sample count of the study point",
-         {"power-sum": 4000, "mc-validate": 100, "dump-gram": 200, "dump-spectrum": 200},
-         checks=(lambda v: None if v >= 1 else f"n must be >= 1, got {v}",)),
-    _Opt("q", _conv_int, "power exponent, 1..4 (default 2)", 2, commands=("power-sum",),
-         checks=(lambda v: None if 1 <= v <= 4 else f"power exponent q must be in 1..4, got {v}",)),
-    _Opt("degree", _conv_int, "base approximant degree (default 64)", 64,
-         commands=("sandwich",),
-         checks=(
-             lambda v: None if v >= 1 else f"degree must be >= 1, got {v}",
-             lambda v: None if v <= MAX_SANDWICH_DEGREE
-             else f"degree must be <= {MAX_SANDWICH_DEGREE}, got {v}",
-         )),
-    _Opt("domain-max", _conv_float,
-         "eigenvalue domain cap (default: twice the absolute autocovariance integral)",
-         commands=("sandwich",),
-         checks=(
-             lambda v: None if v is None or v > 0.0 else f"domain-max must be > 0, got {v}",
-             lambda v: None if v is None or v <= MAX_DOMAIN_CAP else _domain_cap_message(v),
-         )),
-    _Opt("refine", _conv_int, "sub-steps per sampling cell, >= 4 (default 8)", 8,
-         commands=("mc-validate",),
-         checks=(lambda v: None if v >= 4 else f"refine must be >= 4, got {v}",)),
-    _Opt("paths", _conv_int, "number of simulated paths, >= 100 (default 10000)", 10_000,
-         commands=("mc-validate",),
-         checks=(lambda v: None if v >= 100 else f"paths must be >= 100, got {v}",)),
-    _Opt("lags", _conv_lags, "comma list of lags to validate (default 0,1,2,5)", (0, 1, 2, 5),
-         commands=("mc-validate",)),
-    _Opt("dump-batch", str, "write the binary increment dump to this path",
-         commands=("mc-validate",)),
-)
 
 
 @dataclass(frozen=True)
@@ -268,133 +115,6 @@ def _mc_validate_bytes(config: RunConfig) -> tuple[int, dict]:
     return estimate(route), {"route": route}
 
 
-_BYTE_ESTIMATES = {"sandwich": _sandwich_bytes, "mc-validate": _mc_validate_bytes}
-
-
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        raise UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="szegolab", description="Szego-limit study front-end")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.required = True
-    for command in _COMMANDS:
-        p = sub.add_parser(command, prog=f"szegolab {command}")
-        p.add_argument("--config", help="flat key = value configuration file")
-        for opt in _OPTS:
-            if command in opt.commands:
-                p.add_argument(f"--{opt.name}", dest=opt.dest, type=opt.conv, default=None,
-                               help=opt.help)
-    return parser
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        if key in entries:
-            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-        entries[key] = value
-    return entries
-
-
-def _build_model(values: dict, provided: set[str]) -> SpectralModel:
-    kind = values["model"]
-    scale_key = _FAMILIES[kind].scale_flag
-    for owner in ModelKind:
-        key = _FAMILIES[owner].scale_flag
-        if key != scale_key and key in provided:
-            raise UsageError(f"--{key} applies only to --model {owner.value}")
-    try:
-        return SpectralModel(kind, values["power"], values[scale_key.replace("-", "_")])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def parse_config(argv) -> RunConfig:
-    """Resolve argv (plus an optional config file) into a RunConfig.
-
-    Precedence: command-line flag, then config-file value, then the row's
-    default.  Unknown config-file keys — including keys that do not apply to
-    the chosen subcommand — are rejected.  The model is built first, then each
-    row's checks run in row order, then the checks that span options, and last
-    the estimate of the run's memory against ``_MEMORY_CAP``; for mc-validate
-    the estimate builds the sampler's route, so a route that cannot be built
-    (indefinite at the padding stop) raises ``FactorizationFailure`` here.
-    """
-    args = _build_parser().parse_args(list(argv))
-    command = args.command
-    opts = [opt for opt in _OPTS if command in opt.commands]
-
-    file_entries: dict[str, str] = {}
-    if args.config is not None:
-        file_entries = _read_config_file(args.config)
-    allowed = {opt.name for opt in opts}
-    for key in file_entries:
-        if key not in allowed:
-            raise UsageError(f"unknown config key {key!r} for command {command!r}")
-
-    values: dict[str, object] = {}
-    provided: set[str] = set()
-    for opt in opts:
-        value = getattr(args, opt.dest)
-        if value is None and opt.name in file_entries:
-            value = opt.conv(file_entries[opt.name])
-        if value is None:
-            value = opt.default_for(command)
-        else:
-            provided.add(opt.name)
-        values[opt.dest] = value
-
-    values["model"] = _build_model(values, provided)
-    for opt in opts:
-        for check in opt.checks:
-            message = check(values[opt.dest])
-            if message is not None:
-                raise UsageError(message)
-
-    for lag in values.get("lags", ()):
-        if not 0 <= lag < values["n"]:
-            raise UsageError(f"lag must be in [0, n={values['n']}), got {lag}")
-    if "domain_max" in values and values["domain_max"] is None:
-        cap = default_domain_max(values["model"])
-        if not cap > 0.0:
-            raise UsageError(
-                "the default domain cap 2*integral|R| is 0 at power 0; pass --domain-max > 0"
-            )
-        if cap > MAX_DOMAIN_CAP:
-            raise UsageError(_domain_cap_message(cap))
-
-    values["fmt"] = values.pop("format")
-    names = {spec.name for spec in fields(RunConfig)}
-    config = RunConfig(command=command, **{k: v for k, v in values.items() if k in names})
-    if command in _BYTE_ESTIMATES:
-        estimate, found = _BYTE_ESTIMATES[command](config)
-        if estimate > _MEMORY_CAP:
-            raise UsageError(
-                f"{command} needs an estimated {estimate / 2**30:.1f} GiB of memory, "
-                f"over the cap of {_MEMORY_CAP // 2**30} GiB; reduce the problem size"
-            )
-        config = replace(config, **found)
-    return config
-
-
 # ---------------------------------------------------------------------------
 # report formatting
 # ---------------------------------------------------------------------------
@@ -435,7 +155,7 @@ def _run_rate_like(config: RunConfig):
     report = rate_convergence(config.model, config.schedule, tol=config.tol)
     violations: list[str] = []
     stderr_lines: list[str] = []
-    eig_cap = _slacked(2.0 * config.model.abs_acf_integral())
+    eig_cap = _slacked(default_domain_max(config.model))
     frob_cap = _slacked(config.model.abs_acf_integral() * config.model.power)
     for p in report.points:
         tag = f"(T={p.T:g}, n={p.n})"
@@ -566,20 +286,284 @@ def _run_dump_spectrum(config: RunConfig):
     return headers, rows, [], [f"[dump-spectrum] T={config.T:g} n={config.n}"]
 
 
-_RUNNERS = {
-    "rate": _run_rate_like,
-    "equivalence": _run_rate_like,
-    "power-sum": _run_power_sum,
-    "sandwich": _run_sandwich,
-    "mc-validate": _run_mc_validate,
-    "dump-gram": _run_dump_gram,
-    "dump-spectrum": _run_dump_spectrum,
+# The one registry of subcommands, in the order --help lists them: each
+# command's report body and, for the commands with arrays larger than O(n),
+# the estimate of its bytes that parse_config checks against _MEMORY_CAP.
+_SUBCOMMANDS = {
+    "rate": (_run_rate_like, None),
+    "equivalence": (_run_rate_like, None),
+    "power-sum": (_run_power_sum, None),
+    "sandwich": (_run_sandwich, _sandwich_bytes),
+    "mc-validate": (_run_mc_validate, _mc_validate_bytes),
+    "dump-gram": (_run_dump_gram, None),
+    "dump-spectrum": (_run_dump_spectrum, None),
 }
+
+
+# ---------------------------------------------------------------------------
+# option table (single source for flags and config-file keys)
+# ---------------------------------------------------------------------------
+def _conv_model(text: str) -> ModelKind:
+    try:
+        return ModelKind(text.strip().lower())
+    except ValueError:
+        names = ", ".join(kind.value for kind in ModelKind)
+        raise UsageError(f"model must be one of {names}; got {text!r}") from None
+
+
+def _conv_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _conv_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"expected an integer, got {text!r}") from None
+
+
+def _conv_format(text: str) -> str:
+    name = text.strip().lower()
+    if name not in ("text", "csv"):
+        raise UsageError(f"format must be text or csv, got {text!r}")
+    return name
+
+
+def _conv_schedule(text: str) -> ConvergenceSchedule:
+    points = []
+    for item in text.split(","):
+        item = item.strip()
+        head, sep, tail = item.partition(":")
+        if not item or not sep:
+            raise UsageError(f"schedule entry {item!r} must have the form T:n")
+        try:
+            points.append((float(head), int(tail)))
+        except ValueError:
+            raise UsageError(
+                f"schedule entry {item!r} must have the form T:n with numeric T, integer n"
+            ) from None
+    try:
+        return ConvergenceSchedule(tuple(points))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _conv_lags(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(item.strip()) for item in text.split(","))
+    except ValueError:
+        raise UsageError(f"lags must be a comma list of integers, got {text!r}") from None
+
+
+@dataclass(frozen=True)
+class _Opt:
+    """One option: its flag and config-file key, how its text converts and
+    its default.  A ``{command: value}`` default varies by command and names
+    the commands the option applies to."""
+
+    name: str  # flag / config-file key (kebab-case)
+    conv: object
+    help: str
+    default: object = None
+    commands: tuple[str, ...] = tuple(_SUBCOMMANDS)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.default, dict):
+            object.__setattr__(self, "commands", tuple(self.default))
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+    def default_for(self, command: str):
+        return self.default[command] if isinstance(self.default, dict) else self.default
+
+
+# The study-point defaults match the documented diagnostic operating points
+# (h = 0.05 resolution for the dumps).
+_OPTS = (
+    _Opt("model", _conv_model,
+         f"input model kind: {' | '.join(kind.value for kind in ModelKind)} (default ou)",
+         ModelKind("ou")),
+    _Opt("power", _conv_float, "stationary variance P >= 0 (default 1)", 1.0),
+    *(
+        _Opt(_FAMILIES[kind].scale_flag, _conv_float,
+             f"{_FAMILIES[kind].scale_help} of the {kind.value} model (default 1)", 1.0)
+        for kind in ModelKind
+    ),
+    _Opt("tol", _conv_float, "spectral quadrature tolerance (default 1e-8)", 1e-8,
+         commands=("rate", "equivalence", "power-sum")),
+    _Opt("seed", _conv_int, "64-bit random seed (default 42)", 42, commands=("mc-validate",)),
+    _Opt("format", _conv_format, "report format: text | csv (default text)", "text"),
+    _Opt("out", str, "write the report to this path instead of stdout"),
+    _Opt("schedule", _conv_schedule,
+         "comma list of T:n study points (default 25:500,50:1000,100:2000)",
+         DEFAULT_SCHEDULE, commands=("rate", "equivalence", "sandwich")),
+    _Opt("T", _conv_float, "time horizon of the study point",
+         {"power-sum": 100.0, "mc-validate": 10.0, "dump-gram": 10.0, "dump-spectrum": 10.0}),
+    _Opt("n", _conv_int, "sample count of the study point",
+         {"power-sum": 4000, "mc-validate": 100, "dump-gram": 200, "dump-spectrum": 200}),
+    _Opt("q", _conv_int, "power exponent, 1..4 (default 2)", 2, commands=("power-sum",)),
+    _Opt("degree", _conv_int, "base approximant degree (default 64)", 64,
+         commands=("sandwich",)),
+    _Opt("domain-max", _conv_float,
+         "eigenvalue domain cap (default: twice the absolute autocovariance integral)",
+         commands=("sandwich",)),
+    _Opt("refine", _conv_int, "sub-steps per sampling cell, >= 4 (default 8)", 8,
+         commands=("mc-validate",)),
+    _Opt("paths", _conv_int, "number of simulated paths, >= 100 (default 10000)", 10_000,
+         commands=("mc-validate",)),
+    _Opt("lags", _conv_lags, "comma list of lags to validate (default 0,1,2,5)", (0, 1, 2, 5),
+         commands=("mc-validate",)),
+    _Opt("dump-batch", str, "write the binary increment dump to this path",
+         commands=("mc-validate",)),
+)
+
+
+# ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # noqa: D102 - argparse hook
+        raise UsageError(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="szegolab", description="Szego-limit study front-end")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub.required = True
+    for command in _SUBCOMMANDS:
+        p = sub.add_parser(command, prog=f"szegolab {command}")
+        p.add_argument("--config", help="flat key = value configuration file")
+        for opt in _OPTS:
+            if command in opt.commands:
+                p.add_argument(f"--{opt.name}", dest=opt.dest, type=opt.conv, default=None,
+                               help=opt.help)
+    return parser
+
+
+def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    entries: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        if key in entries:
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value
+    return entries
+
+
+def _build_model(values: dict, provided: set[str]) -> SpectralModel:
+    kind = values["model"]
+    scale_key = _FAMILIES[kind].scale_flag
+    for owner in ModelKind:
+        key = _FAMILIES[owner].scale_flag
+        if key != scale_key and key in provided:
+            raise UsageError(f"--{key} applies only to --model {owner.value}")
+    return SpectralModel(kind, values["power"], values[scale_key.replace("-", "_")])
+
+
+def _check_values(values: dict) -> None:
+    """Run, in option-row order, the check that the run's library call makes
+    on each value the command takes, so a refusal is worded as the run's."""
+    if "tol" in values:
+        # q = 1 is P exactly, so this call does no more than check tol
+        spectral_functional(values["model"], 1, values["tol"])
+    if "seed" in values:
+        _seed(values["seed"])
+    if "T" in values:
+        SamplingGrid(T=values["T"], n=values["n"])
+    if "q" in values:
+        _exponent(values["q"])
+    if "degree" in values:
+        _degree(values["degree"])
+        cap = values["domain_max"]
+        if cap is None:
+            cap = default_domain_max(values["model"])
+            if cap == 0.0:
+                raise UsageError("the default domain cap 2*integral|R| is 0 at power 0; "
+                                 "pass --domain-max > 0")
+        _domain_cap(cap)
+    if "refine" in values:
+        _sampling_args(values["refine"], values["paths"], values["seed"])
+        _gram_lags(values["paths"], values["n"], values["lags"])
+
+
+def parse_config(argv) -> RunConfig:
+    """Resolve argv (plus an optional config file) into a RunConfig.
+
+    Precedence: command-line flag, then config-file value, then the row's
+    default.  Unknown config-file keys — including keys that do not apply to
+    the chosen subcommand — are rejected.  The model is built first, then the
+    library's checks of the values run (``_check_values``), and last the
+    estimate of the run's memory against ``_MEMORY_CAP``; for mc-validate
+    the estimate builds the sampler's route, so a route that cannot be built
+    (indefinite at the padding stop) raises ``FactorizationFailure`` here.
+    """
+    args = _build_parser().parse_args(list(argv))
+    command = args.command
+    opts = [opt for opt in _OPTS if command in opt.commands]
+
+    file_entries: dict[str, str] = {}
+    if args.config is not None:
+        file_entries = _read_config_file(args.config)
+    allowed = {opt.name for opt in opts}
+    for key in file_entries:
+        if key not in allowed:
+            raise UsageError(f"unknown config key {key!r} for command {command!r}")
+
+    values: dict[str, object] = {}
+    provided: set[str] = set()
+    for opt in opts:
+        value = getattr(args, opt.dest)
+        if value is None and opt.name in file_entries:
+            value = opt.conv(file_entries[opt.name])
+        if value is None:
+            value = opt.default_for(command)
+        else:
+            provided.add(opt.name)
+        values[opt.dest] = value
+
+    try:
+        values["model"] = _build_model(values, provided)
+        _check_values(values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+    values["fmt"] = values.pop("format")
+    names = {spec.name for spec in fields(RunConfig)}
+    config = RunConfig(command=command, **{k: v for k, v in values.items() if k in names})
+    estimator = _SUBCOMMANDS[command][1]
+    if estimator is not None:
+        estimate, found = estimator(config)
+        if estimate > _MEMORY_CAP:
+            raise UsageError(
+                f"{command} needs an estimated {estimate / 2**30:.1f} GiB of memory, "
+                f"over the cap of {_MEMORY_CAP // 2**30} GiB; reduce the problem size"
+            )
+        config = replace(config, **found)
+    return config
 
 
 def run(config: RunConfig) -> int:
     """Execute the configured subcommand; returns the process exit code."""
-    headers, rows, violations, stderr_lines = _RUNNERS[config.command](config)
+    headers, rows, violations, stderr_lines = _SUBCOMMANDS[config.command][0](config)
     if config.out is None:
         _write_table(headers, rows, config.fmt, sys.stdout)
     else:

@@ -24,13 +24,12 @@ them against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .models import SpectralModel
+from .models import SpectralModel, _integer, _positive
 from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
@@ -49,13 +48,8 @@ class SamplingGrid:
     n: int
 
     def __post_init__(self) -> None:
-        T = float(self.T)
-        if not math.isfinite(T) or T <= 0.0:
-            raise ValueError(f"T must be finite and > 0, got {self.T!r}")
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "T", _positive("T", self.T))
+        object.__setattr__(self, "n", _integer("n", self.n, 1))
 
     @property
     def h(self) -> float:

@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import FactorizationFailure
 from .gram import SamplingGrid
-from .models import SpectralModel
+from .models import SpectralModel, _integer
 
 __all__ = [
     "PathBatch",
@@ -83,7 +83,6 @@ BATCH_VERSION = 5
 # earlier samplers of the exponential model (2 to 4 also of the others).
 _READABLE_VERSIONS = (1, 2, 3, 4, 5)
 _HEADER = struct.Struct("<4sIQIIQ")  # magic, version, N, n, refine, seed — 32 bytes
-_SEED_MAX = 2**64
 _EPS = float(np.finfo(float).eps)
 # An embedding eigenvalue above -_CLIP_RTOL * max(lambda) is rounding, not
 # indefiniteness: an FFT of length M computes each eigenvalue to within about
@@ -358,15 +357,14 @@ def _validation_bytes(route: _Route, n: int, paths: int, lags: int) -> int:
     return 8 * (_workers(paths, rows) * per_thread + 6 * route.size + (lags + 2) * paths)
 
 
+def _seed(seed) -> int:
+    """The sampler's seed, checked: a 64-bit unsigned integer."""
+    return _integer("seed", seed, 0, 2**64 - 1)
+
+
 def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
     """The sampler's integer arguments, checked."""
-    if not isinstance(refine, (int, np.integer)) or isinstance(refine, bool) or refine < 4:
-        raise ValueError(f"refine must be an integer >= 4, got {refine!r}")
-    if not isinstance(paths, (int, np.integer)) or isinstance(paths, bool) or paths < 1:
-        raise ValueError(f"paths must be an integer >= 1, got {paths!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < _SEED_MAX:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return int(refine), int(paths), int(seed)
+    return _integer("refine", refine, 4), _integer("paths", paths, 1), _seed(seed)
 
 
 def _sample_blocks(route: _Route, grid: SamplingGrid, paths: int, seed: int, sink) -> None:
@@ -476,13 +474,8 @@ def sample_paths(
 # need no iterator buffer: copies, or ones on contiguous tables of one shape.
 def _gram_lags(paths: int, n: int, lags) -> list[int]:
     """The requested lags as integers, checked against the path count and n."""
-    if paths < 100:
-        raise ValueError(f"empirical covariances need >= 100 paths, got {paths}")
-    lags = [int(l) for l in lags]
-    for l in lags:
-        if not 0 <= l < n:
-            raise ValueError(f"lag must be in [0, {n}), got {l}")
-    return lags
+    _integer("paths for empirical covariances", paths, 100)
+    return [_integer("lag", l, 0, n - 1) for l in lags]
 
 
 def _lag_means(

@@ -51,6 +51,23 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int, refused unless an integer (not a bool) in low..high."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float, refused unless a finite number (not a bool) > 0."""
+    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0.0):
+        return float(value)
+    raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 class ModelKind(enum.Enum):
     """Built-in autocorrelation families."""
 
@@ -243,14 +260,10 @@ class SpectralModel:
         if not isinstance(self.kind, ModelKind):
             raise ValueError(f"kind must be a ModelKind, got {self.kind!r}")
         power = float(self.power)
-        scale = float(self.scale)
         if not math.isfinite(power) or power < 0.0:
             raise ValueError(f"power must be finite and >= 0, got {self.power!r}")
-        if not math.isfinite(scale) or scale <= 0.0:
-            name = self.family.scale_name
-            raise ValueError(f"{name} must be finite and > 0, got {self.scale!r}")
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scale", _positive(self.family.scale_name, self.scale))
 
     # --- constructors -----------------------------------------------------
     @classmethod
@@ -319,17 +332,12 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
     Raises NonConvergedQuadrature when the tolerance cannot be certified
     within the enlargement/subdivision budget.
     """
-    if isinstance(tol, bool) or not (
-        isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0
-    ):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    tol = _positive("tol", tol)
     log1p = isinstance(g, str) and g == "log1p"
-    if not log1p and (not isinstance(g, (int, np.integer)) or isinstance(g, bool) or g < 1):
-        raise ValueError(f"functional must be 'log1p' or an integer power >= 1, got {g!r}")
-    if g == 1 or model.power == 0.0:
+    q = 2 if log1p else _integer("functional g other than 'log1p'", g, 1)
+    if q == 1 or model.power == 0.0:
         return model.power
     fam, p, s = model.family, model.power, model.scale
-    q = 2 if log1p else int(g)
 
     def density(lam: np.ndarray) -> np.ndarray:
         return _TWO_PI * fam.psd(p, s, lam)

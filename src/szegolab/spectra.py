@@ -380,7 +380,8 @@ def norm_report(gs: GramSequence) -> NormReport:
     The operator-norm bound is the maximum of |g(theta)| over the uniform
     4n-point theta grid, evaluated by FFT and then re-summed with correctly
     rounded arithmetic at the near-maximal grid points so the reported value
-    is accurate to the last digit of the stored coefficients.
+    is accurate to the last digit of the stored coefficients.  g is real and
+    even, so the real FFT's bins 0..2n hold every value of the grid.
     """
     gamma = gs.gamma
     n = gamma.size
@@ -391,8 +392,7 @@ def norm_report(gs: GramSequence) -> NormReport:
     if n > 1:
         coeffs[1:n] = gamma[1:]
         coeffs[grid_size - n + 1 :] = gamma[:0:-1]
-    symbol = np.fft.fft(coeffs).real
-    magnitude = np.abs(symbol)
+    magnitude = np.abs(np.fft.rfft(coeffs).real)
     rough_max = float(magnitude.max())
     candidates = np.flatnonzero(magnitude >= rough_max - 1e-9)
     if candidates.size > 512:

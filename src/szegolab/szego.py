@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DegreeTooLow, DomainExceeded, NotPositiveDefinite, SzegolabError
 from .gram import SamplingGrid, gamma_sequence
-from .models import SpectralModel, spectral_functional
+from .models import SpectralModel, _integer, _positive, spectral_functional
 from .spectra import (
     SpectrumResult,
     circulant_eigs,
@@ -76,14 +76,10 @@ class ConvergenceSchedule:
     points: tuple[tuple[float, int], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((float(T), int(n)) for T, n in self.points)
+        pts = tuple((_positive("horizon T", T), _integer("sample count n", n, 2))
+                    for T, n in self.points)
         if len(pts) == 0:
             raise ValueError("schedule must contain at least one point")
-        for T, n in pts:
-            if not math.isfinite(T) or T <= 0.0:
-                raise ValueError(f"horizon T must be finite and > 0, got {T!r}")
-            if n < 2:
-                raise ValueError(f"sample count n must be >= 2, got {n}")
         for (t0, n0), (t1, n1) in zip(pts, pts[1:]):
             if not t1 > t0:
                 raise ValueError(f"horizons must be strictly increasing, got {t0} then {t1}")
@@ -95,9 +91,6 @@ class ConvergenceSchedule:
 
     def grids(self) -> tuple[SamplingGrid, ...]:
         return tuple(SamplingGrid(T=T, n=n) for T, n in self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 DEFAULT_SCHEDULE = ConvergenceSchedule(((25.0, 500), (50.0, 1000), (100.0, 2000)))
@@ -158,6 +151,21 @@ def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     return np.power(base, exponent, out=np.zeros(keep.shape), where=keep)
 
 
+def _degree(d) -> int:
+    """The degree of a sandwich pair, checked (see ``MAX_SANDWICH_DEGREE``)."""
+    return _integer("degree", d, 1, MAX_SANDWICH_DEGREE)
+
+
+def _domain_cap(C) -> float:
+    """The domain cap of a sandwich pair, checked (see ``MAX_DOMAIN_CAP``)."""
+    C = _positive("domain cap", C)
+    if C > MAX_DOMAIN_CAP:
+        raise ValueError(
+            f"domain cap must be <= {MAX_DOMAIN_CAP:g}, where the sandwich overflows; got {C:g}"
+        )
+    return C
+
+
 def _log1p_over_x(x: np.ndarray) -> np.ndarray:
     """g(x) = log(1+x)/x, continuously extended by g(0) = 1."""
     with np.errstate(invalid="ignore"):
@@ -178,12 +186,8 @@ class SandwichPair:
     node_values: np.ndarray
 
     def __post_init__(self) -> None:
-        degree = self.degree
-        if not isinstance(degree, (int, np.integer)) or not 1 <= degree <= MAX_SANDWICH_DEGREE:
-            raise ValueError(f"degree must be an integer in 1..{MAX_SANDWICH_DEGREE}, "
-                             f"got {degree!r}")
-        if not (math.isfinite(self.domain_max) and self.domain_max > 0.0):
-            raise ValueError(f"domain_max must be finite and > 0, got {self.domain_max!r}")
+        degree = _degree(self.degree)
+        _domain_cap(self.domain_max)
         if not (math.isfinite(self.eps_hat) and self.eps_hat >= 0.0):
             raise ValueError(f"eps_hat must be finite and >= 0, got {self.eps_hat!r}")
         coeffs = np.asarray(self.node_values, dtype=float)
@@ -229,11 +233,6 @@ def default_domain_max(model: SpectralModel) -> float:
     return 2.0 * model.abs_acf_integral()
 
 
-def _domain_cap_message(C: float) -> str:
-    """The one message that refuses a domain cap above ``MAX_DOMAIN_CAP``."""
-    return f"domain cap must be <= {MAX_DOMAIN_CAP:g}, where the sandwich overflows; got {C:g}"
-
-
 def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     """Construct the polynomial sandwich of log(1+x) on [0, C].
 
@@ -248,15 +247,7 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     sub-step delta, and eps_hat is (maximum + delta^2/12) inflated by 1e-9
     relative and 1e-15 absolute.
     """
-    if (not isinstance(C, (int, float, np.floating)) or isinstance(C, bool)
-            or not (math.isfinite(C) and C > 0.0)):
-        raise ValueError(f"domain cap C must be finite and > 0, got {C!r}")
-    if C > MAX_DOMAIN_CAP:
-        raise ValueError(_domain_cap_message(C))
-    if (not isinstance(d, (int, np.integer)) or isinstance(d, bool)
-            or not 1 <= d <= MAX_SANDWICH_DEGREE):
-        raise ValueError(f"degree d must be an integer in 1..{MAX_SANDWICH_DEGREE}, got {d!r}")
-    d = int(d)
+    d, C = _degree(d), _domain_cap(C)
 
     node_values = _log1p_over_x(C * np.arange(d + 1) / d)
     x = np.linspace(0.0, C, _VERIFY_POINTS)
@@ -274,7 +265,7 @@ def sandwich_polynomials(C: float, d: int) -> SandwichPair:
     peak = max(peak, float(np.max(fine_err, initial=0.0)))
     eps_hat = (peak + (step / sub) ** 2 / 12.0) * (1.0 + rel) + 1e-15
 
-    pair = SandwichPair(degree=d, domain_max=float(C), eps_hat=eps_hat, node_values=node_values)
+    pair = SandwichPair(degree=d, domain_max=C, eps_hat=eps_hat, node_values=node_values)
     pair._check_grid(x, base)
     return pair
 
@@ -292,8 +283,7 @@ def sandwich_rate_bounds(
     domain cap raises DomainExceeded — it signals the cap was configured below
     2 * integral |R| for the model that produced the spectrum.
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"T must be finite and > 0, got {T!r}")
+    T = _positive("T", T)
     eig = spectrum.eigenvalues  # sorted ascending
     lo_eig, hi_eig = float(eig[0]), float(eig[-1])
     if lo_eig < -_EIG_FLOOR:
@@ -523,13 +513,16 @@ class PowerSumResult:
     s2: float | None = None
 
 
+def _exponent(q) -> int:
+    """The power q of ``power_sum_check``, checked."""
+    return _integer("power q", q, 1, 4)
+
+
 def power_sum_check(
     model: SpectralModel, T: float, n: int, q: int, tol: float = 1e-8
 ) -> PowerSumResult:
     """Evaluate the circulant eigenvalue power sum against its integral limit."""
-    if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or not 1 <= q <= 4:
-        raise ValueError(f"power q must be an integer in 1..4, got {q!r}")
-    q = int(q)
+    q = _exponent(q)
     grid = SamplingGrid(T=T, n=n)
     gs = gamma_sequence(model, grid)
     psi_hat = circulant_eigs(gs.gamma_hat, grid).dft_values

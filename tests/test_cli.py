@@ -27,9 +27,8 @@ from szegolab import (
     write_batch,
 )
 from szegolab.cli import (
-    _BYTE_ESTIMATES,
-    _COMMANDS,
     _OPTS,
+    _SUBCOMMANDS,
     _fmt_cell,
     main,
     parse_config,
@@ -128,7 +127,7 @@ def test_flag_config_file_and_default_agree(opt, command, tmp_path):
 
 @pytest.mark.parametrize(
     "opt, command",
-    [(opt, command) for opt in _OPTS for command in _COMMANDS if command not in opt.commands],
+    [(opt, command) for opt in _OPTS for command in _SUBCOMMANDS if command not in opt.commands],
     ids=lambda item: getattr(item, "name", item),
 )
 def test_option_is_refused_where_it_is_not_read(opt, command, tmp_path):
@@ -206,9 +205,44 @@ def test_config_file_errors(tmp_path):
         ["sandwich", "--power", "1e200"],  # so would the default cap 2*integral|R|
     ],
 )
-def test_usage_errors(argv):
+def test_usage_errors(argv, monkeypatch):
+    # the sampler's route is the first work a parse does (mc-validate's
+    # memory estimate builds it), so each input is refused before it
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_config built a sampler route before refusing the input")
+
+    monkeypatch.setattr(cli, "_route", refuse)
     with pytest.raises(UsageError):
         parse_config(argv)
+
+
+# A refused value of each option with a range, and the command whose run
+# reads it; the run is the defaults' config with that one value swapped in.
+_REFUSED = [
+    ("rate", "tol", "0"),
+    ("mc-validate", "seed", "-1"),
+    ("dump-gram", "T", "-3"),
+    ("dump-gram", "n", "0"),
+    ("power-sum", "q", "5"),
+    ("sandwich", "degree", "0"),
+    ("sandwich", "domain-max", "-1"),
+    ("mc-validate", "refine", "2"),
+    ("mc-validate", "paths", "10"),
+    ("mc-validate", "lags", "0,100"),
+]
+
+
+@pytest.mark.parametrize("command, name, text", _REFUSED, ids=lambda item: item)
+def test_usage_error_is_worded_as_the_library_call_of_the_run(command, name, text):
+    # the CLI states no range of its own: a value it refuses is refused by
+    # the same library check, in the same words, when the run reaches it
+    with pytest.raises(UsageError) as usage:
+        parse_config([command, f"--{name}", text])
+    (opt,) = [opt for opt in _OPTS if opt.name == name]
+    config = dataclasses.replace(parse_config([command]), **{opt.dest: opt.conv(text)})
+    with pytest.raises(ValueError) as library:
+        run(config)
+    assert str(usage.value) == str(library.value)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -235,6 +269,11 @@ def test_model_error_lists_every_model_kind():
 # ---------------------------------------------------------------------------
 # memory guard
 # ---------------------------------------------------------------------------
+def _estimate(config) -> tuple[int, dict]:
+    """The memory estimate that parse_config checks for this config's command."""
+    return _SUBCOMMANDS[config.command][1](config)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -271,7 +310,7 @@ def test_memory_exhausting_inputs_are_refused_before_allocating(argv):
 )
 def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
     config = parse_config(argv)
-    assert _BYTE_ESTIMATES[config.command](config)[0] < 2**30
+    assert _estimate(config)[0] < 2**30
 
 
 def _traced_peak(config, capsys) -> int:
@@ -311,7 +350,7 @@ def _traced_peak(config, capsys) -> int:
 )
 def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
     config = parse_config(argv)
-    assert _traced_peak(config, capsys) < _BYTE_ESTIMATES[config.command](config)[0]
+    assert _traced_peak(config, capsys) < _estimate(config)[0]
 
 
 @pytest.mark.parametrize(
@@ -335,7 +374,7 @@ def test_memory_estimate_bounds_the_traced_route_build(argv):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < _BYTE_ESTIMATES[config.command](config)[0]
+    assert peak < _estimate(config)[0]
 
 
 @pytest.mark.parametrize("argv", [("mc-validate",), ("mc-validate", "--model", "gauss")], ids=" ".join)
@@ -343,7 +382,7 @@ def test_mc_validate_estimate_stays_near_the_traced_peak(argv, capsys):
     # an estimate far above the peak would refuse runs that fit under the cap
     config = parse_config(argv)
     peak = _traced_peak(config, capsys)
-    assert peak < _BYTE_ESTIMATES[config.command](config)[0] <= 1.3 * peak
+    assert peak < _estimate(config)[0] <= 1.3 * peak
 
 
 def test_mc_validate_memory_does_not_grow_with_the_path_count(capsys, monkeypatch):
@@ -713,7 +752,7 @@ def test_usage_error_loads_no_scipy_submodule():
 
 @pytest.mark.parametrize(
     "argv",
-    [(command,) for command in _COMMANDS]
+    [(command,) for command in _SUBCOMMANDS]
     + [("rate", "--model", "gauss"), ("rate", "--model", "tri")]
     + [("mc-validate", "--model", "gauss"), ("mc-validate", "--model", "tri")],
     ids=" ".join,

@@ -4,7 +4,8 @@ Each pinned invocation runs ``szegolab.cli.main`` in process and is reduced to
 the SHA-256 of (exit code, stdout, stderr).  The digests were measured with
 numpy 2.4.6 and Python 3.11 (whose argparse words some usage
 errors); a change that alters any report byte, exit code or message fails
-here and prints the report it produced.
+here and prints the report it produced.  The ``--help`` screens are pinned
+the same way, at 80 columns, since argparse wraps them to ``$COLUMNS``.
 """
 
 import hashlib
@@ -125,35 +126,35 @@ GOLDEN = {
     "rate --model ou --width 1.0": "1dce9f0a1ac654ff2a1a5923d757548cce6b50d537b63be8664734d655bbab91",  # exit 2
     "rate --schedule 5:100,4:80": "cf40e4aa133b2587b1f1469cf6cf40ba487ebe420b088ede5a4237cb132edd1d",  # exit 2
     "rate --schedule 5x100": "5da343c3d76a48fad9af64c75bd8cebd08d905ebffe99c854e2b2f1784b90a46",  # exit 2
-    "rate --tol 0": "5d1315529feff3be94095043e3e83e61c8bed17c7e0357e98f06ded97cffd3ba",  # exit 2
+    "rate --tol 0": "fd05402f82e609e81a808e5ec5dc6f6014fc185b9391230e2703c80b1acc4570",  # exit 2
     "rate --seed -1": "fa15322184b1bdf4b8d375cd5ad2ead2e97f6058b8829e54af262edee85f54b0",  # exit 2
-    "mc-validate --seed -1": "9860986114fa0f29a53ccc0469d50041bd027ae84f7e421d3a5d37308e2a567f",  # exit 2
+    "mc-validate --seed -1": "59a069d0b641049a850dacba93c6b0305176ad75eabe4415f81b78ec874cd1c0",  # exit 2
     "rate --format xml": "f160a658b98a9997e63a9b0c11edc216bc98ea340e022b02d14a8993bfceec98",  # exit 2
-    "power-sum --q 5": "ea240a362ca9ed524a7e0602d24cb6c08d7c1e631bda2ff409670f440c9dc52b",  # exit 2
-    "power-sum --q 0": "10e4f8d941767e623cc05981811592a5b34e82d16e2454b03a66fee2a7ad4081",  # exit 2
+    "power-sum --q 5": "1fd3bfa25c449b383467859360e984e6462ee24bc13410af5b414cf005604298",  # exit 2
+    "power-sum --q 0": "2cf424b43fcae170b9db99ee6f3a32a8fefd1822244e8918818eca3a48fa533e",  # exit 2
     "power-sum --T -3": "cd9409fb463228ce87dac4fb4c20b87e66b331c437a7e1b9add2bc74685c0123",  # exit 2
-    "power-sum --n 0": "2b2ef812cdcbf93426029cc29d477da07513a31aa8d9d62844fea7a4ce361a8d",  # exit 2
-    "sandwich --degree 0": "34a40e2f01f64aeb37768a1b2315eb8e35ab8df216cd8c182ea9c6b497cbd239",  # exit 2
-    "sandwich --domain-max -1": "c7f55433303ae6e6fa55f64c3f6b7b588c63e00172acb259c4e590a11c0d2d76",  # exit 2
+    "power-sum --n 0": "733890bf08f65e1d123a6e75abd868793bc725322538bda0e279d78aa1ba8692",  # exit 2
+    "sandwich --degree 0": "858a2735ca44ef63a6a4a7f2a07eb6733b740e297d4b8fca40f6105d4b80514a",  # exit 2
+    "sandwich --domain-max -1": "3fce97b1d19b32ab0c6005f1103825c0f00efed5380ad503a1cf24c40e555de8",  # exit 2
     "sandwich --domain-max 1e200": "68731f9f98e51d9f448002c2f6a9309f63743a807e433ee9907d609d3b6acba2",  # exit 2
-    "mc-validate --paths 10": "07bbc59a04111e3fff19c52f5c4142aea228aad9fb3956adb9964259912e3318",  # exit 2
-    "mc-validate --refine 2": "c5b24b2f602c4c6b9a15ba4fc84654d44b650cabf6175736894c6140952a0435",  # exit 2
-    "mc-validate --lags 0,100": "90816a928a2541714a62df87636d4acf4996798b4a2faaa17fe69302f5bd3123",  # exit 2
+    "mc-validate --paths 10": "b4ac0254f4d8613870983c55247add0f5b3a40542bacf558eea9fc625d9c927e",  # exit 2
+    "mc-validate --refine 2": "61c9843fa605aa627bfab15a6259b81fedb5b68159c009144170472e9ee14e55",  # exit 2
+    "mc-validate --lags 0,100": "31d8cb696313c8cd755719819c4d0b2e8e5417acea596907be6c4c8d06d8a5dc",  # exit 2
     "mc-validate --lags 0,x": "97eeab9fcc5b3241431f283e0feb2fea9893cf8efc93cebc8befc12d9480abcd",  # exit 2
     "rate --no-such-flag": "7f05c70f71fbe13f027075e02b17a112c07784a54f82cdadfce07b72dabf8db4",  # exit 2
     "": "b62e183d0d8e71e7190b8ff79a3fe999fe706df14d5d8736e992db57b8957535",  # exit 2
     "frobnicate": "804eec66394a835732c9b9068a1d9feff44ffaff74ff0e58f30e67db03c6dc38",  # exit 2
-    "sandwich --degree 1029": "a0c97692ba5bc2f65cde33681e0da94ac96ab0b6ad97f2418e7ff984697ef828",  # exit 2
+    "sandwich --degree 1029": "9ebc3fc628dd7745e2e687853e56d254748cf8f6ca7ec029db605049201d740d",  # exit 2
     "sandwich --power 0": "b60e1441174e4c53c27949f427882b13ffa785eb7f1248e66e7185b9304a220f",  # exit 2
     "rate --tol 0 --seed -1": "fa15322184b1bdf4b8d375cd5ad2ead2e97f6058b8829e54af262edee85f54b0",  # exit 2
-    "power-sum --tol 0 --q 5": "5d1315529feff3be94095043e3e83e61c8bed17c7e0357e98f06ded97cffd3ba",  # exit 2
+    "power-sum --tol 0 --q 5": "fd05402f82e609e81a808e5ec5dc6f6014fc185b9391230e2703c80b1acc4570",  # exit 2
     "rate --tol 0 --rate-param -1": "ce490b5226881f0be2b0bcff1fdb5bbaa8c60b2befe2ab6e1d34dc1d075c27f1",  # exit 2
     "power-sum --q 5 --T -3": "cd9409fb463228ce87dac4fb4c20b87e66b331c437a7e1b9add2bc74685c0123",  # exit 2
-    "power-sum --n 0 --q 0": "2b2ef812cdcbf93426029cc29d477da07513a31aa8d9d62844fea7a4ce361a8d",  # exit 2
-    "sandwich --degree 0 --domain-max -1": "34a40e2f01f64aeb37768a1b2315eb8e35ab8df216cd8c182ea9c6b497cbd239",  # exit 2
-    "sandwich --power 0 --degree 2000": "a1517e375872914dc36a57d633c468924eeaa6f6b5f690590162bc48a0d9503f",  # exit 2
-    "mc-validate --paths 10 --refine 2": "c5b24b2f602c4c6b9a15ba4fc84654d44b650cabf6175736894c6140952a0435",  # exit 2
-    "mc-validate --lags 0,100 --paths 10": "07bbc59a04111e3fff19c52f5c4142aea228aad9fb3956adb9964259912e3318",  # exit 2
+    "power-sum --n 0 --q 0": "733890bf08f65e1d123a6e75abd868793bc725322538bda0e279d78aa1ba8692",  # exit 2
+    "sandwich --degree 0 --domain-max -1": "858a2735ca44ef63a6a4a7f2a07eb6733b740e297d4b8fca40f6105d4b80514a",  # exit 2
+    "sandwich --power 0 --degree 2000": "aaa55b877e728c00292cda862c26f1480ce0bc708c6b4a1d3ab7784f2a8dd406",  # exit 2
+    "mc-validate --paths 10 --refine 2": "61c9843fa605aa627bfab15a6259b81fedb5b68159c009144170472e9ee14e55",  # exit 2
+    "mc-validate --lags 0,100 --paths 10": "b4ac0254f4d8613870983c55247add0f5b3a40542bacf558eea9fc625d9c927e",  # exit 2
     "rate --model ou --width 2 --power -1": "1dce9f0a1ac654ff2a1a5923d757548cce6b50d537b63be8664734d655bbab91",  # exit 2
 }
 
@@ -166,4 +167,31 @@ def test_cli_report_matches_golden_digest(argv, capsys):
     assert digest == GOLDEN[" ".join(argv)], (
         f"report changed for `szegolab {' '.join(argv)}`\n"
         f"exit code: {code}\n--- stdout ---\n{captured.out}--- stderr ---\n{captured.err}"
+    )
+
+
+HELP_GOLDEN = {
+    "--help": "560839278396e321e09eb5089d4d957edfaad2d088ea512a90339cde7d83cc89",
+    "rate --help": "16a563da90e61621dfff708b9edf21e648740460b94da921c23353ea93016ee4",
+    "equivalence --help": "d9336ff8c7618f7315d555c1de5e1ab9b398e1f46fba3fb6bab6224d187daa51",
+    "power-sum --help": "f5873fe55d51f88518a165f702e4f26ed2d9f8123aface58867c126c2b5e99d2",
+    "sandwich --help": "a96a5195c64399a172a996c3684840bc24ffd503b16ae514e1c733c68fdacf76",
+    "mc-validate --help": "3d44ec923967a3c82b034b6735a0b997c49a9caafb0b974a84b261c12afb9e9c",
+    "dump-gram --help": "9019930094610bbd685d80c656a25eb0a13c067ffa5ce4158fbcdde79cb50d55",
+    "dump-spectrum --help": "541aae02a5f829b142b251e0a39e15c669021d045c142d560cfb5f74c79166f4",
+}
+
+
+@pytest.mark.parametrize("line", list(HELP_GOLDEN))
+def test_help_matches_golden_digest(line, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(line.split())
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(
+        repr((exit_info.value.code, captured.out, captured.err)).encode()
+    ).hexdigest()
+    assert digest == HELP_GOLDEN[line], (
+        f"help changed for `szegolab {line}`\n--- stdout ---\n{captured.out}"
+        f"--- stderr ---\n{captured.err}"
     )

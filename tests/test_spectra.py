@@ -330,6 +330,14 @@ def test_gaussian_study_point_holds_no_lag_by_node_table():
     assert _traced_peak(lambda: gamma_sequence(model, grid)) < 2**19
 
 
+def test_norm_report_holds_half_the_symbol_grid():
+    # The symbol on the 4n grid is real and even: a full complex FFT of it
+    # traced 0.525 MiB at (150, 3000), the real FFT's bins 0..2n 0.296 MiB.
+    gs = gamma_sequence(MODELS["gauss"], SamplingGrid(T=150.0, n=3000))
+    norm_report(gs)  # fills numpy's FFT plan cache outside the measurement
+    assert _traced_peak(lambda: norm_report(gs)) < 0.4 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # norm diagnostics vs first-principles oracle
 # ---------------------------------------------------------------------------
