@@ -501,7 +501,7 @@ def _check_values(values: dict) -> None:
                                  "pass --domain-max > 0")
         _domain_cap(cap)
     if "refine" in values:
-        _sampling_args(values["refine"], values["paths"], values["seed"])
+        _sampling_args(values["refine"], values["seed"])
         _gram_lags(values["paths"], values["n"], values["lags"])
 
 

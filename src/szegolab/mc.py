@@ -125,7 +125,8 @@ class PathBatch:
     min_embedding_eig: float | None = None
 
     def __post_init__(self) -> None:
-        _sampling_args(self.refine, self.paths, self.seed)
+        _sampling_args(self.refine, self.seed)
+        _integer("paths", self.paths, 1)
         shape = (self.paths, self.grid.n)
         for name in ("increments", "noisy"):
             table = np.asarray(getattr(self, name), dtype=float)
@@ -362,9 +363,9 @@ def _seed(seed) -> int:
     return _integer("seed", seed, 0, 2**64 - 1)
 
 
-def _sampling_args(refine, paths, seed) -> tuple[int, int, int]:
-    """The sampler's integer arguments, checked."""
-    return _integer("refine", refine, 4), _integer("paths", paths, 1), _seed(seed)
+def _sampling_args(refine, seed) -> tuple[int, int]:
+    """The sampler's refine and seed, checked; callers check paths themselves."""
+    return _integer("refine", refine, 4), _seed(seed)
 
 
 def _sample_blocks(route: _Route, grid: SamplingGrid, paths: int, seed: int, sink) -> None:
@@ -441,7 +442,8 @@ def sample_paths(
     not depend on the number of threads, and a larger batch starts with a
     smaller one.
     """
-    refine, paths, seed = _sampling_args(refine, paths, seed)
+    refine, seed = _sampling_args(refine, seed)
+    paths = _integer("paths", paths, 1)
     route = _route(model, grid, refine)
     increments = np.empty((paths, grid.n))
     noisy = np.empty((paths, grid.n))
@@ -591,9 +593,10 @@ def _validation_estimates(
     ``route`` is the one ``_route`` builds for these arguments, built here
     when not given.
     """
-    refine, paths, seed = _sampling_args(refine, paths, seed)
+    refine, seed = _sampling_args(refine, seed)
     n = grid.n
     lags = _gram_lags(paths, n, lags)
+    paths = int(paths)
     if route is None:
         route = _route(model, grid, refine)
     lag_means = np.empty((len(lags), paths))
