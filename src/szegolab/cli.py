@@ -513,8 +513,8 @@ def parse_config(argv) -> RunConfig:
     the chosen subcommand — are rejected.  The model is built first, then the
     library's checks of the values run (``_check_values``), and last the
     estimate of the run's memory against ``_MEMORY_CAP``; for mc-validate
-    the estimate builds the sampler's route, so a route that cannot be built
-    (indefinite at the padding stop) raises ``FactorizationFailure`` here.
+    the estimate builds the sampler's route, so a cell covariance that is
+    indefinite beyond rounding raises ``FactorizationFailure`` here.
     """
     args = _build_parser().parse_args(list(argv))
     command = args.command

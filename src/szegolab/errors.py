@@ -55,7 +55,7 @@ class DomainExceeded(NumericalError):
 
 
 class FactorizationFailure(NumericalError):
-    """The circulant embedding of the covariance on the refined sampling grid
-    stayed indefinite up to the padding stop, the size at which the
-    covariance has decayed below rounding; the kernel is not positive
+    """The trapezoid cell covariance of the sampling grid is indefinite
+    beyond rounding, in its circulant embeddings and in the n x n matrix
+    that the Monte-Carlo sampler would factor; the kernel is not positive
     definite on that grid."""

@@ -1,7 +1,7 @@
 """Monte-Carlo validation of the analytic Gram pipeline.
 
-Samples the stationary Gaussian input X on a refined grid (``refine``
-sub-steps per sampling cell), forms the per-cell integral increments
+Samples the per-cell trapezoid increments of the stationary Gaussian input
+X on a grid refined ``refine`` times,
 
     inc_i ~ integral_{t_i}^{t_{i+1}} X(s) ds        (trapezoid rule)
 
@@ -12,44 +12,36 @@ the analytic gamma_l coefficients within Monte-Carlo error — an end-to-end
 check that catches sign and normalization mistakes the analytic code paths
 could reproduce consistently on both sides.
 
-Sampling is exact in law for the trapezoid rule on the refined grid, by
-circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997) one lattice
-up: the refined-grid autocovariance is embedded in a symmetric circulant of
-size M = 2(m - 1), doubled while indefinite, whose spectrum is folded onto
-the W = M/refine cells (``_folded_roots``); each path's increments are the
-first n values of C_y^(1/2) w for white noise w of length W, whose half
-spectrum is drawn directly from W + 2 normals (``_half_spectrum_scale``),
-at O(W log W) cost and O(W) memory per path.  A convex decreasing acf (the
-exponential model's) gives a semidefinite embedding at the smallest size.
-``_route`` alone runs the embedding's eigenvalue search and sets the memory
-shape, which the sampler and the memory bound (``_validation_bytes``) read.
+Sampling is exact in law: the increments' covariance B' Sigma B is the n x n
+Toeplitz matrix of the cell covariance c (``_cell_covariance``), summed from
+the acf alone, so it stays independent of the closed-form gamma.
+``_route`` draws from its circulant embedding (Wood & Chan 1994; Dietrich &
+Newsam 1997) at the first size N = 2n * 2^j that is semidefinite up to
+rounding, each path's increments the first n values of C^(1/2) w for the
+white noise w whose half spectrum is N + 2 normals (O(N log N) per path).
+The sizes double while the next costs less per path than the eigen-factor
+(N log2 N <= n^2); past them each path's increments are its rank normals
+times the clipped factor (V Lambda^(1/2))' of the n x n matrix, after one
+``eigh`` (``_eigen_factor``).  ``_route`` also sets the memory shape that
+the sampler and the memory bound (``_validation_bytes``) read.
 
-Paths are drawn in blocks of rows by one loop (``_sample_blocks``), so each
-working table stays near 2 MiB whatever the path count.  The blocks run on
-one thread per usable CPU (at most one per block), the calling thread
-included, and each worker allocates its tables once, for all its blocks:
-normals, which then hold the block's increment and noisy rows, and their
-inverse transform.  The loop hands those rows to a sink on the thread that
-drew them, with the dead transform as scratch.  ``sample_paths`` copies the
-blocks into the two n-column result tables of a ``PathBatch``, the only
-arrays that grow with the path count there.  The command line never builds
-those tables: its sink reduces each block at once to per-path statistics
-(lag means, noise sums and centred sums of squares) with the same per-row
-reducers that ``empirical_gram`` and ``noise_variance_ratio`` run over a
-batch's tables, so the estimates are the same either way, and writes the
-block's increment rows into the dump file.  Over a batch's tables the two
-run in blocks of their own, of about ``_REDUCE_VALUES`` values (256 KiB of
-scratch), not the sampler's 2 MiB: a reducer block only bounds the scratch,
-so its size fixes no stream and, since every row is reduced on its own,
-changes no estimate.
+Paths are drawn in blocks of rows of about 2 MiB (``_sample_blocks``) on
+one thread per usable CPU, each worker reusing its tables for all its
+blocks, and each block is handed to a sink on the thread that drew it.
+``sample_paths`` copies the blocks into the two tables of a ``PathBatch``.
+The command line never builds those tables: its sink reduces each block to
+per-path statistics by the same per-row reducers that ``empirical_gram``
+and ``noise_variance_ratio`` run over a batch's tables (in blocks of about
+``_REDUCE_VALUES`` values, whose size changes no estimate), and writes the
+block's increment rows into the dump file.
 
-Randomness: each block of R rows draws all its normals by one call from its
-own stream, ``PCG64DXSM`` seeded by ``SeedSequence((seed, block index))``
-(O'Neill 2014), and writes only its own rows.  R depends only on the number
-of draws per path, so each path's draws depend only on (seed, path index,
-draws per path): the batch is bit-identical for any number of threads, a
-larger batch starts with a smaller one, and a fixed seed reproduces it
-exactly, on any platform.
+Randomness: each block of R rows draws its normals by one call from its own
+stream, ``PCG64DXSM`` seeded by ``SeedSequence((seed, block index))``
+(O'Neill 2014).  R depends only on the draws per path, and a path's values
+only on its own draws (the factor takes one row-vector product per path),
+so the batch is the same for any number of threads, a larger batch starts
+with a smaller one, and a seed reproduces it bit for bit: on any platform
+on the embedding, on one LAPACK build (which fixes ``eigh``) on the factor.
 """
 
 from __future__ import annotations
@@ -78,16 +70,16 @@ __all__ = [
 ]
 
 BATCH_MAGIC = b"SZGL"
-BATCH_VERSION = 5
-# Every version so far lays the file out the same way; versions 1 to 4 name
-# earlier samplers of the exponential model (2 to 4 also of the others).
-_READABLE_VERSIONS = (1, 2, 3, 4, 5)
+BATCH_VERSION = 6
+# Every version so far lays the file out the same way; versions 1 to 5 name
+# earlier samplers of the exponential model (2 to 5 also of the others).
+_READABLE_VERSIONS = (1, 2, 3, 4, 5, 6)
 _HEADER = struct.Struct("<4sIQIIQ")  # magic, version, N, n, refine, seed — 32 bytes
 _EPS = float(np.finfo(float).eps)
-# An embedding eigenvalue above -_CLIP_RTOL * max(lambda) is rounding, not
-# indefiniteness: an FFT of length M computes each eigenvalue to within about
-# eps * log2(M) * sum|c_k|, sum|c_k| = max(lambda) for a nonnegative acf, and
-# log2(M) < 64 for every M that fits in memory.
+# An eigenvalue above -_CLIP_RTOL * max(lambda) is rounding, not
+# indefiniteness: an FFT of length N computes each eigenvalue to within about
+# eps * log2(N) * sum|c_k|, sum|c_k| = max(lambda) for a nonnegative c, and
+# log2(N) < 64 for every N that fits in memory; ``eigh`` does better.
 _CLIP_RTOL = 64 * _EPS
 # The sampler draws, transforms and reduces the paths in blocks of rows that
 # hold about this many float64 values each (2 MiB), so its working tables do
@@ -97,6 +89,9 @@ _BLOCK_VALUES = 2**18
 # Values per block of rows when ``empirical_gram`` and ``noise_variance_ratio``
 # reduce a batch's tables; it sizes their scratch and changes no value.
 _REDUCE_VALUES = 2**15
+# acf values per tile of ``_cell_covariance``, so that its memory does not
+# grow with refine; past 2 refine + 1 it also orders each c_k's sum.
+_TILE_VALUES = 2**12
 
 
 @dataclass(frozen=True)
@@ -108,9 +103,10 @@ class PathBatch:
     random source, its seeding by (seed, row block), the batch version and
     the library version behind the seed.  ``jitter`` is always 0.0: the
     sampler is exact, so no diagonal regularization is added to the
-    covariance.  ``min_embedding_eig`` is the smallest eigenvalue of the
-    refined-grid circulant embedding before clipping and folding, which
-    ``sample_paths`` always records.
+    covariance.  ``covariance_error``, which ``sample_paths`` always
+    records, is the largest eigenvalue the route clipped to zero, in
+    magnitude: a bound on the spectral norm of the drawn covariance's
+    departure from B' Sigma B.
     """
 
     model: SpectralModel
@@ -122,7 +118,7 @@ class PathBatch:
     noisy: np.ndarray
     generator: str
     jitter: float = 0.0
-    min_embedding_eig: float | None = None
+    covariance_error: float | None = None
 
     def __post_init__(self) -> None:
         _sampling_args(self.refine, self.seed)
@@ -149,50 +145,33 @@ def _block_normals(seed: int, block: int, out: np.ndarray) -> np.ndarray:
     return np.random.Generator(bits).standard_normal(out=out)
 
 
-def _embedding_sizes(model: SpectralModel, m: int, delta: float):
-    """Circulant sizes the embedding tries in turn: M = 2(m - 1), doubled
-    until the acf at the embedding's largest lag M/2 falls to eps * P.  Past
-    that size the embedded acf is zero to working precision, so padding
-    further cannot make an indefinite embedding definite."""
-    size = 2 * (m - 1)
-    while abs(model.acf(delta * (size // 2))) > _EPS * model.power:
-        yield size
-        size *= 2
-    yield size
+def _cell_covariance(model: SpectralModel, grid: SamplingGrid, refine: int, count: int):
+    """c_0, ..., c_(count-1): the covariance of two trapezoid cell increments
+    k cells apart, c_k = sum_(|d| <= r) W_d R((k r + d) delta), r = refine,
+    delta = h/r, W = w * w the autocorrelation of the trapezoid weights w =
+    delta (1/2, 1, ..., 1, 1/2): delta^2 (r - |d|), but delta^2 (r - 1/2) at
+    d = 0 and delta^2 / 4 at |d| = r.  The acf is taken in tiles of at most
+    ``_TILE_VALUES`` values, whole rows of 2r + 1 while they fit."""
+    r, delta = refine, grid.h / refine
+    out = np.zeros(count)
+    span = min(2 * r + 1, _TILE_VALUES)
+    rows = max(1, _TILE_VALUES // span)
+    for low in range(-r, r + 1, span):
+        d = np.arange(low, min(low + span, r + 1))
+        weights = (np.maximum(r - np.abs(d), 0.25) - 0.5 * (d == 0)) * (delta * delta)
+        for first in range(0, count, rows):
+            k = np.arange(first, min(first + rows, count))
+            terms = model.acf(delta * (r * k[:, None] + d))
+            terms *= weights
+            out[k] += np.sum(terms, axis=1)
+    return out
 
 
-def _embedding_eigs(model: SpectralModel, size: int, delta: float) -> np.ndarray:
+def _circulant_eigs(c: np.ndarray, size: int) -> np.ndarray:
     """Eigenvalues (rfft order) of the symmetric circulant of the given size
-    whose first row is the acf at lags 0, delta, ..., (size/2) delta, wrapped."""
-    acf = model.acf(delta * np.arange(size // 2 + 1))
-    return np.fft.rfft(np.concatenate((acf, acf[-2:0:-1]))).real
-
-
-def _semidefinite(lam: np.ndarray) -> bool:
-    """Whether every eigenvalue is nonnegative up to the FFT's rounding."""
-    return float(lam.min()) >= -_CLIP_RTOL * float(lam.max())
-
-
-def _folded_roots(lam: np.ndarray, refine: int, delta: float) -> np.ndarray:
-    """Square roots of the eigenvalues (rfft order) of the circulant of the
-    embedded process's cell increments.
-
-    The process embedded in M points with eigenvalues lam (clipped at zero)
-    filtered by g = delta (1/2, 1, ..., 1, 1/2) (r + 1 taps, r = ``refine``)
-    and taken at every r-th point gives the increments of its M/r cells,
-    circulant with eigenvalues lam_y[k] = (1/r) sum_(q<r) |G[k + qM/r]|^2
-    lam[k + qM/r] >= 0, G the length-M DFT of g.  The first n increments
-    touch only the first m points, whose covariance is the refined Toeplitz
-    Sigma, so they have exactly the trapezoid covariance B' Sigma B."""
-    size = 2 * (lam.size - 1)
-    cell = np.full(refine + 1, delta)
-    cell[0] = cell[-1] = 0.5 * delta
-    weighted = np.abs(np.fft.rfft(cell, n=size))
-    weighted *= weighted
-    weighted *= np.maximum(lam, 0.0)
-    full = np.concatenate((weighted, weighted[-2:0:-1]))
-    folded = full.reshape(refine, -1).mean(axis=0)[: size // (2 * refine) + 1]
-    return np.sqrt(folded)
+    whose first row is c_0, ..., c_(size/2), wrapped."""
+    half = c[: size // 2 + 1]
+    return np.fft.rfft(np.concatenate((half, half[-2:0:-1]))).real
 
 
 def _half_spectrum_scale(roots: np.ndarray) -> np.ndarray:
@@ -223,47 +202,71 @@ def _embedded_paths(scale: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class _Route:
-    """The circulant embedding of size ``size`` that draws a batch's paths
-    on a grid refined ``refine`` times: ``width`` = M/refine values per
-    path, from width + 2 normals ahead of its n channel-noise normals.
-    ``roots`` are the folded spectrum's square roots scaled for those
-    normals (``_half_spectrum_scale``) and ``min_eig`` the smallest
-    embedding eigenvalue before clipping; an unbuilt route (``_route`` with
-    ``fits``) has neither."""
+    """The map from a path's ``draws`` normals, ahead of its n noise
+    normals, to ``width`` values, the first n its increments: on the
+    embedding of size N, ``factors`` are the N + 2 half-spectrum factors and
+    width = N; on the eigen-factor (size 0), the rank x n factor, and width
+    = 2n, room for the noise.  ``error`` is the batch's
+    ``covariance_error``.  An unbuilt route (``_route`` with ``fits``) has
+    neither, and is priced at rank n."""
 
-    size: int
-    refine: int
-    roots: np.ndarray | None = None
-    min_eig: float | None = None
+    n: int
+    size: int = 0
+    factors: np.ndarray | None = None
+    error: float | None = None
+
+    @property
+    def draws(self) -> int:
+        if self.size:
+            return self.size + 2
+        return self.n if self.factors is None else len(self.factors)
 
     @property
     def width(self) -> int:
-        return self.size // self.refine
+        return self.size or 2 * self.n
+
+
+def _eigen_factor(c: np.ndarray) -> _Route:
+    """The route of (V Lambda^(1/2))' over the eigenvalues of the Toeplitz
+    matrix of c above ``_CLIP_RTOL`` * max(lambda).  Raises
+    ``FactorizationFailure`` at an eigenvalue below minus that."""
+    n = c.size
+    # the reversed windows of (c_(n-1), ..., c_1, c_0, ..., c_(n-1)) are the
+    # matrix's rows; eigh copies the view into its own workspace
+    matrix = np.lib.stride_tricks.sliding_window_view(np.concatenate((c[:0:-1], c)), n)[::-1]
+    lam, vectors = np.linalg.eigh(matrix)
+    low, top = float(lam[0]), float(lam[-1])
+    if low < -_CLIP_RTOL * top:
+        raise FactorizationFailure(f"the cell covariance of n={n} cells is indefinite: "
+                                   f"smallest eigenvalue {low:g} against largest {top:g}")
+    first = int(np.searchsorted(lam, _CLIP_RTOL * top, side="right"))
+    factors = np.empty((n - first, n))
+    np.multiply(vectors[:, first:].T, np.sqrt(lam[first:])[:, None], out=factors)
+    return _Route(n, 0, factors, float(np.max(np.abs(lam[:first]), initial=0.0)))
 
 
 def _route(model: SpectralModel, grid: SamplingGrid, refine: int, fits=None) -> _Route:
     """The built route for paths of ``model`` on ``grid`` refined ``refine``
-    times: the smallest circulant embedding of size M that is semidefinite
-    up to rounding, folded onto the cells.
-
-    ``fits`` sees each candidate size before its FFT runs, and the first
-    one it refuses is returned unbuilt.  Raises ``FactorizationFailure``
-    when no embedding within the padding stop is positive semidefinite.
-    """
-    m, delta = grid.n * refine + 1, grid.h / refine
-    for size in _embedding_sizes(model, m, delta):
-        shape = _Route(size, refine)
-        if fits is not None and not fits(shape):
-            return shape
-        lam = _embedding_eigs(model, size, delta)
-        if _semidefinite(lam):
-            roots = _half_spectrum_scale(_folded_roots(lam, refine, delta))
-            return _Route(size, refine, roots, float(lam.min()))
-    raise FactorizationFailure(
-        f"circulant embedding of the covariance on the refined grid (m={m}, "
-        f"delta={delta:g}) is indefinite at size {size} (smallest eigenvalue "
-        f"{float(lam.min()):g}), where the covariance has decayed below rounding"
-    )
+    times: the embedding of the cell covariance at the first semidefinite
+    size N = 2n * 2^j, doubled while N log2 N <= n^2, or else the
+    eigen-factor.  ``fits`` sees each route before it is built: a refused
+    size ends the search, and the smallest size or the factor, once
+    refused, is returned unbuilt.  Raises as ``_eigen_factor`` does."""
+    n, size = grid.n, 2 * grid.n
+    while fits is None or fits(_Route(n, size)):
+        c = _cell_covariance(model, grid, refine, size // 2 + 1)
+        lam = _circulant_eigs(c, size)
+        if float(lam.min()) >= -_CLIP_RTOL * float(lam.max()):
+            roots = np.sqrt(np.maximum(lam, 0.0))
+            return _Route(n, size, _half_spectrum_scale(roots), max(0.0, -float(lam.min())))
+        size *= 2
+        if size * math.log2(size) > n * n:
+            break
+    if size == 2 * n:
+        return _Route(n, size)
+    if fits is not None and not fits(_Route(n)):
+        return _Route(n)
+    return _eigen_factor(c[:n])
 
 
 def _block_rows(paths: int, count: int, values: int | None = None) -> int:
@@ -294,9 +297,10 @@ def _workers(paths: int, rows: int) -> int:
 
 
 def _workspace(rows: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """One sampler worker's tables: ``rows`` rows of ``count`` normals, and
-    the ``width`` values per row of their inverse transform."""
-    return np.empty((rows, count)), np.empty((rows, width))
+    """One sampler worker's tables: room for ``rows`` rows of ``count``
+    normals, and later of ``width`` values (flat), and the ``width`` values
+    per row of their transform."""
+    return np.empty(rows * max(count, width)), np.empty((rows, width))
 
 
 def _run_blocks(start, blocks: list[slice], workers: int) -> None:
@@ -334,28 +338,27 @@ def _run_blocks(start, blocks: list[slice], workers: int) -> None:
 
 def _validation_bytes(route: _Route, n: int, paths: int, lags: int) -> int:
     """Upper bound on the bytes held while ``_validation_estimates`` runs
-    ``paths`` paths of n cells at ``lags`` lags on ``route``: the sampler
-    blocks on each thread, the per-path vectors, and the route's setup.
+    ``paths`` paths of n cells at ``lags`` lags on ``route``.
 
-    Each of the sampler's threads reuses one workspace of a block's rows:
-    normals, width + 2 + n values per path, and their inverse transform,
-    width values per path.  Once a block is transformed, its noise is
-    copied beside its increments in the transform and both, contiguous,
-    into the dead normals (2n values per path; width >= 2n), and the
-    reducers form their temporaries in the dead transform.  Each
-    thread is also allowed the buffers of numpy's iterator, which no
-    operation on the sampler path needs (at most three of
-    ``np.getbufsize()`` float64 values, or one of complex values), and holds
-    the block's array headers and generator state, counted as one more.
-    The block size and the thread count are the sampler's own
-    (``_block_rows``, ``_workers``).  Beside the blocks the run holds lags +
-    2 vectors of one value per path (the lag means, the noise sums and the
-    noise's centred sums of squares), and the route's setup, the search's
-    four vectors of M values and the fold's two, is counted beside them too.
+    Each sampler thread (``_workers``) holds one workspace of a block's
+    rows (``_block_rows``, ``_workspace``) and is allowed numpy's iterator
+    buffers, which the sampler path does not need (at most three of
+    ``np.getbufsize()`` values), and its headers and generator state, as
+    one more.  Beside them the run holds lags + 2 values per path, and the
+    route's set-up: fewer than eight tiles of ``_cell_covariance``, and six
+    vectors of N + 2 + n values for the embedding of size N (c, its row,
+    spectrum, roots, factors and their tiled copy); for the eigen-factor,
+    those of the search's largest N, at most n^2 + 24n values (N = 2n, or
+    N log2 N <= n^2, so N >= 128), and 4n^2 + 16n while ``eigh`` runs (the
+    matrix's copy, the eigenvectors and LAPACK's workspace of 2n^2 + 6n
+    values and 5n integers), which the factor then replaces.
     """
-    rows = _block_rows(paths, route.width + 2 + n)
-    per_thread = rows * (2 * route.width + n + 2) + 4 * np.getbufsize()
-    return 8 * (_workers(paths, rows) * per_thread + 6 * route.size + (lags + 2) * paths)
+    count = route.draws + n
+    rows = _block_rows(paths, count)
+    per_thread = rows * (max(count, route.width) + route.width) + 4 * np.getbufsize()
+    setup = 6 * (route.size + 2 + n) if route.size else 5 * n * n + 40 * n
+    setup += 8 * _TILE_VALUES
+    return 8 * (_workers(paths, rows) * per_thread + setup + (lags + 2) * paths)
 
 
 def _seed(seed) -> int:
@@ -375,41 +378,46 @@ def _sample_blocks(route: _Route, grid: SamplingGrid, paths: int, seed: int, sin
     arrays hold its rows of the increment and noisy tables.  The arrays are
     contiguous views into the workspace (``_workspace``) that each thread
     allocates once, valid only during the call, which is why
-    ``sample_paths`` copies them; ``scratch`` is the workspace's inverse
-    transform, dead by then, as width float64 values per row.
+    ``sample_paths`` copies them; ``scratch`` is the workspace's transform,
+    dead by then, as width float64 values per row.
 
     Block b holds the paths [b R, (b + 1) R), R = max(1, _BLOCK_VALUES //
-    count) for count = width + 2 + n normals per path, and draws them by one
-    call from the stream seeded by (seed, b).  R depends on count alone, so
-    each path's draws depend only on (seed, path index, count).
-
-    The blocks run on one thread per usable CPU, at most one per block, so
-    ``sink`` is called from several threads at once, each time for other
-    rows.  An exception raised in any block, the sink's included, is
+    count) for count = draws + n normals per path, drawn by one call from
+    the stream seeded by (seed, b).  ``sink`` is called from several
+    threads at once, each time for other rows; an exception in any block is
     re-raised here once every thread has finished.
     """
-    n, width = grid.n, route.width
-    count = width + 2 + n
+    n, draws, width = grid.n, route.draws, route.width
+    count = draws + n
     rows = _block_rows(paths, count)
-    # a row's factors, the route's roots and then the noise's sqrt(h),
-    # repeated down rows of about 4096 values (``_embedded_paths``)
-    scale = np.concatenate((route.roots, np.full(n, math.sqrt(grid.h))))
-    scale = np.tile(scale, (max(1, 4096 // count), 1))
+    if route.size:
+        # a row's factors, the route's and then the noise's sqrt(h),
+        # repeated down rows of about 4096 values (``_embedded_paths``)
+        scale = np.concatenate((route.factors, np.full(n, math.sqrt(grid.h))))
+        scale = np.tile(scale, (max(1, 4096 // count), 1))
+
+        def transform(z: np.ndarray, x: np.ndarray) -> None:
+            _embedded_paths(scale, z, x)
+            x[:, n : 2 * n] = z[:, draws:]
+    else:
+        def transform(z: np.ndarray, x: np.ndarray) -> None:
+            np.matmul(z[:, None, :draws], route.factors, out=x[:, None, :n])
+            np.multiply(z[:, draws:], math.sqrt(grid.h), out=x[:, n:])
 
     def start():
-        normals, transform = _workspace(rows, count, width)
-        tables = normals.reshape(-1)
+        normals, values = _workspace(rows, count, width)
 
         def fill(block: slice) -> None:
             size = block.stop - block.start
-            z = _block_normals(seed, block.start // rows, normals[:size])
-            x = _embedded_paths(scale, z, transform[:size])
-            x[:, n : 2 * n] = z[:, width + 2 :]
-            increments, noisy = tables[: 2 * size * n].reshape(2, size, n)
+            z = normals[: size * count].reshape(size, count)
+            z = _block_normals(seed, block.start // rows, z)
+            x = values[:size]
+            transform(z, x)
+            increments, noisy = normals[: 2 * size * n].reshape(2, size, n)
             increments[...] = x[:, :n]
             noisy[...] = x[:, n : 2 * n]
             noisy += increments
-            sink(block, increments, noisy, transform.reshape(-1))
+            sink(block, increments, noisy, values.reshape(-1))
 
         return fill
 
@@ -426,21 +434,12 @@ def sample_paths(
     """Simulate ``paths`` independent stationary inputs and reduce them to
     per-cell trapezoid increments and their noisy channel observations.
 
-    Exact in law for the trapezoid rule on the refined grid of m =
-    n*refine + 1 points: the circulant embedding of the refined grid, of
-    size M (2(m - 1), or a power-of-two multiple of it when padding was
-    needed; ``min_embedding_eig`` records its smallest eigenvalue), is
-    folded onto the cells (``_folded_roots``), so each path's n increments
-    come from M/refine + 2 draws.  Raises ``FactorizationFailure`` when no
-    embedding within the padding stop is positive semidefinite.  Paths are
-    drawn in blocks of about ``_BLOCK_VALUES`` values (``_sample_blocks``),
-    and each block is copied into the two result tables, so the working
-    memory beyond them does not grow with ``paths``.  Deterministic given
-    (seed, arguments): each path's row of its block's draws holds the
-    path's draws first and the next n draws for its channel noise, and
-    depends only on (seed, path index, draws per path), so the tables do
-    not depend on the number of threads, and a larger batch starts with a
-    smaller one.
+    Exact in law for the trapezoid rule on the refined grid, up to
+    ``covariance_error``, on the route that ``_route`` picks; raises
+    ``FactorizationFailure`` when the cell covariance is indefinite beyond
+    rounding.  Paths are drawn in blocks (``_sample_blocks``), so the memory
+    beyond the two result tables does not grow with ``paths``, and each
+    path depends only on (seed, path index, draws per path).
     """
     refine, seed = _sampling_args(refine, seed)
     paths = _integer("paths", paths, 1)
@@ -463,7 +462,7 @@ def sample_paths(
         noisy=noisy,
         generator=f"numpy.random.PCG64DXSM seeded by (seed, row block), batch "
         f"v{BATCH_VERSION} (numpy {np.__version__})",
-        min_embedding_eig=route.min_eig,
+        covariance_error=route.error,
     )
 
 
@@ -645,7 +644,7 @@ def write_batch(batch: PathBatch, path) -> None:
 def read_batch(path) -> tuple[dict, np.ndarray]:
     """Read a dump written by ``write_batch``; returns (header fields, table).
 
-    Versions 1 to 5 share the layout and are all read.  The file size is
+    Versions 1 to 6 share the layout and are all read.  The file size is
     checked against the header before the table is allocated, and the
     payload is read straight into it; it is converted only on a big-endian
     host."""

@@ -60,12 +60,13 @@ def _integer(name: str, value, low: int, high: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
-def _positive(name: str, value) -> float:
-    """``value`` as a float, refused unless a finite number (not a bool) > 0."""
+def _positive(name: str, value, zero: bool = False) -> float:
+    """``value`` as a float, refused unless a finite number (not a bool) > 0,
+    or >= 0 with ``zero``."""
     if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0.0):
+            and math.isfinite(value) and (value > 0.0 or zero and value == 0.0)):
         return float(value)
-    raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, got {value!r}")
 
 
 class ModelKind(enum.Enum):
@@ -218,7 +219,7 @@ _FAMILIES = {
         scale_name="width",
         scale_flag="width",
         scale_help="kernel width",
-        acf=lambda p, s, t: p * np.exp(-(t * t) / (2.0 * s**2)),
+        acf=lambda p, s, t: p * np.exp(-(t * t) / (2.0 * s * s)),
         psd=lambda p, s, x: (p * s / math.sqrt(_TWO_PI)) * np.exp(-(s * s) * (x * x) / 2.0),
         abs_acf_integral=lambda p, s: p * s * math.sqrt(_TWO_PI),
         correlation_time=lambda s: s,
@@ -259,10 +260,7 @@ class SpectralModel:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ModelKind):
             raise ValueError(f"kind must be a ModelKind, got {self.kind!r}")
-        power = float(self.power)
-        if not math.isfinite(power) or power < 0.0:
-            raise ValueError(f"power must be finite and >= 0, got {self.power!r}")
-        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "power", _positive("power", self.power, zero=True))
         object.__setattr__(self, "scale", _positive(self.family.scale_name, self.scale))
 
     # --- constructors -----------------------------------------------------

@@ -282,11 +282,12 @@ def _estimate(config) -> tuple[int, dict]:
         # no paths x n table is held, but the lags + 2 = 6 per-path vectors
         # alone take 6 * 8 * 5e7 bytes = 2.2 GiB
         ("mc-validate", "--paths", "50000000"),
-        # the embedding would need M ~ 1e10 points per path
-        ("mc-validate", "--model", "gauss", "--width", "1e6"),
-        # the exponential model's embedding of M = 2 * 100 * 524288 points:
-        # the route's setup alone, six vectors of M values, takes 4.7 GiB
-        ("mc-validate", "--refine", "524288"),
+        # a kernel far wider than T takes the eigen-factor, whose set-up
+        # holds about 5n^2 values: 3.7 GiB at n = 10 000
+        ("mc-validate", "--model", "gauss", "--width", "1e6", "--n", "10000"),
+        # the smallest embedding of a long grid, 2n = 1e8 values per path,
+        # holds 2.5e8 values per sampler thread and six vectors of 1e8 to set up
+        ("mc-validate", "--n", "50000000", "--paths", "100", "--lags", "0"),
     ],
     ids=" ".join,
 )
@@ -298,11 +299,10 @@ def test_memory_exhausting_inputs_are_refused_before_allocating(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        # the acf decays only at M = 8 * 2(m - 1), but 2(m - 1) is already definite
+        # supports wider than T take the eigen-factor of the 100 x 100 matrix
         ("mc-validate", "--model", "tri", "--support", "50"),
-        # the same at M ~ 10^8, which would not fit
         ("mc-validate", "--model", "tri", "--support", "1e6"),
-        # definite only once padded 4-fold
+        # the cell embedding is definite only once padded 4-fold, at 8n
         ("mc-validate", "--model", "gauss", "--width", "5"),
         ("mc-validate", "--model", "gauss", "--n", "2000"),
     ],
@@ -311,6 +311,23 @@ def test_memory_exhausting_inputs_are_refused_before_allocating(argv):
 def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
     config = parse_config(argv)
     assert _estimate(config)[0] < 2**30
+
+
+@pytest.mark.parametrize("width", ["1", "100", "1000", "21600", "1e6", "1e300"])
+def test_every_gaussian_width_is_accepted_in_a_small_set_up(width):
+    # a kernel wider than T takes the eigen-factor of the n x n cell
+    # covariance, whose size does not grow with the width, where the refined
+    # grid's embedding once grew with width/delta and was refused from a
+    # width of about 21 600
+    parse_config(("mc-validate", "--model", "gauss", "--width", "1"))  # loads modules
+    tracemalloc.start()
+    try:
+        config = parse_config(("mc-validate", "--model", "gauss", "--width", width))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert config.route.size in (0, 200) and config.route.draws <= 202
 
 
 def _traced_peak(config, capsys) -> int:
@@ -335,15 +352,18 @@ def _traced_peak(config, capsys) -> int:
         ("sandwich", "--schedule", "10:1000", "--degree", "8"),
         ("sandwich", "--schedule", "10:200", "--degree", "1028"),
         ("mc-validate", "--model", "gauss", "--n", "20", "--paths", "200", "--lags", "0"),
-        # padded: the embedding of this short horizon is indefinite until M grows 8-fold
+        # the eigen-factor: the cell embedding of this short horizon is indefinite
         ("mc-validate", "--model", "gauss", "--T", "1", "--n", "20", "--paths", "200",
          "--lags", "0"),
+        ("mc-validate", "--model", "gauss", "--width", "100", "--paths", "2000", "--lags", "0"),
+        # the embedding padded to 8n
+        ("mc-validate", "--model", "gauss", "--width", "5", "--paths", "2000", "--lags", "0"),
         ("mc-validate", "--n", "40", "--paths", "1000", "--refine", "4", "--lags", "0"),
         # several blocks of paths
         ("mc-validate", "--model", "tri", "--n", "100", "--paths", "2000", "--lags", "0"),
         # more blocks than sampler threads, so each thread reuses its workspace
         ("mc-validate", "--n", "100", "--paths", "4000", "--lags", "0"),
-        # the route's setup is the fold's embedding of M = 4,194,304 points
+        # each cell covariance sums 2 refine + 1 = 1 048 577 acf values, in tiles
         ("mc-validate", "--n", "4", "--paths", "100", "--refine", "524288", "--lags", "0"),
     ],
     ids=" ".join,
@@ -356,10 +376,13 @@ def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # the route's setup is the fold's embedding of M = 4,194,304 points
+        # each cell covariance sums 2 refine + 1 = 1 048 577 acf values, in tiles
         ("mc-validate", "--n", "4", "--paths", "100", "--refine", "524288", "--lags", "0"),
-        # the eigenvalue search tries four sizes, up to M = 2560
+        # the search tries 2n = 40, then the eigen-factor
         ("mc-validate", "--model", "gauss", "--T", "1", "--n", "20", "--paths", "200",
+         "--lags", "0"),
+        # the search tries 800 to 6400, then eigh factors a 400 x 400 matrix
+        ("mc-validate", "--model", "gauss", "--width", "1000", "--n", "400", "--paths", "100",
          "--lags", "0"),
     ],
     ids=" ".join,
@@ -377,7 +400,16 @@ def test_memory_estimate_bounds_the_traced_route_build(argv):
     assert peak < _estimate(config)[0]
 
 
-@pytest.mark.parametrize("argv", [("mc-validate",), ("mc-validate", "--model", "gauss")], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mc-validate",),
+        ("mc-validate", "--model", "gauss"),
+        # the eigen-factor, of rank 4
+        ("mc-validate", "--model", "gauss", "--width", "100"),
+    ],
+    ids=" ".join,
+)
 def test_mc_validate_estimate_stays_near_the_traced_peak(argv, capsys):
     # an estimate far above the peak would refuse runs that fit under the cap
     config = parse_config(argv)
@@ -397,32 +429,41 @@ def test_mc_validate_memory_does_not_grow_with_the_path_count(capsys, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "argv, boxes, code, sizes",
+    "argv, boxes, code, sizes, factors",
     [
-        # the embedding of this short horizon is indefinite until M grows
-        # 8-fold, so four sizes
+        # the cell embedding of this short horizon is indefinite at 2n = 40,
+        # and 80 would cost more per path than the eigen-factor
         (("--model", "gauss", "--T", "1", "--n", "20", "--paths", "200", "--lags", "0"),
-         False, 0, [320, 640, 1280, 2560]),
-        # the box-shaped acf of the mc tests' padding-stop case is indefinite
-        # at every size up to the stop M = 128, which the guard reports
+         False, 0, [40], 1),
+        # definite once padded to 8n
+        (("--model", "gauss", "--width", "5", "--paths", "200", "--lags", "0"),
+         False, 0, [200, 400, 800], 0),
+        # the box-shaped acf of the mc tests' indefinite case: its cell
+        # covariance is indefinite at 2n = 8 and in the eigen-factor, which
+        # the guard reports
         (("--model", "gauss", "--width", "3", "--T", "1", "--n", "4", "--refine", "4",
-          "--paths", "100", "--lags", "0"), True, 3, [32, 64, 128]),
+          "--paths", "100", "--lags", "0"), True, 3, [8], 1),
         # the exponential model's embedding is definite at the smallest size
-        (("--n", "20", "--paths", "200", "--lags", "0"), False, 0, [320]),
+        (("--n", "20", "--paths", "200", "--lags", "0"), False, 0, [40], 0),
     ],
-    ids=["gauss-padded", "indefinite-at-the-padding-stop", "ou"],
+    ids=["gauss-padded", "gauss-padded-8n", "indefinite-at-the-padding-stop", "ou"],
 )
-def test_padded_mc_validate_searches_each_embedding_size_once(argv, boxes, code, sizes, capsys,
-                                                              monkeypatch):
+def test_padded_mc_validate_searches_each_embedding_size_once(argv, boxes, code, sizes, factors,
+                                                              capsys, monkeypatch):
     # the memory guard builds the sampler's route, and the run takes it: each
-    # embedding size is searched once
-    searched, eigs = [], mc._embedding_eigs
+    # embedding size is searched once, and the eigen-factor built at most once
+    searched, eigs, factored, factor = [], mc._circulant_eigs, [], mc._eigen_factor
 
-    def recording_eigs(model, size, delta):
+    def recording_eigs(c, size):
         searched.append(size)
-        return eigs(model, size, delta)
+        return eigs(c, size)
 
-    monkeypatch.setattr(mc, "_embedding_eigs", recording_eigs)
+    def recording_factor(c):
+        factored.append(c.size)
+        return factor(c)
+
+    monkeypatch.setattr(mc, "_circulant_eigs", recording_eigs)
+    monkeypatch.setattr(mc, "_eigen_factor", recording_factor)
     if boxes:
         # a box of radius 0.5 on a lower box of radius s: its spectrum is a
         # sinc, which changes sign
@@ -431,15 +472,17 @@ def test_padded_mc_validate_searches_each_embedding_size_once(argv, boxes, code,
         monkeypatch.setitem(_FAMILIES, ModelKind.GAUSSIAN_KERNEL, boxed)
     assert main(["mc-validate", *argv]) == code
     assert searched == sizes
+    assert len(factored) == factors
     if code == 3:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
-        assert "indefinite at size 128" in err
+        assert "cell covariance of n=4 cells is indefinite" in err
 
 
 def test_large_gaussian_mc_validate_fits_at_few_paths(capsys):
-    # the circulant embedding holds O(m) floats per block of paths, where a
-    # dense covariance factor held O(m^2): n = 2000 (m = 16001) fits
+    # the circulant embedding of size 2n holds O(n) floats per path, where
+    # a dense factor of the refined grid's covariance held O(m^2) for m =
+    # 16 001 points
     assert main(["mc-validate", "--model", "gauss", "--n", "2000", "--paths", "200"]) == 0
     assert "zScore" in capsys.readouterr().out
 

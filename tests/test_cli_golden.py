@@ -94,7 +94,7 @@ GOLDEN = {
     "equivalence --model ou --power 1.5 --rate-param 0.8 --schedule 5:50,10:100": "f53a7ee7d51f11a068bfe0f6dbcc8b27d79bdd0bd2a555eb82bc7a914d09b63e",  # exit 0
     "sandwich --model ou --schedule 5:50,10:100": "c930c1b6970b741c2bb70594cba82268d3708f97de9d52bb842cdecf3a5c5f30",  # exit 0
     "sandwich --model ou --schedule 5:51,10:103": "c22cf18311afdc6324a946472cdc7a3315cfb23a8533fe0e62cc3a5fd73ad2f1",  # exit 0
-    "mc-validate --model ou --n 20 --paths 200 --lags 0,1": "bedb3dd6bc675029681b3c45fd793fbcbcd07288374f1680d539e9ff119049da",  # exit 0
+    "mc-validate --model ou --n 20 --paths 200 --lags 0,1": "b24dcafca223dba0b816e13ffd83f693c0a5c31c8453433a019fa48ac9467583",  # exit 0
     "dump-gram --model ou --n 16": "4a5594ebcf8e61951e9b0b579524cc0bda7818afac0f2d54231e3e31c5d3ed4b",  # exit 0
     "dump-spectrum --model ou --n 16": "efe99f5a6b1736ec8c9dbf6ad1bae19848ce2dfa0c4ecdf42a109458471c2fe0",  # exit 0
     "rate --model ou --rate-param -1": "ce490b5226881f0be2b0bcff1fdb5bbaa8c60b2befe2ab6e1d34dc1d075c27f1",  # exit 2

@@ -1,7 +1,7 @@
 """Monte-Carlo layer: per-block stream reproducibility, sampler correctness
-(the folded circulant embedding against the dense covariance of the refined
-grid, for every model), trapezoid accuracy order, agreement with the
-analytic covariances, and the binary increment dump.
+(the cell covariance, and each route's draws, against the dense trapezoid
+covariance of the refined grid, for every model), trapezoid accuracy order,
+agreement with the analytic covariances, and the binary increment dump.
 
 Statistical assertions run at fixed seeds, so every "within k standard errors"
 check is deterministic in practice.  The refined-grid AR(1) recursion that
@@ -63,7 +63,7 @@ def _ar1_reference(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndar
     """Stationary exponential-model paths on a grid of step delta from the
     (paths, m) normals ``z``, by the AR(1) recursion x_j = rho x_(j-1) +
     sqrt(P (1 - rho^2)) z_j started from x_0 = sqrt(P) z_0, one time step at
-    a time: the slow reference for the sampler's folded embedding."""
+    a time: the slow reference for the sampler."""
     rho = math.exp(-model.scale * delta)
     x = np.empty_like(z)
     x[:, 0] = math.sqrt(model.power) * z[:, 0]
@@ -73,21 +73,10 @@ def _ar1_reference(model: SpectralModel, z: np.ndarray, delta: float) -> np.ndar
     return x
 
 
-def _width(model: SpectralModel, grid: SamplingGrid, refine: int) -> int:
-    """Length of each path's inverse transform, M/refine for the embedding
-    size M; the path's draws ahead of its channel noise are two more."""
-    return mc._route(model, grid, refine).width
-
-
-def _embedding_spectrum(model: SpectralModel, m: int, delta: float) -> np.ndarray:
-    """Eigenvalues (rfft order) of the first circulant embedding of the acf
-    on m refined-grid points, in the sampler's order of sizes, that is
-    positive semidefinite up to rounding."""
-    for size in mc._embedding_sizes(model, m, delta):
-        lam = mc._embedding_eigs(model, size, delta)
-        if mc._semidefinite(lam):
-            return lam
-    raise AssertionError("no semidefinite embedding within the padding stop")
+def _draws(model: SpectralModel, grid: SamplingGrid, refine: int) -> int:
+    """Normals each path draws ahead of its channel noise on the sampler's
+    route: N + 2 for the embedding of size N, the rank for the eigen-factor."""
+    return mc._route(model, grid, refine).draws
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +183,14 @@ def test_each_path_has_its_own_substream(kind):
 
 @pytest.mark.parametrize("kind", _KINDS)
 def test_channel_noise_follows_the_path_draws(kind):
-    # each path's row of draws holds the path's width + 2 draws first and
-    # its n noise draws after them, so the noise never shifts the draws
-    # behind the increments
+    # each path's row of normals holds the path's draws first and its n
+    # noise draws after them, so the noise never shifts the draws behind
+    # the increments (the Gaussian kernel takes the eigen-factor here)
     model, grid, refine = _KINDS[kind], SamplingGrid(T=2.0, n=10), 4
     batch = sample_paths(model, grid, refine=refine, paths=5, seed=77)
-    width = _width(model, grid, refine)
-    z = _block_normals(77, 0, np.empty((5, width + 2 + grid.n)))
-    assert np.array_equal(batch.noisy, batch.increments + math.sqrt(grid.h) * z[:, width + 2 :])
+    draws = _draws(model, grid, refine)
+    z = _block_normals(77, 0, np.empty((5, draws + grid.n)))
+    assert np.array_equal(batch.noisy, batch.increments + math.sqrt(grid.h) * z[:, draws:])
 
 
 @pytest.mark.parametrize("seed", [21, 2**64 - 1])
@@ -214,14 +203,14 @@ def test_each_row_block_draws_from_the_stream_keyed_by_its_index(kind, seed, mon
     model, grid, refine, paths = _KINDS[kind], SamplingGrid(T=2.0, n=10), 4, 14
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)
     batch = sample_paths(model, grid, refine=refine, paths=paths, seed=seed)
-    width = _width(model, grid, refine)
-    count = width + 2 + grid.n
+    draws = _draws(model, grid, refine)
+    count = draws + grid.n
     rows = max(1, 200 // count)
     for block, start in enumerate(range(0, paths, rows)):
         stop = min(start + rows, paths)
         bits = np.random.PCG64DXSM(np.random.SeedSequence([seed, block]))
         z = np.random.Generator(bits).standard_normal((stop - start, count))
-        noise = math.sqrt(grid.h) * z[:, width + 2 :]
+        noise = math.sqrt(grid.h) * z[:, draws:]
         assert np.array_equal(batch.noisy[start:stop], batch.increments[start:stop] + noise)
 
 
@@ -229,8 +218,8 @@ def test_each_row_block_draws_from_the_stream_keyed_by_its_index(kind, seed, mon
 @pytest.mark.parametrize("block_values, paths", [(200, 12), (mc._BLOCK_VALUES, 5000)])
 def test_worker_count_does_not_change_the_batch(kind, block_values, paths, monkeypatch):
     # one path per 200-value block, and at least three blocks of many paths
-    # at the default (the exponential model's 3n = 120 draws per path put
-    # 2184 paths in a block); three workers can outnumber the CPUs, and
+    # at the default (the exponential model's 3n + 2 = 122 normals per path
+    # put 2148 paths in a block); three workers can outnumber the CPUs, and
     # a short switch interval interleaves them often
     grid, args = SamplingGrid(T=4.0, n=40), dict(refine=8, paths=paths, seed=5)
     monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
@@ -263,7 +252,7 @@ def test_each_worker_allocates_one_workspace(kind, monkeypatch):
     # every later one, and workers that shared tables would garble the
     # batch once a short switch interval interleaves them
     model, grid, args = _KINDS[kind], SamplingGrid(T=4.0, n=40), dict(refine=8, paths=23, seed=5)
-    monkeypatch.setattr(mc, "_BLOCK_VALUES", 2 * (_width(model, grid, 8) + 2 + grid.n))
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 2 * (_draws(model, grid, 8) + grid.n))
     workspace, allocated = mc._workspace, []
 
     def counting(rows, count, width):
@@ -294,7 +283,8 @@ def test_sampler_memory_does_not_grow_with_the_block_count(monkeypatch):
     # count of the sampler's threads
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
     model, grid, refine = _KINDS["ou"], SamplingGrid(T=10.0, n=100), 8
-    width = _width(model, grid, refine)
+    route = mc._route(model, grid, refine)
+    count = route.draws + grid.n
     sample_paths(model, grid, refine=refine, paths=100, seed=1)  # warms caches, untraced
     held = []
     for paths in (4000, 16000):
@@ -305,21 +295,22 @@ def test_sampler_memory_does_not_grow_with_the_block_count(monkeypatch):
         finally:
             tracemalloc.stop()
         held.append(peak - 2 * paths * grid.n * 8)
-    rows = mc._block_rows(16000, width + 2 + grid.n)
+    rows = mc._block_rows(16000, count)
     assert -(-4000 // rows) == 5 and -(-16000 // rows) == 19
     assert abs(held[1] - held[0]) <= 64 * 1024
-    assert max(held) < 2 * 8 * (rows * (2 * width + grid.n + 2) + 4 * np.getbufsize())
+    per_thread = rows * (max(count, route.width) + route.width) + 4 * np.getbufsize()
+    assert max(held) < 2 * 8 * per_thread
 
 
 def test_a_failing_block_is_raised_once_every_thread_has_ended(monkeypatch):
-    calls, embedded = itertools.count(), _embedded_paths
+    calls, normals = itertools.count(), _block_normals
 
-    def failing_second_call(scale, z, out):
+    def failing_second_call(seed, block, out):
         if next(calls) == 1:
             raise RuntimeError("block failed")
-        return embedded(scale, z, out)
+        return normals(seed, block, out)
 
-    monkeypatch.setattr(mc, "_embedded_paths", failing_second_call)
+    monkeypatch.setattr(mc, "_block_normals", failing_second_call)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)
     before = threading.active_count()
@@ -342,27 +333,27 @@ def test_exponential_sampler_stream_is_pinned(ou11):
         for name in ("increments", "noisy")
     }
     assert digest == {
-        "increments": "4716a20498bf059b8d2f2e8a3388e5553e72fb7695e7d6faa211649a72368f13",
-        "noisy": "06d8331bf26f2f621a8821856fe1cf209a401e7d65e88c0f7d295d4d9ed94edb",
+        "increments": "4971a31d05aa9bfbc56949d0c94b3084c86de0f05f64ba01a649280eff1f1b16",
+        "noisy": "f292c6a32c5787e9a8c0f68c2a28ae3386e32fd2917d9e310496b8f18579a346",
     }
-    assert BATCH_VERSION == 5
+    assert BATCH_VERSION == 6
     assert batch.generator.startswith(
-        "numpy.random.PCG64DXSM seeded by (seed, row block), batch v5 "
+        "numpy.random.PCG64DXSM seeded by (seed, row block), batch v6 "
     )
 
 
 def test_embedding_sampler_stream_is_pinned():
-    # Frozen digests of a Gaussian-kernel batch, drawn by the folded
-    # circulant embedding: a change in the last bit of any sample must come
-    # with a new BATCH_VERSION and generator tag.
+    # Frozen digests of a Gaussian-kernel batch, drawn by the circulant
+    # embedding of the cell covariance: a change in the last bit of any
+    # sample must come with a new BATCH_VERSION and generator tag.
     batch = sample_paths(_KINDS["gauss"], SamplingGrid(T=10, n=100), refine=8, paths=64, seed=42)
     digest = {
         name: hashlib.sha256(getattr(batch, name).tobytes()).hexdigest()
         for name in ("increments", "noisy")
     }
     assert digest == {
-        "increments": "7ab0b61ad5738d98142ea89b8934d31a8af57d24b1c4bcc87cf7a72da024cc64",
-        "noisy": "fe80d9f3ad8e2823a7dd072183fd2856d2e2c77b90fb710e40a4b9ef5b8c9dc3",
+        "increments": "b7088d11369647dccb745de8594673cc458e47d005b79f863c133c76b218273d",
+        "noisy": "5ed0844d66c84549aae7b12c3e4f9e9184b83190869d415396c1cdc99eae9f4d",
     }
 
 
@@ -391,9 +382,10 @@ def test_exponential_model_one_step_regression(ou11):
 )
 def test_embedding_route_matches_analytic_covariances(model):
     grid = SamplingGrid(T=4.0, n=20)
+    # the Gaussian kernel takes the eigen-factor at this short horizon
     batch = sample_paths(model, grid, refine=8, paths=400, seed=7)
     assert batch.jitter == 0.0
-    assert batch.min_embedding_eig > -1e-12 * model.power
+    assert 0.0 <= batch.covariance_error <= 1e-12 * model.power
     gamma = gamma_sequence(model, grid).gamma
     tilde, se = empirical_gram(batch, lags=(0, 1, 2))
     for l in (0, 1, 2):
@@ -421,7 +413,7 @@ def test_nested_refinement_shift(ou11):
     # trapezoid resolutions: the induced shift in the lag-0 estimate is
     # negative (coarser rules undershoot here) and shrinks as the resolution
     # rises.  At full resolution the reference agrees with the sampler's
-    # batch, whose folded embedding draws the same law.
+    # batch, which draws the same law.
     grid, refine, paths = SamplingGrid(T=10.0, n=50), 16, 2000
     batch = sample_paths(ou11, grid, refine=refine, paths=paths, seed=11)
     z = np.random.default_rng(11).standard_normal((paths, grid.n * refine + 1))
@@ -613,11 +605,13 @@ def test_empirical_gram_returns_each_requested_lag(ou11):
     ids=["ou", "gauss", "tri", "gauss-padded"],
 )
 def test_streamed_estimates_equal_the_table_route(kind, T, n, workers, tmp_path, monkeypatch):
-    # 1001 paths leave a shorter last block of rows for every model
-    model, grid, paths, seed, lags = _KINDS[kind], SamplingGrid(T=T, n=n), 1001, 7, (0, 1, 2, 5)
+    # 10 001 paths leave a shorter last block of rows for every model; the
+    # short horizon's Gaussian kernel takes the eigen-factor, whose 29
+    # normals per path put 9039 paths in a block
+    model, grid, paths, seed, lags = _KINDS[kind], SamplingGrid(T=T, n=n), 10_001, 7, (0, 1, 2, 5)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
     batch = sample_paths(model, grid, refine=8, paths=paths, seed=seed)
-    assert paths % mc._block_rows(paths, _width(model, grid, 8) + 2 + n) > 0
+    assert paths % mc._block_rows(paths, _draws(model, grid, 8) + n) > 0
     tilde, se = empirical_gram(batch, lags)
     ratio = noise_variance_ratio(batch)
     write_batch(batch, tmp_path / "table.szgl")
@@ -632,7 +626,7 @@ def test_streamed_estimates_equal_the_table_route(kind, T, n, workers, tmp_path,
 def test_streamed_blocks_on_more_threads_than_cpus_land_in_their_rows(tmp_path, monkeypatch):
     # one path per 200-value block on three workers, interleaved often: a
     # block reduced into the wrong columns or written at the wrong offset
-    # would change the estimates or the dump
+    # would change the estimates or the dump (the eigen-factor's route)
     model, grid, paths, seed = _KINDS["gauss"], SamplingGrid(T=4.0, n=10), 101, 3
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 200)  # the blocking keys the streams
     batch = sample_paths(model, grid, refine=4, paths=paths, seed=seed)
@@ -671,50 +665,8 @@ def test_streamed_run_that_fails_part_way_leaves_no_dump(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# circulant embedding against the dense covariance
+# each route against the dense trapezoid covariance
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "model, T, padding",
-    [
-        (SpectralModel.gaussian_kernel(1.1, 0.9), 10.0, 1),
-        (SpectralModel.gaussian_kernel(1.1, 0.9), 4.0, 2),
-        (SpectralModel.gaussian_kernel(1.0, 1.0), 1.0, 8),
-        (SpectralModel.triangular(1.1, 0.9), 4.0, 1),
-        (SpectralModel.triangular(1.0, 2.0), 1.0, 1),
-    ],
-    ids=["gauss", "gauss-padded-2", "gauss-padded-8", "tri", "tri-wide"],
-)
-def test_embedding_reproduces_the_dense_covariance(model, T, padding):
-    # Push the identity through the sampler's linear map: its rows are the
-    # columns of C^(1/2) restricted to the first m points, so their Gram
-    # matrix is the covariance the paths have.  It must be the dense
-    # Toeplitz covariance of the refined grid.
-    n, refine = 20, 4
-    m, delta = n * refine + 1, T / (n * refine)
-    lam = _embedding_spectrum(model, m, delta)
-    size = 2 * (lam.size - 1)
-    assert size == 2 * (m - 1) * padding
-    scale = mc._half_spectrum_scale(np.sqrt(np.maximum(lam, 0.0)))[None]
-    x = _embedded_paths(scale, np.eye(size + 2), np.empty((size + 2, size)))[:, :m]
-    dense = scipy.linalg.toeplitz(model.acf(delta * np.arange(m)))
-    assert np.max(np.abs(x.T @ x - dense)) <= 1e-12 * model.power
-
-
-def _route_tables(model, grid, refine, monkeypatch):
-    """Push the identity through the sampler: with one path per draw and
-    the identity as the block's normals, row k of each table is the column
-    of the route's linear map for draw k, so a table's Gram matrix is the
-    covariance the route gives it.  Draws 1 and width + 1 fill the
-    imaginary parts of the DC and Nyquist bins, which the inverse rfft
-    ignores, so their rows must be exactly zero in both tables."""
-    width = _width(model, grid, refine)
-    monkeypatch.setattr(mc, "_block_normals", lambda seed, block, out: np.eye(*out.shape))
-    batch = sample_paths(model, grid, refine=refine, paths=width + 2 + grid.n, seed=0)
-    for table in (batch.increments, batch.noisy):
-        assert np.all(table[[1, width + 1]] == 0.0)
-    return batch.increments, batch.noisy
-
-
 def _trapezoid_covariance(model, grid, refine):
     """B' Sigma B: Sigma the covariance of the m = n refine + 1 refined-grid
     values, B the n columns of trapezoid weights."""
@@ -726,6 +678,108 @@ def _trapezoid_covariance(model, grid, refine):
     return weights.T @ sigma @ weights
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(ModelKind)),
+    power=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    scale=st.floats(0.05, 50.0),
+    T=st.floats(0.1, 100.0),
+    n=st.integers(1, 40),
+    refine=st.sampled_from([4, 8, 16]),
+)
+def test_cell_covariance_equals_the_dense_trapezoid_covariance(kind, power, scale, T, n, refine):
+    # c, summed from the acf on the lattice of refined steps, is the first
+    # row of the dense B' Sigma B, which is Toeplitz
+    model, grid = SpectralModel(kind, power, scale), SamplingGrid(T=T, n=n)
+    want = _trapezoid_covariance(model, grid, refine)
+    c = mc._cell_covariance(model, grid, refine, n)
+    assert np.max(np.abs(scipy.linalg.toeplitz(c) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_cell_covariance_tiles_do_not_change_its_terms(monkeypatch):
+    # tiles of whole rows of 2r + 1 terms leave each c_k's sum as it is;
+    # tiles that split the rows add the same terms in another order
+    model, grid = _KINDS["gauss"], SamplingGrid(T=10.0, n=20)
+    whole = mc._cell_covariance(model, grid, 8, 200)
+    monkeypatch.setattr(mc, "_TILE_VALUES", 40)
+    assert np.array_equal(mc._cell_covariance(model, grid, 8, 200), whole)
+    monkeypatch.setattr(mc, "_TILE_VALUES", 5)
+    split = mc._cell_covariance(model, grid, 8, 200)
+    assert np.max(np.abs(split - whole)) <= 1e-15 * whole[0]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [*_KINDS.values(), SpectralModel.gaussian_kernel(1.0, 5.0)],
+    ids=[*_KINDS, "gauss-width-5"],
+)
+@pytest.mark.parametrize("T, n", [(10.0, 100), (1.0, 20), (4.0, 40), (2.0, 10), (10.0, 1)])
+def test_every_embedding_width_is_2n_times_a_power_of_two(model, T, n, monkeypatch):
+    # the search tries 2n, 4n, 8n, ...: another width could fall onto an FFT
+    # of prime length, and a 398-point irfft ran 10 times slower than a
+    # 400-point one; the width-5 kernel at T = 10 embeds at 8n
+    tried, eigs = [], mc._circulant_eigs
+
+    def recording(c, size):
+        tried.append(size)
+        return eigs(c, size)
+
+    monkeypatch.setattr(mc, "_circulant_eigs", recording)
+    route = mc._route(model, SamplingGrid(T=T, n=n), 8)
+    assert tried == [2 * n * 2**j for j in range(len(tried))]
+    assert route.size in (0, tried[-1])
+    if route.size:
+        assert route.width == route.size and route.draws == route.size + 2
+
+
+@pytest.mark.parametrize(
+    "model, T, size",
+    [
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 10.0, 40),
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 4.0, 0),
+        (SpectralModel.gaussian_kernel(1.0, 1.0), 1.0, 0),
+        (SpectralModel.triangular(1.1, 0.9), 4.0, 40),
+        (SpectralModel.triangular(1.0, 2.0), 1.0, 0),
+    ],
+    ids=["gauss", "gauss-padded-2", "gauss-padded-8", "tri", "tri-wide"],
+)
+def test_embedding_reproduces_the_dense_covariance(model, T, size):
+    # Push the identity through the route's linear map from a path's draws
+    # to its n increments: the rows are the map's columns, so their Gram
+    # matrix is the covariance the paths have.  It must be the dense
+    # trapezoid covariance.  The cases that padded the refined grid's
+    # embedding take the eigen-factor (size 0) at n = 20, whose search
+    # stops at 2n.
+    n, refine = 20, 4
+    grid = SamplingGrid(T=T, n=n)
+    route = mc._route(model, grid, refine)
+    assert route.size == size
+    if size:
+        x = _embedded_paths(route.factors[None], np.eye(size + 2), np.empty((size + 2, size)))
+        x = x[:, :n]
+    else:
+        x = route.factors
+    dense = _trapezoid_covariance(model, grid, refine)
+    assert np.max(np.abs(x.T @ x - dense)) <= 1e-12 * model.power
+
+
+def _route_tables(model, grid, refine, monkeypatch):
+    """Push the identity through the sampler: with one path per draw and
+    the identity as the block's normals, row k of each table is the column
+    of the route's linear map for draw k, so a table's Gram matrix is the
+    covariance the route gives it.  On the embedding of size N, draws 1 and
+    N + 1 fill the imaginary parts of the DC and Nyquist bins, which the
+    inverse rfft ignores, so their rows must be exactly zero in both
+    tables."""
+    route = mc._route(model, grid, refine)
+    monkeypatch.setattr(mc, "_block_normals", lambda seed, block, out: np.eye(*out.shape))
+    batch = sample_paths(model, grid, refine=refine, paths=route.draws + grid.n, seed=0)
+    if route.size:
+        for table in (batch.increments, batch.noisy):
+            assert np.all(table[[1, route.size + 1]] == 0.0)
+    return batch.increments, batch.noisy
+
+
 @pytest.mark.parametrize("power", [1.3, 0.0])
 @pytest.mark.parametrize("alpha_delta", [1e-8, 0.05, 40.0], ids=["rho-near-1", "rho-mid", "rho-near-0"])
 @pytest.mark.parametrize("refine", [4, 8, 64])
@@ -734,10 +788,13 @@ def test_exponential_embedding_reproduces_the_trapezoid_covariance(refine, alpha
     # the increments must have the covariance B' Sigma B of the refined AR(1)
     # path reduced by the trapezoid rule, and the noisy values that plus h I;
     # at power 0 the bound is 0, so the increments must be exactly zero.  The
-    # convex decreasing acf embeds unpadded: 2n draws per path.
+    # cell covariance embeds unpadded, 2n + 2 draws per path, except at rho
+    # near 1, where the wrapped geometric tail makes the embedding indefinite
+    # and the eigen-factor draws n.
     model, n = SpectralModel.ornstein_uhlenbeck(power, 0.7), 10
     grid = SamplingGrid(T=n * refine * alpha_delta / model.scale, n=n)
-    assert _width(model, grid, refine) == 2 * n
+    factor = alpha_delta == 1e-8 and power > 0.0
+    assert _draws(model, grid, refine) == (n if factor else 2 * n + 2)
     increments, noisy = _route_tables(model, grid, refine, monkeypatch)
     expected = _trapezoid_covariance(model, grid, refine)
     for table, want in ((increments, expected), (noisy, expected + grid.h * np.eye(n))):
@@ -745,29 +802,35 @@ def test_exponential_embedding_reproduces_the_trapezoid_covariance(refine, alpha
 
 
 @pytest.mark.parametrize(
-    "model, T, n, refine, padding",
+    "model, T, n, refine, size",
     [
-        (SpectralModel.gaussian_kernel(1.1, 0.9), 10.0, 20, 4, 1),
-        (SpectralModel.gaussian_kernel(1.1, 0.9), 4.0, 20, 5, 2),
-        (SpectralModel.gaussian_kernel(1.0, 1.0), 1.0, 20, 8, 8),
-        (SpectralModel.gaussian_kernel(1.1, 0.9), 1.0, 1, 4, 8),
-        (SpectralModel.triangular(1.1, 0.7), 4.0, 10, 64, 1),
-        (SpectralModel.triangular(1.0, 2.0), 1.0, 20, 5, 1),
-        (SpectralModel.triangular(1.0, 1e6), 4.0, 10, 4, 1),
-        (SpectralModel.triangular(1.0, 0.7), 2.0, 1, 8, 1),
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 10.0, 20, 4, 40),
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 4.0, 20, 5, 0),
+        (SpectralModel.gaussian_kernel(1.0, 1.0), 1.0, 20, 8, 0),
+        (SpectralModel.gaussian_kernel(1.1, 0.9), 1.0, 1, 4, 2),
+        (SpectralModel.triangular(1.1, 0.7), 4.0, 10, 64, 20),
+        (SpectralModel.triangular(1.0, 2.0), 1.0, 20, 5, 0),
+        (SpectralModel.triangular(1.0, 1e6), 4.0, 10, 4, 0),
+        (SpectralModel.triangular(1.0, 0.7), 2.0, 1, 8, 2),
+        (SpectralModel.gaussian_kernel(1.0, 100.0), 10.0, 100, 8, 0),
+        (SpectralModel.gaussian_kernel(1.0, 1000.0), 10.0, 100, 8, 0),
+        (SpectralModel.ornstein_uhlenbeck(1.0, 0.01), 10.0, 100, 8, 0),
+        (SpectralModel.triangular(1.0, 2.0), 1.0, 20, 8, 0),
     ],
     ids=["gauss", "gauss-padded-2", "gauss-padded-8", "gauss-n1", "tri-refine-64", "tri-wide",
-         "tri-support-1e6", "tri-n1"],
+         "tri-support-1e6", "tri-n1", "gauss-width-100", "gauss-width-1000", "ou-rate-0.01",
+         "tri-support-2"],
 )
-def test_folded_embedding_reproduces_the_trapezoid_covariance(model, T, n, refine, padding,
+def test_folded_embedding_reproduces_the_trapezoid_covariance(model, T, n, refine, size,
                                                                monkeypatch):
-    # the refined spectrum folded onto the cells must give the increments the
-    # covariance B' Sigma B of the refined path reduced by the trapezoid
-    # rule, padded embeddings and a refine that is not a power of two
-    # included, and the noisy values that plus h I
+    # each route must give the increments the covariance B' Sigma B of the
+    # refined path reduced by the trapezoid rule, and the noisy values that
+    # plus h I: the embedding (size N), a refine that is not a power of two
+    # included, and the eigen-factor (size 0), which serves the kernels
+    # wider than T, slow exponential decay and the triangle that loses the
+    # smallest embedding's definiteness
     grid = SamplingGrid(T=T, n=n)
-    m = n * refine + 1
-    assert 2 * (_embedding_spectrum(model, m, grid.h / refine).size - 1) == 2 * (m - 1) * padding
+    assert mc._route(model, grid, refine).size == size
     increments, noisy = _route_tables(model, grid, refine, monkeypatch)
     expected = _trapezoid_covariance(model, grid, refine)
     for table, want in ((increments, expected), (noisy, expected + grid.h * np.eye(n))):
@@ -777,14 +840,14 @@ def test_folded_embedding_reproduces_the_trapezoid_covariance(model, T, n, refin
 def test_indefinite_kernel_fails_at_the_padding_stop(monkeypatch):
     # A box-shaped autocovariance is not positive definite: its spectrum is
     # a sinc, which changes sign.  This one is a box of radius 0.5 on a
-    # lower box of radius s = 3.  Padding doubles M from 2(m - 1) = 32 while
-    # the acf at lag M/2 is nonzero (lags 1 and 2 lie inside radius 3) and
-    # stops at M = 128, where lag 4 lies outside it.
+    # lower box of radius s = 3, whose 4 x 4 cell covariance has eigenvalue
+    # -0.016 against a largest of 0.21: the search's one size 2n = 8 is
+    # indefinite, and so is the matrix the eigen-factor would factor.
     family = models._FAMILIES[ModelKind.GAUSSIAN_KERNEL]
     boxes = dataclasses.replace(family, acf=lambda p, s, t: p * ((t < 0.5) + 0.1 * (t < s)))
     monkeypatch.setitem(models._FAMILIES, ModelKind.GAUSSIAN_KERNEL, boxes)
     model = SpectralModel.gaussian_kernel(1.0, 3.0)
-    with pytest.raises(FactorizationFailure, match="indefinite at size 128"):
+    with pytest.raises(FactorizationFailure, match="cell covariance of n=4 cells is indefinite"):
         sample_paths(model, SamplingGrid(T=1.0, n=4), refine=4, paths=2, seed=0)
 
 
@@ -808,14 +871,14 @@ def test_read_batch_rejects_bad_magic(tmp_path):
         read_batch(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_read_batch_reads_the_versions_that_share_the_layout(version, tmp_path):
-    # versions 1 to 5 differ only in the sampler behind the table
+    # versions 1 to 6 differ only in the sampler behind the table
     path = tmp_path / "batch.szgl"
     table = np.arange(6.0).reshape(2, 3)
     path.write_bytes(_HEADER.pack(BATCH_MAGIC, version, 2, 3, 8, 5) + table.astype("<f8").tobytes())
-    if version == 6:
-        with pytest.raises(ValueError, match="unsupported dump version 6"):
+    if version == 7:
+        with pytest.raises(ValueError, match="unsupported dump version 7"):
             read_batch(path)
         return
     header, read = read_batch(path)

@@ -53,7 +53,7 @@ def test_constructors_set_kind_and_parameters():
     assert tri.kind is ModelKind.TRIANGULAR and tri.scale == 2.0
 
 
-@pytest.mark.parametrize("power", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("power", [-1.0, math.nan, math.inf, True, "2"])
 def test_invalid_power_rejected(power):
     with pytest.raises(ValueError):
         SpectralModel.ornstein_uhlenbeck(power, 1.0)
