@@ -8,6 +8,19 @@ contract and maps to exit code 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "SzegolabError",
+    "UsageError",
+    "NumericalError",
+    "NonConvergedQuadrature",
+    "AsymmetryError",
+    "ConvergenceFailure",
+    "NotPositiveDefinite",
+    "DegreeTooLow",
+    "DomainExceeded",
+    "FactorizationFailure",
+]
+
 
 class SzegolabError(Exception):
     """Base class for all package-specific errors."""

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import NumericalError
 from .models import SpectralModel, _integer, _positive
 from .quadrature import adaptive_gauss_legendre
 
@@ -119,16 +120,29 @@ def gamma_sequence(model: SpectralModel, grid: SamplingGrid) -> GramSequence:
     """Build the Gram coefficient sequence for a model on a grid from the
     closed form of the model's family."""
     if model.power == 0.0:
-        gamma = np.zeros(grid.n)
-    else:
-        gamma = model.family.gamma(model.power, model.scale, grid.h, grid.n)
+        return GramSequence(grid=grid, gamma=np.zeros(grid.n))
+    try:
+        with np.errstate(all="ignore"):
+            gamma = model.family.gamma(model.power, model.scale, grid.h, grid.n)
+        finite = bool(np.all(np.isfinite(gamma)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise NumericalError(
+            f"the {model.kind.value} closed form at power {model.power:g}, "
+            f"{model.family.scale_name} {model.scale:g} and step h = {grid.h:g} gives a "
+            "non-finite Gram coefficient"
+        )
     return GramSequence(grid=grid, gamma=gamma)
+
+
+def _toeplitz_view(row: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix A[i, j] = row[|i - j|] as a read-only
+    view, without an n x n copy: row i is the window of (row_(n-1), ...,
+    row_1, row_0, ..., row_(n-1)) that starts at offset n-1-i."""
+    return sliding_window_view(np.concatenate((row[:0:-1], row)), row.size)[::-1]
 
 
 def toeplitz_matrix(gs: GramSequence) -> np.ndarray:
     """Dense symmetric Toeplitz matrix A(i, j) = gamma_{|i-j|}."""
-    gamma = gs.gamma
-    # row i is the window of gamma_{n-1}..gamma_1, gamma_0..gamma_{n-1} that
-    # starts at offset n-1-i
-    windows = sliding_window_view(np.concatenate((gamma[:0:-1], gamma)), gamma.size)
-    return windows[::-1].copy()
+    return _toeplitz_view(gs.gamma).copy()

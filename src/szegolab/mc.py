@@ -33,7 +33,8 @@ The command line never builds those tables: its sink reduces each block to
 per-path statistics by the same per-row reducers that ``empirical_gram``
 and ``noise_variance_ratio`` run over a batch's tables (in blocks of about
 ``_REDUCE_VALUES`` values, whose size changes no estimate), and writes the
-block's increment rows into the dump file.
+block's increment rows into the dump file.  ``_batch_writer`` is the one
+writer of that file format, for the streamed dump and ``write_batch`` alike.
 
 Randomness: each block of R rows draws its normals by one call from its own
 stream, ``PCG64DXSM`` seeded by ``SeedSequence((seed, block index))``
@@ -46,6 +47,7 @@ on the embedding, on one LAPACK build (which fixes ``eigh``) on the factor.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationFailure
-from .gram import SamplingGrid
+from .gram import SamplingGrid, _toeplitz_view
 from .models import SpectralModel, _integer
 
 __all__ = [
@@ -231,10 +233,8 @@ def _eigen_factor(c: np.ndarray) -> _Route:
     matrix of c above ``_CLIP_RTOL`` * max(lambda).  Raises
     ``FactorizationFailure`` at an eigenvalue below minus that."""
     n = c.size
-    # the reversed windows of (c_(n-1), ..., c_1, c_0, ..., c_(n-1)) are the
-    # matrix's rows; eigh copies the view into its own workspace
-    matrix = np.lib.stride_tricks.sliding_window_view(np.concatenate((c[:0:-1], c)), n)[::-1]
-    lam, vectors = np.linalg.eigh(matrix)
+    # eigh copies the view into its own workspace
+    lam, vectors = np.linalg.eigh(_toeplitz_view(c))
     low, top = float(lam[0]), float(lam[-1])
     if low < -_CLIP_RTOL * top:
         raise FactorizationFailure(f"the cell covariance of n={n} cells is indefinite: "
@@ -586,9 +586,8 @@ def _validation_estimates(
     workspaces and lags + 2 per-path vectors are held.  The channel noise is
     centred by construction, so it is not shifted.
 
-    With ``dump``, the file ``write_batch`` would write is written to that
-    path, each block's increment rows at their offset in it; the file is
-    opened before any path is drawn, and removed again if the run fails.
+    With ``dump``, ``_batch_writer`` writes the file ``write_batch`` would
+    write to that path, each block's rows as they are drawn.
     ``route`` is the one ``_route`` builds for these arguments, built here
     when not given.
     """
@@ -600,45 +599,50 @@ def _validation_estimates(
         route = _route(model, grid, refine)
     lag_means = np.empty((len(lags), paths))
     moments = np.empty((2, paths))
-    fh = None
-    lock = threading.Lock()
 
     def reduce(rows: slice, increments: np.ndarray, noisy: np.ndarray, scratch) -> None:
         _lag_means(increments, lags, lag_means[:, rows], scratch)
         _noise_moments(increments, noisy, 0.0, moments[:, rows], scratch)
-        if fh is not None:
-            data = np.ascontiguousarray(increments, dtype="<f8").data
-            with lock:
-                fh.seek(_HEADER.size + rows.start * n * 8)
-                fh.write(data)
+        if write is not None:
+            write(rows.start, increments)
 
-    if dump is None:
+    writer = contextlib.nullcontext() if dump is None else _batch_writer(dump, paths, n, refine, seed)
+    with writer as write:
         _sample_blocks(route, grid, paths, seed, reduce)
-    else:
-        fh = open(dump, "wb")
-        try:
-            with fh:
-                fh.write(_HEADER.pack(BATCH_MAGIC, BATCH_VERSION, paths, n, refine, seed))
-                _sample_blocks(route, grid, paths, seed, reduce)
-        except BaseException:
-            os.remove(dump)
-            raise
     gamma_tilde, stderr = _gram_estimates(lag_means, n / grid.T)
     return gamma_tilde, stderr, _pooled_variance(moments, n) / grid.h
 
 
+@contextlib.contextmanager
+def _batch_writer(path, paths: int, n: int, refine: int, seed: int):
+    """Open the batch file at ``path``, write its 32-byte header (magic,
+    version, N, n, refine, seed; little-endian) and yield ``write(start,
+    rows)``, which writes a block of the increment table's rows, row-major
+    little-endian float64 (copied only on a big-endian host), at the offset
+    of row ``start`` under a lock.  The file is removed if anything raises
+    before the block ends."""
+    lock = threading.Lock()
+    fh = open(path, "wb")
+
+    def write(start: int, rows: np.ndarray) -> None:
+        with lock:
+            fh.seek(_HEADER.size + start * n * 8)
+            fh.write(np.ascontiguousarray(rows, dtype="<f8").data)
+
+    try:
+        with fh:
+            fh.write(_HEADER.pack(BATCH_MAGIC, BATCH_VERSION, paths, n, refine, seed))
+            yield write
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def write_batch(batch: PathBatch, path) -> None:
-    """Dump the increment table as a flat binary file: a 32-byte header
-    (magic, version, N, n, refine, seed; little-endian) followed by the
-    row-major little-endian float64 table, written from the table's own
-    buffer (a copy is made only on a big-endian host)."""
-    header = _HEADER.pack(
-        BATCH_MAGIC, BATCH_VERSION, batch.paths, batch.grid.n, batch.refine, batch.seed
-    )
-    table = np.ascontiguousarray(batch.increments, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(table.data)
+    """Dump the increment table as a flat binary file: the 32-byte header
+    and the table (``_batch_writer``), or no file if a write fails."""
+    with _batch_writer(path, batch.paths, batch.grid.n, batch.refine, batch.seed) as write:
+        write(0, batch.increments)
 
 
 def read_batch(path) -> tuple[dict, np.ndarray]:

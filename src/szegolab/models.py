@@ -97,10 +97,22 @@ class ModelFamily:
 # --------------------------------------------------------------------------
 # closed forms that do not fit on one line of the family table
 # --------------------------------------------------------------------------
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or inf where it would overflow a float."""
+    return math.exp(x) if x < 709.0 else math.inf
+
+
 def _algebraic_tail(u: float, lam0: float, q: int) -> float:
     """(1/pi) * integral_{lam0}^{inf} (u / lam^2)^q dlam, the tail bound of a
-    density with 2pi*f(lam) <= u / lam^2."""
-    return (u**q) / ((2 * q - 1) * lam0 ** (2 * q - 1)) / math.pi
+    density with 2pi*f(lam) <= u / lam^2; summed as logarithms where a power
+    overflows or underflows."""
+    try:
+        return (u**q) / ((2 * q - 1) * lam0 ** (2 * q - 1)) / math.pi
+    except (OverflowError, ZeroDivisionError):
+        if u == 0.0:
+            return 0.0
+        return _exp_or_inf(q * math.log(u) - math.log((2 * q - 1) * math.pi)
+                           - (2 * q - 1) * math.log(lam0))
 
 
 def _gaussian_power_tail(p: float, s: float, lam0: float, q: int) -> float:
@@ -108,7 +120,12 @@ def _gaussian_power_tail(p: float, s: float, lam0: float, q: int) -> float:
     expo = -q * (s * lam0) ** 2 / 2.0
     if expo < -700.0:
         return 0.0
-    return (c**q) * math.exp(expo) / (q * s * s * lam0) / math.pi
+    try:
+        return (c**q) * math.exp(expo) / (q * s * s * lam0) / math.pi
+    except (OverflowError, ZeroDivisionError):
+        if c == 0.0:
+            return 0.0
+        return _exp_or_inf(q * math.log(c) + expo - math.log(q * lam0 * math.pi) - 2 * math.log(s))
 
 
 def _gamma_exponential(power: float, rate: float, h: float, n: int) -> np.ndarray:
@@ -315,6 +332,15 @@ class SpectralModel:
 _MAX_PANELS = 100_000  # panels one quadrature may evaluate
 
 
+def _finite(name: str, value: float) -> float:
+    """``value``, refused unless finite: a density or its power outside
+    float64 range makes a quadrature sum inf or nan."""
+    if not math.isfinite(value):
+        raise NonConvergedQuadrature(f"spectral functional {name} is {value}; the density "
+                                     "or its power is out of float64 range")
+    return value
+
+
 def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
     """Compute (1/2pi) * integral over the line of g(2pi*f(lam)) dlam.
 
@@ -365,12 +391,15 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
                 f"truncation {lam:.3e} needs {panels} panels, over the budget of {_MAX_PANELS}"
             )
         cuts = np.linspace(0.0, lam, panels + 1)
-        return adaptive_gauss_legendre(fun, cuts, eps_abs, _MAX_PANELS, eps_rel)
+        # a density out of float64 range is refused below, not warned about
+        with np.errstate(all="ignore"):
+            return adaptive_gauss_legendre(fun, cuts, eps_abs, _MAX_PANELS, eps_rel)
 
     lam0 = 10.0 * char_freq
     # Crude magnitude of the result, from g itself, used to convert the
     # relative tolerance into an absolute tail/quadrature budget.
     scale_est, _ = integrate(estimand, lam0, 0.0, 1e-6)
+    _finite("magnitude estimate", scale_est)
     scale_est = max(abs(scale_est) / math.pi, 1e-300)
 
     def remainder(lam: float) -> float:
@@ -382,7 +411,7 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
     while remainder(lam0) > budget:
         lam0 *= 2.0
         enlargements += 1
-        if enlargements > 200:
+        if enlargements > 200 or lam0 == math.inf:
             raise NonConvergedQuadrature(
                 f"tail bound stuck above tolerance: remainder {remainder(lam0):.3e} "
                 f"> budget {budget:.3e} at truncation {lam0:.3e}"
@@ -394,4 +423,4 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
         raise NonConvergedQuadrature(
             f"quadrature error estimate {err_est:.3e} exceeds budget on [0, {lam0:.3e}]"
         )
-    return p - value / math.pi if log1p else value / math.pi
+    return _finite("value", p - value / math.pi if log1p else value / math.pi)

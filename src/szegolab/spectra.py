@@ -6,8 +6,7 @@ The circulant spectrum is the real DFT of the wrapped first row,
     psiHat_m = sum_k gammaHat_k * exp(-2pi i m k / n),  m = 0..n-1,
 
 real because the row is wrap-symmetric.  ``circulant_eigs`` computes it by
-FFT; ``_direct_dft``, a direct O(n^2) cosine transform, is the reference it is
-contracted to agree with to 1e-10 relative.
+FFT; the tests hold it to a direct O(n^2) cosine transform to 1e-10 relative.
 
 The sampled mutual information mi = (1/2) * log det(I + A) has two O(n^2)-time,
 O(n)-memory routes that work on the gamma sequence and never build A:
@@ -58,7 +57,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AsymmetryError, ConvergenceFailure, NotPositiveDefinite
-from .gram import GramSequence, SamplingGrid
+from .gram import GramSequence, SamplingGrid, _toeplitz_view
 from .models import SpectralModel
 
 __all__ = [
@@ -137,21 +136,9 @@ def _check_wrap_symmetry(row: np.ndarray) -> None:
             )
 
 
-def _direct_dft(row: np.ndarray, block: int = 256) -> np.ndarray:
-    """Reference O(n^2) real transform: psiHat_m = sum_k row_k cos(2pi m k/n)."""
-    n = row.size
-    k = np.arange(n)
-    out = np.empty(n)
-    for start in range(0, n, block):
-        m = np.arange(start, min(start + block, n))
-        out[start : start + m.size] = np.cos((2.0 * math.pi / n) * np.outer(m, k)) @ row
-    return out
-
-
 def circulant_eigs(row, grid: SamplingGrid | None = None) -> SpectrumResult:
     """Real spectrum of the circulant matrix with the given first row, by FFT
-    (valid for any n); ``_direct_dft`` is the O(n^2) reference it is tested
-    against, to 1e-10 relative."""
+    (valid for any n)."""
     row = np.ascontiguousarray(np.asarray(row, dtype=float))
     if row.ndim != 1 or row.size < 1:
         raise ValueError("circulant first row must be a non-empty vector")
@@ -173,8 +160,7 @@ def _toeplitz_row_eigs(gamma: np.ndarray, grid: SamplingGrid | None = None) -> S
     centrosymmetric split (module docstring), built and solved one at a time."""
     n = gamma.size
     p = n // 2
-    lags = np.concatenate((gamma[p - 1 : 0 : -1], gamma[:p]))  # lags[p-1+m] = gamma_|m|
-    toeplitz = sliding_window_view(lags, p)[::-1]  # T_p
+    toeplitz = _toeplitz_view(gamma[:p])  # T_p
     hankel = sliding_window_view(gamma[::-1], p)[:p]  # H_p
     block = np.empty((n - p, n - p))
     np.add(toeplitz, hankel, out=block[:p, :p])
@@ -207,9 +193,7 @@ def toeplitz_eigs(A: np.ndarray, grid: SamplingGrid | None = None) -> SpectrumRe
         raise ValueError("matrix entries must be finite")
     tol = 1e-12 * max(1.0, top, -bottom)
     row = np.array(A[0])
-    # row i of the Toeplitz matrix of the first row is lags[n-1-i : 2n-1-i]
-    lags = np.concatenate((row[:0:-1], row))
-    toeplitz = sliding_window_view(lags, row.size)[::-1]
+    toeplitz = _toeplitz_view(row)
     for lo in range(0, row.size, _CHECK_ROWS):
         rows = slice(lo, lo + _CHECK_ROWS)
         if float(np.max(np.abs(A[rows] - toeplitz[rows]))) > tol:

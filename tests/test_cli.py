@@ -605,6 +605,41 @@ def test_exit_three_reports_numerical_failure(capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+# model parameters whose closed forms leave float64
+_EXTREME = [
+    (command, *model)
+    for model in (
+        ("--model", "gauss", "--width", "1e300"),
+        ("--model", "ou", "--rate-param", "1e300"),
+        ("--model", "tri", "--support", "1e-300"),
+        ("--model", "ou", "--rate-param", "1e-300"),
+        ("--model", "tri", "--support", "1e300"),
+    )
+    for command in ("rate", "power-sum")
+] + [
+    ("rate", "--model", "ou", "--power", "1e300"),
+    ("rate", "--model", "gauss", "--power", "1e200"),
+    ("power-sum", "--model", "gauss", "--width", "1e-300"),
+    # the tail bound's prefactor underflows to 0; the tail truncation reaches inf
+    ("rate", "--model", "tri", "--power", "1e-300", "--support", "1e300"),
+    ("power-sum", "--model", "tri", "--power", "1e300", "--support", "1e-300"),
+]
+_TYPED = {1: "invariant violated:", 2: "error:", 3: "numerical failure:"}
+
+
+@pytest.mark.parametrize("argv", _EXTREME, ids=" ".join)
+def test_extreme_model_parameters_exit_by_the_table(argv):
+    # no traceback and no library warning: every stderr line is a report
+    # line ("[command] ...") or a typed line, and the exit code has its own
+    result = run_cli(*argv)
+    assert "Traceback" not in result.stderr
+    assert result.returncode in (0, *_TYPED)
+    lines = [line for line in result.stderr.splitlines() if not line.startswith("[")]
+    assert all(line.startswith(tuple(_TYPED.values())) for line in lines), result.stderr
+    if result.returncode:
+        assert any(line.startswith(_TYPED[result.returncode]) for line in lines)
+
+
 def test_wide_kernel_reports_a_negative_circulant_rate():
     # with T no longer than the kernel width the wrapped circulant row is
     # indefinite, so a negative circulant rate is a legitimate report cell

@@ -22,12 +22,13 @@ from szegolab import (
     GramSequence,
     ModelKind,
     NonConvergedQuadrature,
+    NumericalError,
     SamplingGrid,
     SpectralModel,
     gamma_sequence,
     toeplitz_matrix,
 )
-from szegolab.gram import _gamma_quadrature
+from szegolab.gram import _gamma_quadrature, _toeplitz_view
 from szegolab.quadrature import _panel_sums
 
 
@@ -202,6 +203,21 @@ def test_sequence_constructor_derives_the_wrap_and_validates_gamma():
             GramSequence(grid=grid, gamma=gamma)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        SpectralModel.ornstein_uhlenbeck(1.0, 1e300),  # sinh overflows
+        SpectralModel.ornstein_uhlenbeck(1.0, 1e-300),  # h * rate^2 underflows to 0
+        SpectralModel.gaussian_kernel(1.0, 1e-300),  # the second difference is nan
+    ],
+)
+def test_non_finite_closed_form_is_a_numerical_error(model):
+    # a family's closed form out of float64 range is a typed failure, with no
+    # warning; GramSequence keeps its ValueError for sequences callers build
+    with pytest.raises(NumericalError, match="non-finite Gram coefficient"):
+        gamma_sequence(model, SamplingGrid(T=100.0, n=40))
+
+
 def test_arrays_are_immutable():
     gs = gamma_sequence(SpectralModel.ornstein_uhlenbeck(1.0, 1.0), SamplingGrid(T=2.0, n=4))
     with pytest.raises(ValueError):
@@ -244,6 +260,15 @@ def test_toeplitz_matrix_structure_and_psd():
         A = toeplitz_matrix(small)
         assert np.array_equal(A, scipy.linalg.toeplitz(small.gamma))
         assert A.flags.writeable and A.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_toeplitz_view_is_a_read_only_view_of_the_lags(n):
+    row = np.arange(1.0, n + 1.0) ** 2
+    view = _toeplitz_view(row)
+    assert view.shape == (n, n)
+    assert np.array_equal(view, scipy.linalg.toeplitz(row))
+    assert not view.flags.writeable and not view.flags.owndata
 
 
 def test_circulant_matrix_first_row():

@@ -11,6 +11,7 @@ the exponential model's sampler once ran lives here as the slow reference
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import math
 import sys
@@ -661,6 +662,24 @@ def test_streamed_run_that_fails_part_way_leaves_no_dump(tmp_path, monkeypatch):
         mc._validation_estimates(_KINDS["ou"], SamplingGrid(T=10.0, n=100), 8, 2000, 1, (0,),
                                  dump=dump)
     assert not dump.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+class _FailsAfterTheHeader(io.FileIO):
+    """A file whose writes fail once the 32-byte header is in."""
+
+    def write(self, data):
+        if self.tell() >= _HEADER.size:
+            raise OSError(28, "No space left on device")
+        return super().write(data)
+
+
+def test_write_batch_that_fails_part_way_leaves_no_file(tmp_path, monkeypatch):
+    batch = sample_paths(_KINDS["ou"], SamplingGrid(T=1.0, n=10), paths=5, seed=1)
+    monkeypatch.setattr(mc, "open", _FailsAfterTheHeader, raising=False)
+    path = tmp_path / "partial.szgl"
+    with pytest.raises(OSError, match="No space left"):
+        write_batch(batch, path)
     assert list(tmp_path.iterdir()) == []
 
 

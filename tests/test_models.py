@@ -8,6 +8,7 @@ functional is sqrt(3) - 1.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from szegolab import (
     spectral_functional,
 )
 from szegolab import quadrature
-from szegolab.models import _GL3_NODES, _GL3_WEIGHTS, _erf
+from szegolab.models import (
+    _GL3_NODES,
+    _GL3_WEIGHTS,
+    _algebraic_tail,
+    _erf,
+    _gaussian_power_tail,
+)
 from szegolab.quadrature import adaptive_gauss_legendre
 
 SQRT3 = math.sqrt(3.0)
@@ -322,3 +329,39 @@ def test_starved_panel_budget_raises_nonconverged(monkeypatch):
 def test_correlation_time_positive():
     for model in _all_models():
         assert model.correlation_time() > 0.0
+
+
+@pytest.mark.parametrize(
+    "u, lam0, q",
+    [(2e300, 10.0, 2), (2e-300, 1e-299, 2), (4e300, 1e301, 2), (4e-300, 1e-299, 3), (2.0, 10.0, 2)],
+)
+def test_algebraic_tail_outside_float64_range_is_its_rounded_value(u, lam0, q):
+    # where u^q or lam0^(2q-1) leaves float64 the bound is summed as logs: it
+    # is the correctly rounded value, inf on overflow
+    exact = Decimal(u) ** q / ((2 * q - 1) * Decimal(lam0) ** (2 * q - 1)) / Decimal(math.pi)
+    assert _algebraic_tail(u, lam0, q) == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p, s, lam0, q", [(1.0, 1e300, 1e-299, 2), (1e200, 1.0, 10.0, 2), (1e150, 1.0, 10.0, 2)]
+)
+def test_gaussian_tail_outside_float64_range_is_its_rounded_value(p, s, lam0, q):
+    c, expo = p * s * math.sqrt(2.0 * math.pi), -q * (s * lam0) ** 2 / 2.0
+    exact = Decimal(c) ** q * Decimal(expo).exp() / (q * Decimal(s) ** 2 * Decimal(lam0))
+    assert _gaussian_power_tail(p, s, lam0, q) == pytest.approx(
+        float(exact / Decimal(math.pi)), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "model, g",
+    [
+        (SpectralModel.gaussian_kernel(1.0, 1e300), "log1p"),
+        (SpectralModel.triangular(1.0, 1e300), 2),
+        (SpectralModel.ornstein_uhlenbeck(1.0, 1e-300), "log1p"),
+    ],
+)
+def test_functional_of_a_density_outside_float64_range_is_refused(model, g):
+    # a sum that reads inf or nan is a typed failure, with no warning
+    with pytest.raises(NonConvergedQuadrature, match="out of float64 range"):
+        spectral_functional(model, g)

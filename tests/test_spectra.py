@@ -38,7 +38,7 @@ from szegolab import (
     toeplitz_matrix,
     toeplitz_traces,
 )
-from szegolab.spectra import _CHECK_ROWS, _direct_dft, _toeplitz_row_eigs
+from szegolab.spectra import _CHECK_ROWS, _toeplitz_row_eigs
 
 MODELS = {
     "ou": SpectralModel.ornstein_uhlenbeck(1.0, 1.0),
@@ -57,6 +57,17 @@ def _wrap_symmetric_row(n: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # circulant spectra
 # ---------------------------------------------------------------------------
+def _direct_dft(row: np.ndarray, block: int = 256) -> np.ndarray:
+    """Reference O(n^2) real transform: psiHat_m = sum_k row_k cos(2pi m k/n)."""
+    n = row.size
+    k = np.arange(n)
+    out = np.empty(n)
+    for start in range(0, n, block):
+        m = np.arange(start, min(start + block, n))
+        out[start : start + m.size] = np.cos((2.0 * math.pi / n) * np.outer(m, k)) @ row
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 33, 64])
 def test_fft_route_matches_direct_route(n):
     row = _wrap_symmetric_row(n, seed=n)
