@@ -122,10 +122,10 @@ def gamma_sequence(model: SpectralModel, grid: SamplingGrid) -> GramSequence:
     if model.power == 0.0:
         return GramSequence(grid=grid, gamma=np.zeros(grid.n))
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             gamma = model.family.gamma(model.power, model.scale, grid.h, grid.n)
         finite = bool(np.all(np.isfinite(gamma)))
-    except (OverflowError, ZeroDivisionError):
+    except (FloatingPointError, OverflowError, ZeroDivisionError):
         finite = False
     if not finite:
         raise NumericalError(

@@ -99,7 +99,10 @@ class ModelFamily:
 # --------------------------------------------------------------------------
 def _exp_or_inf(x: float) -> float:
     """exp(x), or inf where it would overflow a float."""
-    return math.exp(x) if x < 709.0 else math.inf
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _algebraic_tail(u: float, lam0: float, q: int) -> float:
@@ -391,9 +394,16 @@ def spectral_functional(model: SpectralModel, g, tol: float = 1e-8) -> float:
                 f"truncation {lam:.3e} needs {panels} panels, over the budget of {_MAX_PANELS}"
             )
         cuts = np.linspace(0.0, lam, panels + 1)
-        # a density out of float64 range is refused below, not warned about
-        with np.errstate(all="ignore"):
-            return adaptive_gauss_legendre(fun, cuts, eps_abs, _MAX_PANELS, eps_rel)
+        # a density or its power out of float64 range is a typed failure;
+        # only underflow, which rounds toward 0, passes
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return adaptive_gauss_legendre(fun, cuts, eps_abs, _MAX_PANELS, eps_rel)
+        except (FloatingPointError, OverflowError) as exc:
+            raise NonConvergedQuadrature(
+                f"quadrature on [0, {lam:.3e}]: {exc}; the density or its power is out of "
+                "float64 range"
+            ) from exc
 
     lam0 = 10.0 * char_freq
     # Crude magnitude of the result, from g itself, used to convert the

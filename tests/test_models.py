@@ -333,7 +333,14 @@ def test_correlation_time_positive():
 
 @pytest.mark.parametrize(
     "u, lam0, q",
-    [(2e300, 10.0, 2), (2e-300, 1e-299, 2), (4e300, 1e301, 2), (4e-300, 1e-299, 3), (2.0, 10.0, 2)],
+    [
+        (2e300, 10.0, 2),
+        (2e-300, 1e-299, 2),
+        (4e300, 1e301, 2),
+        (4e-300, 1e-299, 3),
+        (2.0, 10.0, 2),
+        (1e200, 2e30, 2),  # u^2 overflows; the log of the bound is 709.48 < log(DBL_MAX)
+    ],
 )
 def test_algebraic_tail_outside_float64_range_is_its_rounded_value(u, lam0, q):
     # where u^q or lam0^(2q-1) leaves float64 the bound is summed as logs: it

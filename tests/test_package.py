@@ -34,15 +34,3 @@ def test_package_all_is_the_modules_all_then_the_version():
 def test_every_name_exposed_before_still_resolves():
     assert [name for name in _EXPOSED_BEFORE if not hasattr(szegolab, name)] == []
 
-
-def test_module_level_names_are_exported_by_the_package():
-    from szegolab import (  # noqa: F401 - the import is the check
-        BATCH_MAGIC,
-        BATCH_VERSION,
-        MAX_DOMAIN_CAP,
-        MAX_SANDWICH_DEGREE,
-        ModelFamily,
-    )
-
-    assert {"BATCH_MAGIC", "BATCH_VERSION", "MAX_DOMAIN_CAP", "MAX_SANDWICH_DEGREE",
-            "ModelFamily"} <= set(szegolab.__all__)

@@ -1,18 +1,17 @@
 """Alternating-pair benchmark of the working tree against a parent commit.
 
-    python3 tools/bench_pairs.py --parent HEAD --pr 30
-    python3 tools/bench_pairs.py --parent HEAD~1 --pr 30 --seeds 1:10,5:5 \\
-        --workloads study-ladder,cli-mix --seconds 32 --work /tmp/pairs
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr 30 --seeds 1:10,5:5
 
-Both sides run from exported copies in ``--work`` (a new temporary directory
-by default, removed at the end): the parent from ``git archive``, the change
-from a copy of the working tree's tracked and unignored files.  Every run is
+Both sides run from exported copies in a new temporary directory, removed at
+the end: the parent from ``git archive``, the change from a copy of the
+working tree's tracked and unignored files.  Every workload of
+``BENCHMARK.json`` is run, each run being
 
     python3 perfbench/run.py --workload W --seed S --seconds SEC --trace 0
 
-as a subprocess, in its copy, with ``PYTHONDONTWRITEBYTECODE=1``; no
-``__pycache__`` is there before any run, and any found after one is counted
-and removed.  Pair i runs the parent first when i is even and the change
+with SEC the benchmark's ``run_seconds``, as a subprocess, in its copy, with
+``PYTHONDONTWRITEBYTECODE=1``; no ``__pycache__`` is there before any run,
+and any found after one is counted and removed.  Pair i runs the parent first when i is even and the change
 first when it is odd.  For each workload, seed and end-to-end metric of
 ``BENCHMARK.json`` the output holds both sides' runs, their medians and
 inclusive quartiles, the pairs the change won, and a verdict against the
@@ -135,23 +134,17 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision of the parent side")
     p.add_argument("--pr", required=True, type=int, help="writes BENCH_<PR>.json at the root")
-    p.add_argument("--workloads", help="comma-separated; default: every BENCHMARK.json workload")
     p.add_argument("--seeds", default="1:10,5:5", help="seed:pairs items, comma-separated")
-    p.add_argument("--seconds", type=float, default=32.0)
-    p.add_argument("--work", type=Path, help="directory for the two copies (kept)")
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        workloads = args.workloads.split(",")
+    seconds = bench["run_seconds"]
     specs = {m["name"]: m for m in bench["end_to_end"]}
-    work = args.work or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {side: work / side for side in SIDES}
     for tree in trees.values():
-        if tree.exists():
-            shutil.rmtree(tree)
-        tree.mkdir(parents=True)
+        tree.mkdir()
     _export_parent(args.parent, trees["parent"])
     _export_change(trees["change"])
     for tree in trees.values():
@@ -162,7 +155,7 @@ def main(argv=None) -> int:
         capture_output=True, text=True,
     ).stdout.strip()
     result = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
         "protocol": "tools/bench_pairs.py: alternating pairs, parent first in even-numbered "
                     "pairs; parent from git archive, change from a copy of the working tree; "
@@ -188,7 +181,7 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 first.append(order[0])
                 for side in order:
-                    runs[side].append(_run(trees[side], workload, seed, args.seconds))
+                    runs[side].append(_run(trees[side], workload, seed, seconds))
                     pycache += _clear_pycache(trees[side])
                 entry = {"pairs": i + 1, "first": first, "pycache_dirs": pycache}
                 for key in ("correct", "attempted", "failed"):
@@ -200,8 +193,7 @@ def main(argv=None) -> int:
                 result["end_to_end"][f"{workload} seed {seed}"] = entry
                 out_path.write_text(json.dumps(result, indent=1) + "\n")
                 print(f"{workload} seed {seed} pair {i + 1}/{pairs}", flush=True)
-    if args.work is None:
-        shutil.rmtree(work)
+    shutil.rmtree(work)
     return 0
 
 
