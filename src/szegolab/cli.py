@@ -25,14 +25,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NumericalError, SzegolabError, UsageError
 from .gram import SamplingGrid, gamma_sequence
 from .mc import (
-    _Route, _gram_lags, _route, _sampling_args, _seed, _validation_bytes, _validation_estimates,
+    _gram_lags, _route, _sampling_args, _seed, _validation_bytes, _validation_estimates,
 )
 from .models import _FAMILIES, ModelKind, SpectralModel, spectral_functional
 from .spectra import _toeplitz_eigs_bytes, _toeplitz_row_eigs, circulant_eigs
@@ -81,38 +81,29 @@ class RunConfig:
     paths: int | None = None
     lags: tuple[int, ...] | None = None
     dump_batch: str | None = None
-    # the sampler route that mc-validate's memory estimate built, handed to the
-    # run so that a run builds it once
-    route: _Route | None = field(default=None, repr=False, compare=False)
 
 
 # A run whose estimated working set exceeds this is refused before it allocates.
 _MEMORY_CAP = 2 * 2**30
 
 
-# Each estimate returns the upper bound on a run's bytes and the RunConfig
-# fields it found on the way, which the run then reuses.
-def _sandwich_bytes(config: RunConfig) -> tuple[int, dict]:
+def _within_cap(command: str, estimate: int) -> None:
+    """Refuse a run whose estimated bytes exceed ``_MEMORY_CAP``."""
+    if estimate > _MEMORY_CAP:
+        raise UsageError(
+            f"{command} needs an estimated {estimate / 2**30:.1f} GiB of memory, "
+            f"over the cap of {_MEMORY_CAP // 2**30} GiB; reduce the problem size"
+        )
+
+
+def _sandwich_bytes(config: RunConfig) -> int:
     """Upper bound on the bytes a sandwich run holds: what the split
     eigensolve holds at the schedule's largest n (two half blocks, no n x n
     matrix), and what building the degree-d pair holds: one block of
     Bernstein basis rows and a few grids of floats, more than evaluating it
     at the eigenvalues adds."""
     n = max(n for _, n in config.schedule.points)
-    return _toeplitz_eigs_bytes(n) + _pair_bytes(config.degree), {}
-
-
-def _mc_validate_bytes(config: RunConfig) -> tuple[int, dict]:
-    """Upper bound on the bytes an mc-validate run holds, as the mc module
-    bounds its streamed run on the sampler's route; the route is built only
-    while its shape fits under the cap, and the run takes it."""
-
-    def estimate(route: _Route) -> int:
-        return _validation_bytes(route, config.n, config.paths, len(config.lags))
-
-    grid = SamplingGrid(T=config.T, n=config.n)
-    route = _route(config.model, grid, config.refine, lambda r: estimate(r) <= _MEMORY_CAP)
-    return estimate(route), {"route": route}
+    return _toeplitz_eigs_bytes(n) + _pair_bytes(config.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +200,7 @@ def _run_power_sum(config: RunConfig):
 
 
 def _run_sandwich(config: RunConfig):
+    _within_cap(config.command, _sandwich_bytes(config))
     C = config.domain_max if config.domain_max is not None else default_domain_max(config.model)
     pair = sandwich_polynomials(C, config.degree)
     headers = ["T", "n", "h", "lowerBound", "eigLogSum", "upperBound", "bracketWidth"]
@@ -234,11 +226,19 @@ def _run_sandwich(config: RunConfig):
 
 
 def _run_mc_validate(config: RunConfig):
+    refine, seed = _sampling_args(config.refine, config.seed)
+    lags = _gram_lags(config.paths, config.n, config.lags)
     grid = SamplingGrid(T=config.T, n=config.n)
+
+    def estimate(route) -> int:
+        return _validation_bytes(route, config.n, config.paths, len(lags))
+
+    # the search builds only a route whose shape fits under the cap
+    route = _route(config.model, grid, refine, lambda r: estimate(r) <= _MEMORY_CAP)
+    _within_cap(config.command, estimate(route))
     try:
         empirical, se, ratio = _validation_estimates(
-            config.model, grid, config.refine, config.paths, config.seed, config.lags,
-            dump=config.dump_batch, route=config.route,
+            route, grid, refine, config.paths, seed, lags, config.dump_batch
         )
     except OSError as exc:
         raise UsageError(f"cannot write batch dump {config.dump_batch}: {exc}") from None
@@ -246,7 +246,7 @@ def _run_mc_validate(config: RunConfig):
     headers = ["lag", "empirical", "analytic", "stdErr", "zScore"]
     rows = []
     violations = []
-    for pos, lag in enumerate(config.lags):
+    for pos, lag in enumerate(lags):
         diff = empirical[pos] - gamma[lag]
         z = 0.0 if diff == 0.0 else (math.inf if se[pos] == 0.0 else diff / se[pos])
         rows.append([lag, empirical[pos], gamma[lag], se[pos], z])
@@ -286,17 +286,16 @@ def _run_dump_spectrum(config: RunConfig):
     return headers, rows, [], [f"[dump-spectrum] T={config.T:g} n={config.n}"]
 
 
-# The one registry of subcommands, in the order --help lists them: each
-# command's report body and, for the commands with arrays larger than O(n),
-# the estimate of its bytes that parse_config checks against _MEMORY_CAP.
+# The one registry of subcommands, in the order --help lists them, each
+# with its report body.
 _SUBCOMMANDS = {
-    "rate": (_run_rate_like, None),
-    "equivalence": (_run_rate_like, None),
-    "power-sum": (_run_power_sum, None),
-    "sandwich": (_run_sandwich, _sandwich_bytes),
-    "mc-validate": (_run_mc_validate, _mc_validate_bytes),
-    "dump-gram": (_run_dump_gram, None),
-    "dump-spectrum": (_run_dump_spectrum, None),
+    "rate": _run_rate_like,
+    "equivalence": _run_rate_like,
+    "power-sum": _run_power_sum,
+    "sandwich": _run_sandwich,
+    "mc-validate": _run_mc_validate,
+    "dump-gram": _run_dump_gram,
+    "dump-spectrum": _run_dump_spectrum,
 }
 
 
@@ -511,10 +510,8 @@ def parse_config(argv) -> RunConfig:
     Precedence: command-line flag, then config-file value, then the row's
     default.  Unknown config-file keys — including keys that do not apply to
     the chosen subcommand — are rejected.  The model is built first, then the
-    library's checks of the values run (``_check_values``), and last the
-    estimate of the run's memory against ``_MEMORY_CAP``; for mc-validate
-    the estimate builds the sampler's route, so a cell covariance that is
-    indefinite beyond rounding raises ``FactorizationFailure`` here.
+    library's checks of the values run (``_check_values``); nothing is
+    computed, so the memory cap is checked by the run.
     """
     args = _build_parser().parse_args(list(argv))
     command = args.command
@@ -548,22 +545,21 @@ def parse_config(argv) -> RunConfig:
 
     values["fmt"] = values.pop("format")
     names = {spec.name for spec in fields(RunConfig)}
-    config = RunConfig(command=command, **{k: v for k, v in values.items() if k in names})
-    estimator = _SUBCOMMANDS[command][1]
-    if estimator is not None:
-        estimate, found = estimator(config)
-        if estimate > _MEMORY_CAP:
-            raise UsageError(
-                f"{command} needs an estimated {estimate / 2**30:.1f} GiB of memory, "
-                f"over the cap of {_MEMORY_CAP // 2**30} GiB; reduce the problem size"
-            )
-        config = replace(config, **found)
-    return config
+    return RunConfig(command=command, **{k: v for k, v in values.items() if k in names})
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured subcommand; returns the process exit code."""
-    headers, rows, violations, stderr_lines = _SUBCOMMANDS[config.command][0](config)
+    """Execute the configured subcommand; returns the process exit code.
+
+    The body runs with floating-point overflow, invalid operations and
+    division by zero raised, and reported as ``NumericalError``; underflow
+    passes.  ``sandwich`` and ``mc-validate`` refuse, before they allocate,
+    a run whose estimated bytes exceed ``_MEMORY_CAP``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            headers, rows, violations, stderr_lines = _SUBCOMMANDS[config.command](config)
+    except FloatingPointError as exc:
+        raise NumericalError(str(exc)) from None
     if config.out is None:
         _write_table(headers, rows, config.fmt, sys.stdout)
     else:

@@ -17,9 +17,8 @@ which satisfies the wrap symmetry gammaHat_l = gammaHat_{n-l} and therefore
 has a real spectrum.
 
 Coefficients are computed from the closed form in each model's family record
-(``models``).  ``_gamma_quadrature``, an adaptive Gauss-Legendre rule on the
-exactly reduced one-dimensional form, is the reference the tests compare
-them against.
+(``models``); the tests compare them against an adaptive Gauss-Legendre rule
+on the exactly reduced one-dimensional form.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError
 from .models import SpectralModel, _integer, _positive
-from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "SamplingGrid",
@@ -86,31 +84,6 @@ class GramSequence:
             a.flags.writeable = False
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_hat", hat)
-
-
-_MAX_PANELS = 4096  # panels one coefficient's quadrature may evaluate
-
-
-def _gamma_quadrature(model: SpectralModel, grid: SamplingGrid) -> np.ndarray:
-    """Reference gamma_0..gamma_{n-1} by adaptive quadrature, 1e-10 absolute
-    per coefficient; raises NonConvergedQuadrature when the panel budget is
-    exhausted."""
-    h, n = grid.h, grid.n
-    breakpoints = model.acf_breakpoints()
-    out = np.empty(n)
-    for l in range(n):
-        a0, m, b0 = (l - 1) * h, l * h, (l + 1) * h
-        cuts = sorted({a0, b0} | {b for b in (*breakpoints, m) if a0 < b < b0})
-
-        def integrand(t):
-            return model.acf(t) * (h - np.abs(t - m))
-
-        # The double integral over the cell pair reduces exactly to this
-        # one-dimensional overlap-weighted form; target 1e-10 absolute on
-        # gamma_l means 1e-10 * h on the unnormalized integral.
-        total, _ = adaptive_gauss_legendre(integrand, cuts, 1e-10 * h, _MAX_PANELS)
-        out[l] = total / h
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -306,19 +306,22 @@ def _workspace(rows: int, count: int, width: int) -> tuple[np.ndarray, np.ndarra
 def _run_blocks(start, blocks: list[slice], workers: int) -> None:
     """Split the blocks into ``workers`` strided shares, the first run by
     the calling thread and each other by a new one; a share calls
-    ``fill = start()`` once, then ``fill(block)`` for each of its blocks.
-    All threads are joined before this returns or raises, and the first
-    exception any share raised is then re-raised; a share stops at its next
-    block once any share has failed."""
+    ``fill = start()`` once, then ``fill(block)`` for each of its blocks,
+    under the calling thread's numpy error state (numpy keeps one per
+    thread).  All threads are joined before this returns or raises, and the
+    first exception any share raised is then re-raised; a share stops at its
+    next block once any share has failed."""
     errors: list[BaseException] = []
+    state = np.geterr()
 
     def share(first: int) -> None:
         try:
-            fill = start()
-            for block in blocks[first::workers]:
-                if errors:
-                    return
-                fill(block)
+            with np.errstate(**state):
+                fill = start()
+                for block in blocks[first::workers]:
+                    if errors:
+                        return
+                    fill(block)
         except BaseException as exc:  # re-raised below, after the join
             errors.append(exc)
 
@@ -576,27 +579,22 @@ def noise_variance_ratio(batch: PathBatch) -> float:
 
 
 def _validation_estimates(
-    model: SpectralModel, grid: SamplingGrid, refine: int, paths: int, seed: int, lags, dump=None,
-    route: _Route | None = None,
+    route: _Route, grid: SamplingGrid, refine: int, paths: int, seed: int, lags: list[int],
+    dump=None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """``empirical_gram`` and ``noise_variance_ratio`` of the batch that
     ``sample_paths`` would draw with these arguments, computed without its
     tables: each block is reduced by the same per-path reducers on the
     thread that drew it, in the sampler's scratch, so only the sampler's
     workspaces and lags + 2 per-path vectors are held.  The channel noise is
-    centred by construction, so it is not shifted.
+    centred by construction, so it is not shifted.  ``route`` is the one
+    ``_route`` builds for the model, ``grid`` and ``refine``, and the caller
+    has checked the other arguments (``_sampling_args``, ``_gram_lags``).
 
     With ``dump``, ``_batch_writer`` writes the file ``write_batch`` would
     write to that path, each block's rows as they are drawn.
-    ``route`` is the one ``_route`` builds for these arguments, built here
-    when not given.
     """
-    refine, seed = _sampling_args(refine, seed)
     n = grid.n
-    lags = _gram_lags(paths, n, lags)
-    paths = int(paths)
-    if route is None:
-        route = _route(model, grid, refine)
     lag_means = np.empty((len(lags), paths))
     moments = np.empty((2, paths))
 

@@ -206,8 +206,8 @@ def test_config_file_errors(tmp_path):
     ],
 )
 def test_usage_errors(argv, monkeypatch):
-    # the sampler's route is the first work a parse does (mc-validate's
-    # memory estimate builds it), so each input is refused before it
+    # a parse only resolves and checks options, so each input is refused
+    # before any sampler route is built
     def refuse(*args, **kwargs):
         raise AssertionError("parse_config built a sampler route before refusing the input")
 
@@ -269,48 +269,99 @@ def test_model_error_lists_every_model_kind():
 # ---------------------------------------------------------------------------
 # memory guard
 # ---------------------------------------------------------------------------
-def _estimate(config) -> tuple[int, dict]:
-    """The memory estimate that parse_config checks for this config's command."""
-    return _SUBCOMMANDS[config.command][1](config)
+def _route_of(config):
+    """The sampler route that an mc-validate run of this config builds."""
+    return mc._route(config.model, SamplingGrid(T=config.T, n=config.n), config.refine)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # two half blocks of 20001^2 floats; n = 20000 now fits under the cap
-        ("sandwich", "--schedule", "100:40000"),
-        # no paths x n table is held, but the lags + 2 = 6 per-path vectors
-        # alone take 6 * 8 * 5e7 bytes = 2.2 GiB
-        ("mc-validate", "--paths", "50000000"),
-        # a kernel far wider than T takes the eigen-factor, whose set-up
-        # holds about 5n^2 values: 3.7 GiB at n = 10 000
-        ("mc-validate", "--model", "gauss", "--width", "1e6", "--n", "10000"),
-        # the smallest embedding of a long grid, 2n = 1e8 values per path,
-        # holds 2.5e8 values per sampler thread and six vectors of 1e8 to set up
-        ("mc-validate", "--n", "50000000", "--paths", "100", "--lags", "0"),
-    ],
-    ids=" ".join,
-)
+def _estimate(config, route=None) -> int:
+    """The memory estimate that the run of this config checks against the
+    cap; for mc-validate, on ``route`` or else the route the run builds."""
+    if config.command == "sandwich":
+        return cli._sandwich_bytes(config)
+    route = _route_of(config) if route is None else route
+    return mc._validation_bytes(route, config.n, config.paths, len(config.lags))
+
+
+_OVER_THE_CAP = [
+    # two half blocks of 20001^2 floats; n = 20000 now fits under the cap
+    ("sandwich", "--schedule", "100:40000"),
+    # no paths x n table is held, but the lags + 2 = 6 per-path vectors
+    # alone take 6 * 8 * 5e7 bytes = 2.2 GiB
+    ("mc-validate", "--paths", "50000000"),
+    # a kernel far wider than T takes the eigen-factor, whose set-up
+    # holds about 5n^2 values: 3.7 GiB at n = 10 000
+    ("mc-validate", "--model", "gauss", "--width", "1e6", "--n", "10000"),
+    # the smallest embedding of a long grid, 2n = 1e8 values per path,
+    # holds 2.5e8 values per sampler thread and six vectors of 1e8 to set up
+    ("mc-validate", "--n", "50000000", "--paths", "100", "--lags", "0"),
+]
+_WIDE_AND_LONG = [
+    # supports wider than T take the eigen-factor of the 100 x 100 matrix
+    ("mc-validate", "--model", "tri", "--support", "50"),
+    ("mc-validate", "--model", "tri", "--support", "1e6"),
+    # the cell embedding is definite only once padded 4-fold, at 8n
+    ("mc-validate", "--model", "gauss", "--width", "5"),
+    ("mc-validate", "--model", "gauss", "--n", "2000"),
+]
+
+
+@pytest.mark.parametrize("argv", _OVER_THE_CAP, ids=" ".join)
 def test_memory_exhausting_inputs_are_refused_before_allocating(argv):
     with pytest.raises(UsageError, match=r"needs an estimated \d+\.\d GiB of memory, over the cap"):
-        parse_config(argv)
+        run(parse_config(argv))
+
+
+@pytest.mark.parametrize("argv", _WIDE_AND_LONG, ids=" ".join)
+def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
+    assert _estimate(parse_config(argv)) < 2**30
 
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        # supports wider than T take the eigen-factor of the 100 x 100 matrix
-        ("mc-validate", "--model", "tri", "--support", "50"),
-        ("mc-validate", "--model", "tri", "--support", "1e6"),
-        # the cell embedding is definite only once padded 4-fold, at 8n
-        ("mc-validate", "--model", "gauss", "--width", "5"),
-        ("mc-validate", "--model", "gauss", "--n", "2000"),
-    ],
+    [(command,) for command in _SUBCOMMANDS] + _WIDE_AND_LONG + _OVER_THE_CAP,
     ids=" ".join,
 )
-def test_wide_kernels_and_long_grids_fit_at_the_default_path_count(argv):
-    config = parse_config(argv)
-    assert _estimate(config)[0] < 2**30
+def test_parse_config_builds_no_route(argv, monkeypatch):
+    # a parse resolves and checks options; the run that draws the paths
+    # builds their route, and prices it against the cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_config built a sampler route")
+
+    monkeypatch.setattr(cli, "_route", refuse)
+    monkeypatch.setattr(mc, "_eigen_factor", refuse)
+    parse_config(argv)
+
+
+def test_run_config_holds_the_command_the_model_and_the_options_only():
+    scales = {_FAMILIES[kind].scale_flag.replace("-", "_") for kind in ModelKind}
+    options = {opt.dest for opt in _OPTS} - {"power", "format", *scales}
+    assert {spec.name for spec in dataclasses.fields(cli.RunConfig)} == {
+        "command", "fmt", *options
+    }
+
+
+@pytest.mark.parametrize(
+    "change, flags",
+    [
+        ({"refine": 16}, ("--refine", "16")),
+        ({"n": 150}, ("--n", "150")),
+        ({"T": 40.0}, ("--T", "40")),
+        ({"model": SpectralModel(ModelKind.GAUSSIAN_KERNEL, 1.0, 1.0)}, ("--model", "gauss")),
+    ],
+    ids=["refine", "n", "T", "gauss"],
+)
+def test_a_replaced_config_runs_as_its_fresh_parse(change, flags, capsys):
+    # a config equal to another runs as it does: the run draws from the
+    # model, grid and refine that the config names
+    argv = ("mc-validate", "--paths", "200")
+    replaced = dataclasses.replace(parse_config(argv), **change)
+    fresh = parse_config((*argv, *flags))
+    assert replaced == fresh
+    code = run(replaced)
+    report = capsys.readouterr()
+    assert run(fresh) == code
+    assert capsys.readouterr() == report
 
 
 @pytest.mark.parametrize("width", ["1", "100", "1000", "21600", "1e6", "1e300"])
@@ -319,15 +370,16 @@ def test_every_gaussian_width_is_accepted_in_a_small_set_up(width):
     # covariance, whose size does not grow with the width, where the refined
     # grid's embedding once grew with width/delta and was refused from a
     # width of about 21 600
-    parse_config(("mc-validate", "--model", "gauss", "--width", "1"))  # loads modules
+    _route_of(parse_config(("mc-validate", "--model", "gauss", "--width", "1")))  # loads modules
+    config = parse_config(("mc-validate", "--model", "gauss", "--width", width))
     tracemalloc.start()
     try:
-        config = parse_config(("mc-validate", "--model", "gauss", "--width", width))
+        route = _route_of(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert config.route.size in (0, 200) and config.route.draws <= 202
+    assert route.size in (0, 200) and route.draws <= 202
 
 
 def _traced_peak(config, capsys) -> int:
@@ -370,7 +422,7 @@ def _traced_peak(config, capsys) -> int:
 )
 def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
     config = parse_config(argv)
-    assert _traced_peak(config, capsys) < _estimate(config)[0]
+    assert _traced_peak(config, capsys) < _estimate(config)
 
 
 @pytest.mark.parametrize(
@@ -388,16 +440,16 @@ def test_memory_estimate_bounds_the_traced_peak(argv, capsys):
     ids=" ".join,
 )
 def test_memory_estimate_bounds_the_traced_route_build(argv):
-    # the guard builds the sampler's route inside parse_config, so the
-    # route's setup is held there and not in the traced run
-    parse_config(argv)  # loads modules and fills caches outside the measurement
+    # the route's set-up, traced alone, before any path is drawn
+    config = parse_config(argv)
+    _route_of(config)  # loads modules and fills caches outside the measurement
     tracemalloc.start()
     try:
-        config = parse_config(argv)
+        route = _route_of(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < _estimate(config)[0]
+    assert peak < _estimate(config, route)
 
 
 @pytest.mark.parametrize(
@@ -414,7 +466,7 @@ def test_mc_validate_estimate_stays_near_the_traced_peak(argv, capsys):
     # an estimate far above the peak would refuse runs that fit under the cap
     config = parse_config(argv)
     peak = _traced_peak(config, capsys)
-    assert peak < _estimate(config)[0] <= 1.3 * peak
+    assert peak < _estimate(config) <= 1.3 * peak
 
 
 def test_mc_validate_memory_does_not_grow_with_the_path_count(capsys, monkeypatch):
@@ -605,6 +657,15 @@ def test_exit_three_reports_numerical_failure(capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+# model parameters whose values leave float64 in a run's own arithmetic,
+# past the closed forms that the library checks
+_RUN_OVERFLOW = [
+    # the Gaussian psd forms -inf * 0 at frequency 0
+    ("dump-spectrum", "--model", "gauss", "--width", "1e300"),
+    # the per-path reductions of the increments overflow, in the sampler's threads
+    ("mc-validate", "--model", "ou", "--power", "1e300", "--paths", "200"),
+]
+
 # model parameters whose closed forms leave float64
 _EXTREME = [
     (command, *model)
@@ -623,6 +684,7 @@ _EXTREME = [
     # the tail bound's prefactor underflows to 0; the tail truncation reaches inf
     ("rate", "--model", "tri", "--power", "1e-300", "--support", "1e300"),
     ("power-sum", "--model", "tri", "--power", "1e300", "--support", "1e-300"),
+    *_RUN_OVERFLOW,
 ]
 _TYPED = {1: "invariant violated:", 2: "error:", 3: "numerical failure:"}
 
@@ -638,6 +700,15 @@ def test_extreme_model_parameters_exit_by_the_table(argv):
     assert all(line.startswith(tuple(_TYPED.values())) for line in lines), result.stderr
     if result.returncode:
         assert any(line.startswith(_TYPED[result.returncode]) for line in lines)
+
+
+@pytest.mark.parametrize("argv", _RUN_OVERFLOW, ids=" ".join)
+def test_overflow_inside_a_run_is_a_numerical_failure(argv):
+    # a run raises on overflow, invalid and divide, so its report holds no
+    # inf or nan and no library warning reaches stderr
+    result = run_cli(*argv)
+    assert result.returncode == 3
+    assert result.stderr.startswith("numerical failure:") and result.stderr.count("\n") == 1
 
 
 def test_wide_kernel_reports_a_negative_circulant_rate():
@@ -743,7 +814,9 @@ def test_module_entry_reruns_are_byte_identical():
 def test_mc_validate_flags_a_three_sigma_excursion(capsys, monkeypatch):
     # one empirical covariance 3.1 standard errors from the analytic value:
     # the run must report the violation and exit 1
-    def estimates(model, grid, refine, paths, seed, lags, dump=None, route=None):
+    model = SpectralModel.ornstein_uhlenbeck(1.0, 1.0)
+
+    def estimates(route, grid, refine, paths, seed, lags, dump=None):
         empirical = gamma_sequence(model, grid).gamma[list(lags)]
         stderr = np.full(len(lags), 0.01)
         empirical[1] += 3.1 * stderr[1]

@@ -11,13 +11,13 @@ Closed-form oracles (independent derivations):
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.polynomial.hermite import hermval
 
-import szegolab.gram
 from szegolab import (
     GramSequence,
     ModelKind,
@@ -28,8 +28,8 @@ from szegolab import (
     gamma_sequence,
     toeplitz_matrix,
 )
-from szegolab.gram import _gamma_quadrature, _toeplitz_view
-from szegolab.quadrature import _panel_sums
+from szegolab.gram import _toeplitz_view
+from szegolab.quadrature import _panel_sums, adaptive_gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,31 @@ def test_zero_power_gives_zero_coefficients():
 # ---------------------------------------------------------------------------
 # quadrature reference agrees with the closed forms
 # ---------------------------------------------------------------------------
+_MAX_PANELS = 4096  # panels one coefficient's quadrature may evaluate
+
+
+def _gamma_quadrature(model: SpectralModel, grid: SamplingGrid) -> np.ndarray:
+    """Reference gamma_0..gamma_{n-1} by adaptive quadrature, 1e-10 absolute
+    per coefficient; raises NonConvergedQuadrature when the panel budget is
+    exhausted."""
+    h, n = grid.h, grid.n
+    breakpoints = model.acf_breakpoints()
+    out = np.empty(n)
+    for l in range(n):
+        a0, m, b0 = (l - 1) * h, l * h, (l + 1) * h
+        cuts = sorted({a0, b0} | {b for b in (*breakpoints, m) if a0 < b < b0})
+
+        def integrand(t):
+            return model.acf(t) * (h - np.abs(t - m))
+
+        # The double integral over the cell pair reduces exactly to this
+        # one-dimensional overlap-weighted form; target 1e-10 absolute on
+        # gamma_l means 1e-10 * h on the unnormalized integral.
+        total, _ = adaptive_gauss_legendre(integrand, cuts, 1e-10 * h, _MAX_PANELS)
+        out[l] = total / h
+    return out
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -162,7 +187,7 @@ def test_quadrature_matches_closed_form(model):
 def test_quadrature_budget_exhaustion_raises(monkeypatch):
     # a fast-decaying covariance on a wide cell needs many bisections; a
     # budget of one panel cannot reach the per-cell accuracy target
-    monkeypatch.setattr(szegolab.gram, "_MAX_PANELS", 1)
+    monkeypatch.setattr(sys.modules[__name__], "_MAX_PANELS", 1)
     model = SpectralModel.ornstein_uhlenbeck(1.0, 50.0)
     with pytest.raises(NonConvergedQuadrature):
         _gamma_quadrature(model, SamplingGrid(T=8.0, n=2))

@@ -320,6 +320,22 @@ def test_a_failing_block_is_raised_once_every_thread_has_ended(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_an_overflow_in_a_new_worker_raises_under_the_callers_error_state():
+    # numpy keeps its error state per thread, and a new thread starts at the
+    # default, which only warns
+    caller = threading.current_thread()
+
+    def start():
+        def fill(block):
+            if threading.current_thread() is not caller:
+                np.float64(1e300) * np.float64(1e300)
+
+        return fill
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        mc._run_blocks(start, [slice(0, 1)] * 3, 3)
+
+
 def test_generator_metadata_names_the_block_seeded_source(ou11):
     batch = sample_paths(ou11, SamplingGrid(T=1.0, n=4), paths=2, seed=0)
     assert "PCG64DXSM seeded by (seed, row block)" in batch.generator
@@ -618,7 +634,8 @@ def test_streamed_estimates_equal_the_table_route(kind, T, n, workers, tmp_path,
     write_batch(batch, tmp_path / "table.szgl")
 
     dump = tmp_path / "streamed.szgl"
-    s_tilde, s_se, s_ratio = mc._validation_estimates(model, grid, 8, paths, seed, lags, dump=dump)
+    route = mc._route(model, grid, 8)
+    s_tilde, s_se, s_ratio = mc._validation_estimates(route, grid, 8, paths, seed, lags, dump=dump)
     assert np.array_equal(s_tilde, tilde) and np.array_equal(s_se, se)
     assert s_ratio == pytest.approx(ratio, rel=1e-15, abs=0.0)
     assert dump.read_bytes() == (tmp_path / "table.szgl").read_bytes()
@@ -637,7 +654,8 @@ def test_streamed_blocks_on_more_threads_than_cpus_land_in_their_rows(tmp_path, 
     before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        tilde, se, ratio = mc._validation_estimates(model, grid, 4, paths, seed, (0, 3), dump=dump)
+        tilde, se, ratio = mc._validation_estimates(mc._route(model, grid, 4), grid, 4, paths, seed,
+                                                    (0, 3), dump=dump)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
@@ -659,8 +677,8 @@ def test_streamed_run_that_fails_part_way_leaves_no_dump(tmp_path, monkeypatch):
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
     dump = tmp_path / "partial.szgl"
     with pytest.raises(RuntimeError, match="block failed"):
-        mc._validation_estimates(_KINDS["ou"], SamplingGrid(T=10.0, n=100), 8, 2000, 1, (0,),
-                                 dump=dump)
+        grid = SamplingGrid(T=10.0, n=100)
+        mc._validation_estimates(mc._route(_KINDS["ou"], grid, 8), grid, 8, 2000, 1, (0,), dump=dump)
     assert not dump.exists()
     assert list(tmp_path.iterdir()) == []
 
